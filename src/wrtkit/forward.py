@@ -7,8 +7,7 @@ polar configuration g(rho, theta) = P_h f(rho e(theta), rho e(theta)^perp).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -218,7 +217,8 @@ def analytic_wrt_gaussian(f, w, u, v):
       = amp sqrt(pi / alpha) exp(-A / 2 s^2 + B^2 / (4 alpha s^4)),
       alpha = |v|^2 / (2 s^2) + 1 / (2 sw^2),  A = |u - c|^2,  B = (u - c).v
 
-    v = 0 is legal here (value f(u) integral h).
+    u and v are paired points, broadcast against each other over their
+    leading axes.  v = 0 is legal here (value f(u) integral h).
     """
     if w.kind != "gaussian":
         raise ValidationError("analytic oracle needs a gaussian window")
@@ -232,25 +232,31 @@ def analytic_wrt_gaussian(f, w, u, v):
     for c in f.components:
         s, amp = c["sigma"], c["amplitude"]
         du = u - np.asarray(c["center"])
-        A = np.sum(du * du, axis=-1)
-        B = np.sum(du * v, axis=-1)
         alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * sw**2)
-        out = out + amp * np.sqrt(np.pi / alpha) * np.exp(-0.5 * A / s**2 + B**2 / (4.0 * alpha * s**4))
+        # the exponent is built in place in B, the largest temporary
+        B = np.einsum("...i,...i->...", du, v)
+        B *= B
+        B /= 4.0 * alpha * s**4
+        B -= 0.5 * np.sum(du * du, axis=-1) / s**2
+        np.exp(B, out=B)
+        B *= amp * np.sqrt(np.pi / alpha)
+        out += B
     return out if out.size > 1 else float(out.reshape(-1)[0])
 
 
 def analytic_wrt_data(f, w, u_grid, vset):
     """WRTData filled from the closed-form gaussian/gaussian result.
 
-    Useful wherever exact transform data is needed without quadrature cost
-    (calibration, geometry studies); same restrictions as
-    :func:`analytic_wrt_gaussian`.
+    Crosses every grid point with blocks of v columns, sized so that the
+    temporaries stay near 8 MB in all.  Useful wherever exact transform
+    data is needed without quadrature cost (calibration, geometry
+    studies); same restrictions as :func:`analytic_wrt_gaussian`.
     """
-    U = u_grid.points()
+    U = u_grid.points()[:, None, :]
     vals = np.empty((U.shape[0], len(vset)))
-    for j in range(len(vset)):
-        V = np.broadcast_to(vset.vectors[j], U.shape)
-        vals[:, j] = analytic_wrt_gaussian(f, w, U, V)
+    block = max(1, 2**19 // U.shape[0])
+    for lo in range(0, len(vset), block):
+        vals[:, lo:lo + block] = analytic_wrt_gaussian(f, w, U, vset.vectors[lo:lo + block])
     return WRTData(u_grid, vset, w, vals)
 
 

@@ -10,6 +10,8 @@ fixed-v data slice with the Riesz-filtered window and is evaluated
 spectrally: FT_u of the filtered slice equals
 P_hat(xi, v) |xi.v| hhat(-xi.v), which is exact in t and automatically
 tames the |v|^-n singularity (the multiplier vanishes linearly in |v|).
+Backprojection is linear, so the weighted filtered spectra of all slices
+are summed and a single inverse real FFT returns to u.
 
 No admissibility (hhat(0) = 0) is required.
 """
@@ -22,8 +24,7 @@ import numpy as np
 from scipy import ndimage, special
 
 from .errors import HypothesisError, ValidationError
-from .fields import Grid, ScalarField
-from .quad import gauss_legendre_panels
+from .fields import ScalarField
 from .windows import window_constants, window_ft
 
 __all__ = [
@@ -72,21 +73,6 @@ def theory_constant_t1(w, n):
     return special.gamma(n / 2.0) / (np.pi ** (n / 2.0) * c.c_hat_full)
 
 
-def _filter_slice(slice_vals, u_grid, v, w, pad):
-    """Q(u, v) = int P(u - v t, v) I^-1 h(-t) dt, computed spectrally."""
-    shape = tuple(int(N * pad) for N in u_grid.shape)
-    F = np.fft.fftn(slice_vals, s=shape, axes=tuple(range(u_grid.n)))
-    axes_freq = [
-        2.0 * np.pi * np.fft.fftfreq(shape[ax], u_grid.spacing[ax])
-        for ax in range(u_grid.n)
-    ]
-    mesh = np.meshgrid(*axes_freq, indexing="ij", sparse=True)
-    xi_dot_v = sum(m * vi for m, vi in zip(mesh, v))
-    mult = np.abs(xi_dot_v) * window_ft(w, -xi_dot_v)
-    Q = np.fft.ifftn(F * mult)
-    return Q[tuple(slice(0, N) for N in u_grid.shape)].real
-
-
 def reconstruct_t1(data, w, grid, params=BPParams()):
     """Ramp-filtered backprojection of full-redundancy data onto ``grid``."""
     if not w.is_real:
@@ -108,27 +94,18 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
     if radii_used.size < 2:
         raise ValidationError("need at least two radii for the log-r quadrature")
     # trapezoid in log r (dv |v|^-n in polar form is d log r d theta)
-    logr = np.log(radii_used)
-    wr = np.zeros_like(logr)
-    wr[1:-1] = 0.5 * (logr[2:] - logr[:-2])
-    wr[0] = 0.5 * (logr[1] - logr[0])
-    wr[-1] = 0.5 * (logr[-1] - logr[-2])
-    # direction weights: uniform on S^1; product rule on S^2
+    wr = np.gradient(np.log(radii_used))
+    wr[[0, -1]] *= 0.5
+    # direction weights: uniform on S^1, equal on S^2
     if n == 2:
         wtheta = np.full(dirs.shape[0], 2.0 * np.pi / dirs.shape[0])
     elif n == 3:
         wtheta = _sphere_weights(dirs)
     else:
         raise ValidationError("backprojection implemented for n = 2 and 3")
-    acc = np.zeros(u_grid.shape)
-    r_index = {int(j): jj for jj, j in enumerate(np.nonzero(sel)[0])}
-    nr = radii.size
-    for k in range(dirs.shape[0]):
-        for j0 in np.nonzero(sel)[0]:
-            col = k * nr + j0
-            v = data.vset.vectors[col]
-            Q = _filter_slice(data.slice_values(col), u_grid, v, w, params.pad)
-            acc += wtheta[k] * wr[r_index[int(j0)]] * Q
+    cols = np.nonzero(np.tile(sel, dirs.shape[0]))[0]  # direction-major, as in the vset
+    weights = np.multiply.outer(wtheta, wr).ravel()
+    acc = _backproject(data, cols, weights, w, params.pad)
     raw = _resample(acc, u_grid, grid)
     if params.constant_mode == "raw":
         const = 1.0
@@ -142,10 +119,36 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
 
 
 def _sphere_weights(dirs):
-    """Weights for a product-rule direction set on S^2 (uniform azimuth x
-    Gauss-Legendre polar); falls back to equal 4 pi / N weights."""
+    """Equal 4 pi / N weights on S^2 (the directions are assumed uniform;
+    no product rule is built)."""
     N = dirs.shape[0]
     return np.full(N, 4.0 * np.pi / N)
+
+
+def _backproject(data, cols, weights, w, pad):
+    """sum_j weights_j Q_j, Q(u, v) = int P(u - v t, v) I^-1 h(-t) dt.
+
+    Slices are zero-padded by ``pad`` and real-FFT'd in blocks of about
+    8 MB of spectra; FT(P) |xi.v| hhat(-xi.v) is summed and inverted once.
+    The Nyquist bin of an even-length axis is filtered at one sign of xi.
+    """
+    u_grid = data.u_grid
+    shape = tuple(int(N * pad) for N in u_grid.shape)
+    axes = tuple(range(1, u_grid.n + 1))
+    freqs = [2.0 * np.pi * np.fft.fftfreq(N, d) for N, d in zip(shape[:-1], u_grid.spacing)]
+    freqs.append(2.0 * np.pi * np.fft.rfftfreq(shape[-1], u_grid.spacing[-1]))
+    mesh = np.meshgrid(*freqs, indexing="ij", sparse=True)
+    acc = np.zeros(tuple(f.size for f in freqs), dtype=complex)
+    block = max(1, 2**19 // acc.size)
+    for lo in range(0, cols.size, block):
+        blk = cols[lo:lo + block]
+        slices = data.values[:, blk].T.reshape(blk.size, *u_grid.shape)
+        F = np.fft.rfftn(slices, s=shape, axes=axes)
+        for Fj, col, wt in zip(F, blk, weights[lo:lo + block]):
+            xi_dot_v = sum(m * vi for m, vi in zip(mesh, data.vset.vectors[col]))
+            acc += Fj * (wt * np.abs(xi_dot_v) * window_ft(w, -xi_dot_v))
+    Q = np.fft.irfftn(acc, s=shape, axes=tuple(range(u_grid.n)))
+    return Q[tuple(slice(0, N) for N in u_grid.shape)]
 
 
 def _resample(values, src_grid, dst_grid):

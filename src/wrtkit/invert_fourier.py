@@ -1,9 +1,11 @@
 """Polar frequency-domain inversion along v parallel to xi.
 
 Uses the factorization P_hat(sigma theta, r theta) = fhat(sigma theta)
-hhat(-r sigma): dividing the r-integral of data times hhat(r sigma) by
-the matching window integral recovers fhat on polar rays, and a direct
-polar sum synthesizes f.
+hhat(-r sigma): the u-transform of each slice is summed exactly along
+its ray, dividing the r-integral of data times hhat(r sigma) by the
+matching window integral recovers fhat on polar rays, and a direct polar
+sum synthesizes f.  Both sums factor per axis on a tensor grid
+(exp(-i sigma theta.x) = prod_a exp(-i sigma theta_a x_a)).
 
 The per-sigma normalization uses the *same* trapezoid rule on |hhat(r
 sigma)|^2 as the data integral, so the finite r coverage cancels instead
@@ -16,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import HypothesisError, NumericalError, ValidationError
-from .fields import ScalarField, continuous_ft
+from .fields import ScalarField
 from .windows import window_constants, window_ft
 
 __all__ = [
@@ -47,18 +48,20 @@ class PolarSpectralSamples:
             raise ValidationError("sigma grid must be non-negative")
 
 
-def extract_polar_spectrum(data, sigma, pad=2):
-    """FT each fixed-v slice over u, then read the ray xi = sigma theta_j.
+def extract_polar_spectrum(data, sigma):
+    """P_hat(sigma theta_j, r_m theta_j) for every slice of polar-vset data.
 
-    ``data`` must carry a polar vset; returns PolarSpectralSamples over the
-    data's own direction/radius sets.  The slice spectrum is zero-padded by
-    ``pad`` and sampled along the ray with cubic splines; sigma beyond the
-    u-grid Nyquist band is rejected.
+    The continuous u-transform is the exact sum along each ray,
+    cell_volume * sum_x P(x, v) exp(-i sigma theta_j.x), evaluated per
+    direction for all radii at once; sigma beyond the u-grid Nyquist band
+    is rejected.  Returns PolarSpectralSamples over the data's own
+    direction/radius sets.
     """
     if data.vset.mode != "polar":
         raise ValidationError("polar-vset data required")
     sigma = np.asarray(sigma, dtype=float)
-    fgrid = data.u_grid.frequency_grid()
+    u_grid = data.u_grid
+    fgrid = u_grid.frequency_grid()
     nyq = min(
         abs(fgrid.axis_coords(ax)[0]) for ax in range(fgrid.n)
     )
@@ -68,21 +71,16 @@ def extract_polar_spectrum(data, sigma, pad=2):
     radii = data.vset.radii
     angles = np.arctan2(dirs[:, 1], dirs[:, 0]) if dirs.shape[1] == 2 else None
     nt, nr = dirs.shape[0], radii.size
+    x = [u_grid.axis_coords(ax) for ax in range(u_grid.n)]
+    # (N_1, ..., N_n, Ntheta, Nr): the slices of direction k are [..., k, :]
+    vals = data.values.reshape(*u_grid.shape, nt, nr)
     out = np.empty((nt, sigma.size, nr), dtype=complex)
     for k in range(nt):
-        ray = np.multiply.outer(sigma, dirs[k])  # (Nsigma, n)
-        for m in range(nr):
-            col = k * nr + m
-            spec = continuous_ft(
-                ScalarField(data.u_grid, data.slice_values(col)),
-                pad=pad, warn_boundary=False,
-            )
-            idx = spec.grid.coord_to_index(ray).T
-            out[k, :, m] = ndimage.map_coordinates(
-                spec.values.real, idx, order=3, mode="nearest"
-            ) + 1j * ndimage.map_coordinates(
-                spec.values.imag, idx, order=3, mode="nearest"
-            )
+        E = [np.exp(-1j * np.multiply.outer(sigma * dirs[k, ax], xa)) for ax, xa in enumerate(x)]
+        acc = np.tensordot(E[0], vals[..., k, :], axes=1)  # (Nsigma, N_2, ..., N_n, Nr)
+        for Ea in E[1:]:
+            acc = np.einsum("sj,sj...->s...", Ea, acc)
+        out[k] = u_grid.cell_volume * acc
     return PolarSpectralSamples(angles, sigma, radii, out, window=data.window)
 
 
@@ -149,20 +147,18 @@ def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None, decay_t
         else:
             const = alpha
     # trapezoid in sigma, uniform in theta
-    ws = np.zeros_like(sigma)
     if sigma.size < 2:
         raise ValidationError("need at least two sigma samples")
-    ws[1:-1] = 0.5 * (sigma[2:] - sigma[:-2])
-    ws[0] = 0.5 * (sigma[1] - sigma[0])
-    ws[-1] = 0.5 * (sigma[-1] - sigma[-2])
+    ws = np.gradient(sigma)
+    ws[[0, -1]] *= 0.5
     dtheta = 2.0 * np.pi / samples.angles.size
-    X = grid.points()
-    acc = np.zeros(X.shape[0], dtype=complex)
+    # per angle, sum_sigma c e^{i sigma theta.x} on the tensor grid is
+    # E1^T diag(c) E2 with per-axis exponentials
+    acc = np.zeros(grid.shape, dtype=complex)
     for k, ang in enumerate(samples.angles):
-        theta = np.array([np.cos(ang), np.sin(ang)])
-        phase = X @ theta
-        E = np.exp(1j * np.multiply.outer(sigma, phase))  # (Nsigma, Nx)
-        acc += (coef[k] * ws) @ E
+        E1 = np.exp(1j * np.multiply.outer(sigma * np.cos(ang), grid.axis_coords(0)))
+        E2 = np.exp(1j * np.multiply.outer(sigma * np.sin(ang), grid.axis_coords(1)))
+        acc += (E1.T * (coef[k] * ws)) @ E2
     acc *= const * dtheta
     if not np.all(np.isfinite(acc)):
         raise NumericalError("synthesis produced non-finite values")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import Grid, PhantomSpec, ScalarField, SpectralField
-from .forward import PolarWRT, VSet, WRTData
+from .forward import PolarWRT, VSet, WRTData, polar_vset, v1_line_vset
 from .invert_fourier import PolarSpectralSamples
 from .windows import WindowSpec
 
@@ -165,8 +165,6 @@ def _vset_meta(vset):
 
 
 def _vset_from_meta(m):
-    from .forward import full_grid_vset, polar_vset, v1_line_vset
-
     mode = m["mode"]
     if mode == "polar":
         return polar_vset(np.asarray(m["directions"]), np.asarray(m["radii"]))

@@ -73,6 +73,28 @@ def test_analytic_wrt_data_equals_quadrature():
     assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
+def test_analytic_wrt_data_matches_per_v_closed_form():
+    # reference: the closed form evaluated one v column at a time; the grid
+    # is large enough that the batched oracle splits the v set into blocks
+    spec = gaussian_mixture_phantom([((0.3, -0.1), 0.9, 1.0), ((-0.7, 0.5), 0.6, 0.4)])
+    w = gaussian_window(1.1)
+    grid = make_grid(2, 160, 12.0)
+    vset = polar_vset(uniform_circle(5)[0], np.geomspace(0.1, 3.0, 7))
+    got = analytic_wrt_data(spec, w, grid, vset).values
+    U = grid.points()
+    want = np.zeros_like(got)
+    for j, v in enumerate(vset.vectors):
+        for c in spec.components:
+            s, amp = c["sigma"], c["amplitude"]
+            du = U - np.asarray(c["center"])
+            A = np.sum(du * du, axis=1)
+            B = du @ v
+            alpha = v @ v / (2.0 * s**2) + 1.0 / (2.0 * w.sigma**2)
+            want[:, j] += amp * np.sqrt(np.pi / alpha) * np.exp(
+                -0.5 * A / s**2 + B**2 / (4.0 * alpha * s**4))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_oracle_continuous_at_v_zero():
     # the closed form is well defined in the limit v -> 0:
     # P_h f(u, 0) = f(u) * integral h

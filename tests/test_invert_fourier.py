@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from wrtkit import (
     HypothesisError,
+    ScalarField,
     ValidationError,
     analytic_signal_window,
     analytic_wrt_data,
+    continuous_ft,
     extract_polar_spectrum,
     gaussian_phantom,
     gaussian_window,
@@ -18,7 +21,7 @@ from wrtkit import (
     uniform_circle,
     window_ft,
 )
-from wrtkit.invert_fourier import PolarSpectralSamples, paper_constant_t2
+from wrtkit.invert_fourier import PolarSpectralSamples, _r_weights, paper_constant_t2
 from wrtkit.windows import window_constants
 
 
@@ -32,22 +35,38 @@ def _small_dataset(nd=16, nr=6):
     return spec, w, data
 
 
+def _spline_extraction(data, sigma):
+    """Reference: pad-2 DFT of each slice read along the ray by cubic splines."""
+    nr = data.vset.radii.size
+    out = np.empty((data.vset.directions.shape[0], sigma.size, nr), dtype=complex)
+    for k, theta in enumerate(data.vset.directions):
+        for m in range(nr):
+            col = k * nr + m
+            spec = continuous_ft(ScalarField(data.u_grid, data.slice_values(col)),
+                                 pad=2, warn_boundary=False)
+            idx = spec.grid.coord_to_index(np.multiply.outer(sigma, theta)).T
+            out[k, :, m] = ndimage.map_coordinates(
+                spec.values.real, idx, order=3, mode="nearest"
+            ) + 1j * ndimage.map_coordinates(spec.values.imag, idx, order=3, mode="nearest")
+    return out
+
+
 def test_extraction_matches_factorized_spectrum():
-    # P_hat(sigma theta, r theta) = fhat(sigma theta) hhat(-r sigma)
+    # P_hat(sigma theta, r theta) = fhat(sigma theta) hhat(-r sigma); the
+    # exact ray sum is pinned no looser than the spline reading it replaced
     spec, w, data = _small_dataset()
     sigma = np.linspace(0.0, 4.0, 33)
     samples = extract_polar_spectrum(data, sigma)
-    dirs = data.vset.directions
-    scale = 0.0
-    dev = 0.0
-    for k in range(dirs.shape[0]):
-        xi = np.multiply.outer(sigma, dirs[k])
-        fhat = phantom_spectrum(spec, xi)
-        for m, r in enumerate(data.vset.radii):
-            want = fhat * window_ft(w, -sigma * r)
-            dev = max(dev, float(np.max(np.abs(samples.values[k, :, m] - want))))
-            scale = max(scale, float(np.max(np.abs(want))))
-    assert dev / scale < 1e-4
+    hhat = window_ft(w, -np.multiply.outer(sigma, data.vset.radii))
+    want = np.stack([
+        phantom_spectrum(spec, np.multiply.outer(sigma, theta))[:, None] * hhat
+        for theta in data.vset.directions
+    ])
+    scale = np.max(np.abs(want))
+    dev = np.max(np.abs(samples.values - want)) / scale
+    spline_dev = np.max(np.abs(_spline_extraction(data, sigma) - want)) / scale
+    assert dev < 1e-10
+    assert dev <= spline_dev
 
 
 def test_extraction_rejects_out_of_band_sigma():
@@ -74,6 +93,28 @@ def test_reconstruct_gaussian():
     out = make_grid(2, 48, 24.0)
     rec = reconstruct_t2(samples, w, out, constant_mode="theory")
     assert rel_l2_error(rec, sample_phantom(spec, out)) < 0.05
+
+
+def test_separable_synthesis_matches_direct_polar_sum():
+    _, w, data = _small_dataset(nd=12, nr=4)
+    sigma = np.linspace(0.0, 3.0, 17)
+    samples = extract_polar_spectrum(data, sigma)
+    grid = make_grid(2, (20, 24), 12.0, center=(0.3, -0.2))
+    got = reconstruct_t2(samples, w, grid, constant_mode="raw", decay_tol=0.0).values
+    # reference: the same coefficients summed point by point over the grid
+    radii = samples.radii
+    hh = window_ft(w, np.multiply.outer(sigma, radii))
+    wr = _r_weights(radii)
+    coef = np.einsum("ksr,sr,r->ks", samples.values, hh, wr) * sigma / (np.abs(hh) ** 2 @ wr)
+    ws = np.gradient(sigma)
+    ws[[0, -1]] *= 0.5
+    X = grid.points()
+    acc = np.zeros(X.shape[0], dtype=complex)
+    for k, ang in enumerate(samples.angles):
+        phase = X @ np.array([np.cos(ang), np.sin(ang)])
+        acc += (coef[k] * ws) @ np.exp(1j * np.multiply.outer(sigma, phase))
+    want = (acc * 2.0 * np.pi / samples.angles.size).real.reshape(grid.shape)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_complex_window_rejected():
