@@ -41,6 +41,7 @@ from .forward import (
     uniform_circle,
     v1_line_vset,
     windowed_ray_transform,
+    wrt_columns,
     wrt_polar_perp,
 )
 from .invert_bp import (

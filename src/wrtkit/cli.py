@@ -38,6 +38,7 @@ from .forward import (
     uniform_circle,
     v1_line_vset,
     windowed_ray_transform,
+    wrt_columns,
     wrt_polar_perp,
 )
 from .invert_bp import BPParams, reconstruct_t1, t1_frequency_check
@@ -169,6 +170,8 @@ def cmd_forward(args):
     w = parse_window(args.window)
     quad = QuadratureParams(panels=args.quad_panels)
     if args.vmode == "perp":
+        if not 0 < args.rho_min <= args.rho_max:
+            raise ValidationError("perp radii need 0 < --rho-min <= --rho-max")
         rho = np.geomspace(args.rho_min, args.rho_max, args.nrho)
         theta = 2.0 * np.pi * np.arange(args.ntheta) / args.ntheta
         data = wrt_polar_perp(src, w, rho, theta, quad)
@@ -178,6 +181,8 @@ def cmd_forward(args):
         return EXIT_OK
     grid = _out_grid(args, 2)
     if args.vmode == "polar":
+        if not 0 < args.rmin <= args.rmax:
+            raise ValidationError("polar radii need 0 < --rmin <= --rmax")
         dirs, _ = uniform_circle(args.ndirs, jitter=args.jitter, seed=args.seed)
         vset = polar_vset(dirs, np.geomspace(args.rmin, args.rmax, args.nr))
     elif args.vmode == "v1-line":
@@ -320,10 +325,7 @@ def _selftest_checks():
         w = WindowSpec("gaussian", sigma=1.0)
         U = np.array([[0.0, 0.0], [1.0, -0.5]])
         V = np.array([[1.0, 0.5], [0.3, -2.0]])
-        from .forward import _eval_source_along_rays, _time_nodes
-        t, wt = _time_nodes(w, QuadratureParams(panels=8))
-        h = windows_mod.window_eval(w, t)
-        got = _eval_source_along_rays(spec, U, V, t) @ (h * wt)
+        got = np.diag(wrt_columns(spec, w, U, V, QuadratureParams(panels=8)))
         want = analytic_wrt_gaussian(spec, w, U, V)
         assert np.max(np.abs(got - want)) < 1e-10
 

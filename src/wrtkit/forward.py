@@ -30,6 +30,7 @@ __all__ = [
     "polar_vset",
     "v1_line_vset",
     "windowed_ray_transform",
+    "wrt_columns",
     "analytic_wrt_gaussian",
     "analytic_wrt_data",
     "wrt_polar_perp",
@@ -166,44 +167,111 @@ def _time_nodes(w, quad, v_norm=None, extra_reach=None, feature=None):
     return gauss_legendre_panels(-T, T, panels, quad.nodes)
 
 
-def _eval_source_along_rays(f, u, v, t):
-    """f(u_m + t_q v_m) for a phantom or a sampled field, (M, Q) output."""
+_EPS = 1e-17  # skipped panels hold source values below this share of the peak
+
+
+def _ray_source(f):
+    """(values, interval) of a phantom or a sampled field: values(U, V, t) is
+    f(u_m + t_q v_m) as (M, Q), interval(U, V) the per-ray [lo, hi] in t
+    outside which |f| <= _EPS times the peak (lo > hi: the ray misses)."""
     if isinstance(f, PhantomSpec):
-        return f.evaluate_along_rays(u, v, t)
-    if isinstance(f, ScalarField):
-        pts = u[:, None, :] + t[None, :, None] * v[:, None, :]
-        idx = f.grid.coord_to_index(pts.reshape(-1, f.grid.n))
-        vals = ndimage.map_coordinates(
-            f.values, idx.T, order=3, mode="constant", cval=0.0, prefilter=True
-        )
-        return vals.reshape(u.shape[0], t.size)
-    raise ValidationError("source must be a PhantomSpec or ScalarField")
+        tail = np.sqrt(2.0 * np.log(1.0 / _EPS))
+        balls = [(np.asarray(c["center"]), c["radius"] + c["smoothing"] * (tail + 1.0)
+                  if f.kind == "smoothed-disk" else c["sigma"] * tail) for c in f.components]
+
+        def interval(U, V):  # hull of the component balls
+            lo, hi = zip(*(_ball_interval(U - c, V, r) for c, r in balls))
+            return np.min(lo, axis=0), np.max(hi, axis=0)
+
+        return f.evaluate_along_rays, interval
+    if not isinstance(f, ScalarField):
+        raise ValidationError("source must be a PhantomSpec or ScalarField")
+    g = f.grid
+    coef = ndimage.spline_filter(f.values, 3, mode="constant")  # map_coordinates' prefilter
+    # B-spline weights are >= 0 and sum to 1, so beyond the 2-cell stencil of
+    # the coefficients above _EPS max|c|, |f| <= _EPS max|c|; off the grid
+    # mode "constant" reads 0 (one cell of margin absorbs rounding in the clip)
+    big = np.nonzero(np.abs(coef) >= _EPS * np.max(np.abs(coef)))
+    box = g.index_to_coord(np.array([np.clip([ix.min() - 2, ix.max() + 2], -1, N)
+                                     for ix, N in zip(big, g.shape)]).T)
+    mid, half = 0.5 * (box[0] + box[1]), 0.5 * (box[1] - box[0])
+
+    def values(U, V, t):
+        idx = g.coord_to_index(U[:, None, :] + t[None, :, None] * V[:, None, :]).reshape(-1, g.n)
+        return ndimage.map_coordinates(coef, idx.T, order=3, mode="constant",
+                                       prefilter=False).reshape(U.shape[0], t.size)
+
+    def interval(U, V):  # Siddon's slabs: each axis is a 1-d ball, intersected
+        lo, hi = zip(*(_ball_interval(U[:, i:i + 1] - mid[i], V[:, i:i + 1], half[i])
+                       for i in range(g.n)))
+        return np.max(lo, axis=0), np.min(hi, axis=0)
+
+    return values, interval
+
+
+def _ball_interval(du, V, rad):
+    """Per-ray [lo, hi] in t with |du + t v| <= rad (lo > hi: no hit)."""
+    v2 = np.einsum("ij,ij->i", V, V)
+    b = np.einsum("ij,ij->i", du, V)
+    gap = np.einsum("ij,ij->i", du, du) - rad**2
+    disc = b * b - v2 * gap  # of |v|^2 t^2 + 2 b t + gap
+    flat = v2 == 0.0  # |v|^2 underflowed: the ray is the point u
+    hit = np.where(flat, gap <= 0.0, disc >= 0.0)
+    root, safe = np.where(flat, np.inf, np.sqrt(np.maximum(disc, 0.0))), np.where(flat, 1.0, v2)
+    return np.where(hit, (-b - root) / safe, np.inf), np.where(hit, (-b + root) / safe, -np.inf)
+
+
+def _ray_sum(src, U, V, t, hw, k):
+    """sum_q f(u_m + t_q v_m) hw_q for paired rays (U, V), src from _ray_source.
+    A panel (k consecutive nodes) is skipped for a ray when all its nodes lie
+    outside the ray's support interval; rays that keep the same panel range
+    are evaluated as one dense block."""
+    values, interval = src
+    lo, hi = interval(U, V)
+    npan = t.size // k
+    p_lo = np.searchsorted(t[k - 1::k], lo, side="left")
+    p_hi = np.maximum(np.searchsorted(t[::k], hi, side="right"), p_lo)
+    key = p_lo * (npan + 1) + p_hi
+    out = np.zeros(U.shape[0], dtype=hw.dtype)
+    order = np.argsort(key, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        a, z = divmod(int(key[rows[0]]), npan + 1)
+        if z > a:
+            out[rows] = values(U[rows], V[rows], t[a * k:z * k]) @ hw[a * k:z * k]
+    return out
+
+
+def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
+    """P_h f(u_m, v_j), (M, Nv), for base points U (M, n) crossed with
+    vectors (Nv, n); the quadrature of :func:`windowed_ray_transform`."""
+    U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
+    if isinstance(f, PhantomSpec) and f.n != U.shape[1]:
+        raise ValidationError("phantom/grid dimension mismatch")
+    if vectors.shape[1] != U.shape[1]:
+        raise ValidationError("vset/grid dimension mismatch")
+    src = _ray_source(f)
+    if isinstance(f, PhantomSpec):
+        extra, feature = f.support_radius(1e-10), f.feature_scale()
+    else:
+        extra = 0.5 * float(np.linalg.norm(np.asarray(f.grid.shape) * np.asarray(f.grid.spacing)))
+        feature = float(min(f.grid.spacing))
+    out = np.zeros((U.shape[0], vectors.shape[0]), dtype=float if w.is_real else complex)
+    for j, v in enumerate(vectors):
+        t, wt = _time_nodes(w, quad, v_norm=float(np.linalg.norm(v)),
+                            extra_reach=extra, feature=feature)
+        out[:, j] = _ray_sum(src, U, np.broadcast_to(v, U.shape), t,
+                             window_eval(w, t) * wt, quad.nodes)
+    return out
 
 
 def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
-    """P_h f on u_grid x vset by composite Gauss-Legendre quadrature in t."""
-    if isinstance(f, PhantomSpec) and f.n != u_grid.n:
-        raise ValidationError("phantom/grid dimension mismatch")
-    if vset.vectors.shape[1] != u_grid.n:
-        raise ValidationError("vset/grid dimension mismatch")
-    U = u_grid.points()
-    nu, nv = U.shape[0], len(vset)
-    complex_win = not w.is_real
-    out = np.zeros((nu, nv), dtype=complex if complex_win else float)
-    extra = None
-    if isinstance(f, PhantomSpec):
-        extra = f.support_radius(1e-10)
-        feature = f.feature_scale()
-    elif isinstance(f, ScalarField):
-        extra = 0.5 * float(np.linalg.norm(np.asarray(f.grid.shape) * np.asarray(f.grid.spacing)))
-        feature = float(min(f.grid.spacing))
-    for j in range(nv):
-        v = vset.vectors[j]
-        t, wt = _time_nodes(w, quad, v_norm=float(np.linalg.norm(v)),
-                            extra_reach=extra, feature=feature)
-        h = window_eval(w, t)
-        fv = _eval_source_along_rays(f, U, np.broadcast_to(v, U.shape), t)
-        out[:, j] = fv @ (h * wt)
+    """P_h f on u_grid x vset by composite Gauss-Legendre quadrature in t.
+
+    The nodes are fixed by the window, ``quad`` and |v| alone; per ray, the
+    panels on which the source is below 1e-17 of its peak are skipped, so
+    the result equals the full rule to rounding.
+    """
+    out = wrt_columns(f, w, u_grid.points(), vset.vectors, quad)
     if not np.all(np.isfinite(out)):
         raise NumericalError("windowed ray transform produced non-finite values")
     return WRTData(u_grid, vset, w, out)
@@ -270,28 +338,22 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
         raise ValidationError("perpendicular polar transform is n=2 only")
     ct, st = np.cos(theta), np.sin(theta)
     # paired (rho, theta) points: u = rho e(theta), v = rho e(theta)^perp
-    U = np.stack(
-        [np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1
-    )
-    V = np.stack(
-        [np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1
-    )
-    complex_win = not w.is_real
-    vals = np.zeros(U.shape[0], dtype=complex if complex_win else float)
+    U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
+    V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
+    vals = np.zeros(U.shape[0], dtype=float if w.is_real else complex)
+    src = _ray_source(f)
+    extra, feature = ((f.support_radius(1e-10), f.feature_scale())
+                      if isinstance(f, PhantomSpec) else (None, None))
     # |v| = rho varies across samples; chunk rows with similar reach
     chunk = 8192
-    feature = f.feature_scale() if isinstance(f, PhantomSpec) else None
     for lo in range(0, U.shape[0], chunk):
         hi = min(lo + chunk, U.shape[0])
         norms = np.linalg.norm(V[lo:hi], axis=1)
         # shortest vector controls the analytic-signal reach, longest the
         # panel refinement for real windows
         vn = float(np.min(norms)) if w.kind == "analytic-signal" else float(np.max(norms))
-        extra = f.support_radius(1e-10) if isinstance(f, PhantomSpec) else None
         t, wt = _time_nodes(w, quad, v_norm=vn, extra_reach=extra, feature=feature)
-        h = window_eval(w, t)
-        fv = _eval_source_along_rays(f, U[lo:hi], V[lo:hi], t)
-        vals[lo:hi] = fv @ (h * wt)
+        vals[lo:hi] = _ray_sum(src, U[lo:hi], V[lo:hi], t, window_eval(w, t) * wt, quad.nodes)
     return PolarWRT(rho, theta, w, vals.reshape(rho.size, theta.size))
 
 

@@ -24,7 +24,7 @@ from scipy import ndimage, special
 
 from .errors import HypothesisError, ValidationError
 from .fields import Grid, ScalarField
-from .forward import v1_line_vset, windowed_ray_transform
+from .forward import v1_line_vset, windowed_ray_transform, wrt_columns
 from .quad import QuadratureParams
 from .windows import window_eval
 
@@ -133,20 +133,11 @@ def make_slice_dataset(f, w, u1, u2, v1, vprime=0.0, apodization="hann",
 def make_restricted_dataset(f, w, u1, v1, vprimes, apodization="hann",
                             quad=QuadratureParams(panels=8, max_panels=None)):
     """Dataset with u restricted to the x1-axis; values (N1, Nv1, Nv')."""
-    u1 = np.asarray(u1, dtype=float)
-    vprimes = np.asarray(vprimes, dtype=float)
+    u1, v1, vprimes = (np.asarray(a, dtype=float) for a in (u1, v1, vprimes))
     U = np.stack([u1, np.zeros_like(u1)], axis=1)
-    out = np.empty((u1.size, v1.size, vprimes.size))
-    from .forward import _eval_source_along_rays, _time_nodes  # shared kernels
-
-    t, wt = _time_nodes(w, quad)
-    h = window_eval(w, t)
-    for j, vp in enumerate(vprimes):
-        for i, v1i in enumerate(v1):
-            V = np.broadcast_to(np.array([v1i, vp]), U.shape)
-            fv = _eval_source_along_rays(f, U, V, t)
-            out[:, i, j] = fv @ (h * wt)
-    return u1, v1, vprimes, out
+    vectors = np.stack(np.broadcast_arrays(v1[:, None], vprimes[None, :]), axis=-1)
+    out = wrt_columns(f, w, U, vectors.reshape(-1, 2), quad)
+    return u1, v1, vprimes, out.reshape(u1.size, v1.size, vprimes.size)
 
 
 def _ft2(u1, v1, block, apod_kind, V):

@@ -17,7 +17,9 @@ class QuadratureParams:
     ``max_panels`` caps automatic panel refinement when the integrand
     carries features much narrower than a panel (long v vectors sweep a
     compact source through the window support in a tiny t-interval);
-    set it to None (or to ``panels``) to disable refinement.
+    set it to None (or to ``panels``) to disable refinement.  The forward
+    transforms keep these nodes and skip, per ray, the whole panels on
+    which the source is below 1e-17 of its peak.
     """
 
     panels: int = 32

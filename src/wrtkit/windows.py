@@ -53,12 +53,10 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown window kind {self.kind!r}")
-        if self.kind in ("gaussian", "hermite1"):
-            if self.sigma is None or self.sigma <= 0:
-                raise ValidationError(f"{self.kind} window needs sigma > 0")
-        if self.kind == "bump":
-            if self.radius is None or self.radius <= 0:
-                raise ValidationError("bump window needs radius > 0")
+        if self.kind in ("gaussian", "hermite1") and not 0 < (self.sigma or 0) < np.inf:
+            raise ValidationError(f"{self.kind} window needs a finite sigma > 0")
+        if self.kind == "bump" and not 0 < (self.radius or 0) < np.inf:
+            raise ValidationError("bump window needs a finite radius > 0")
 
     @property
     def is_real(self):
@@ -133,9 +131,13 @@ def window_ft(w, eta):
         return -1j * np.sqrt(2.0 * np.pi) * s**3 * eta * np.exp(-0.5 * (s * eta) ** 2)
     if w.kind == "bump":
         t, wh = _bump_ft_nodes(w.radius)
-        # even window: hhat(eta) = 2 integral_0^R h(t) cos(eta t) dt
-        vals = 2.0 * np.cos(np.multiply.outer(eta, t)) @ wh
-        return vals.astype(complex)
+        # even window: hhat(eta) = 2 integral_0^R h(t) cos(eta t) dt, in
+        # blocks of eta that keep the cosine matrix near 8 MB
+        flat, step = eta.reshape(-1), max(1, 2**20 // t.size)
+        vals = np.empty(flat.size, dtype=complex)
+        for lo in range(0, flat.size, step):
+            vals[lo:lo + step] = 2.0 * np.cos(np.multiply.outer(flat[lo:lo + step], t)) @ wh
+        return vals.reshape(eta.shape)[()]
     raise ValidationError("analytic-signal window has no transform in this catalog")
 
 

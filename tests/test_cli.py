@@ -166,3 +166,31 @@ def test_calibrate_fast_json(tmp_path, capsys):
 def test_threads_env_validation(monkeypatch):
     monkeypatch.setenv("WRTKIT_THREADS", "notanumber")
     assert main(["compare", "nope-a", "nope-b"]) == 1
+
+
+@pytest.mark.parametrize("window", ["gaussian:nan", "hermite1:inf", "bump:inf", "bump:-1"])
+def test_non_finite_window_parameter_exit_1(tmp_path, capsys, window):
+    spec = _phantom_file(tmp_path)
+    rc = main(["forward", "--phantom", spec, "--window", window,
+               "--out", str(tmp_path / "d")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--vmode", "polar", "--rmin", "5", "--rmax", "1"],
+    ["--vmode", "polar", "--rmin", "0", "--rmax", "1"],
+    ["--vmode", "perp", "--rho-min", "4", "--rho-max", "1"],
+    ["--vmode", "perp", "--rho-min", "nan", "--rho-max", "1"],
+])
+def test_reversed_forward_ranges_exit_1(tmp_path, capsys, argv):
+    spec = _phantom_file(tmp_path)
+    out = tmp_path / "d"
+    rc = main(["forward", "--phantom", spec, "--window", "gaussian:1.0", *argv,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from wrtkit import (
+    PhantomSpec,
     ValidationError,
+    analytic_signal_window,
     analytic_wrt_data,
     analytic_wrt_gaussian,
     bump_window,
@@ -11,14 +14,19 @@ from wrtkit import (
     gaussian_mixture_phantom,
     gaussian_phantom,
     gaussian_window,
+    hermite1_window,
     make_grid,
     polar_vset,
+    sample_phantom,
+    smoothed_disk_phantom,
     uniform_circle,
     v1_line_vset,
+    window_eval,
     windowed_ray_transform,
+    wrt_columns,
     wrt_polar_perp,
 )
-from wrtkit.forward import PolarWRT, VSet
+from wrtkit.forward import PolarWRT, VSet, _time_nodes
 from wrtkit.quad import QuadratureParams
 
 
@@ -164,3 +172,117 @@ def test_fourier_identity_small_grid():
     data = analytic_wrt_data(spec, w, grid, full_grid_vset(vgrid))
     res = fourier_identity_residual(data, spec, band=3.0)
     assert res < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# support-clipped quadrature against the dense rule it replaced
+
+
+def _dense_source(f, u, v, t):
+    """f(u_m + t_q v_m) at every node: the unclipped evaluation."""
+    if isinstance(f, PhantomSpec):
+        return f.evaluate_along_rays(u, v, t)
+    pts = u[:, None, :] + t[None, :, None] * v[:, None, :]
+    idx = f.grid.coord_to_index(pts.reshape(-1, f.grid.n))
+    vals = ndimage.map_coordinates(
+        f.values, idx.T, order=3, mode="constant", cval=0.0, prefilter=True
+    )
+    return vals.reshape(u.shape[0], t.size)
+
+
+def _dense_wrt(f, w, U, vectors, quad):
+    if isinstance(f, PhantomSpec):
+        extra, feature = f.support_radius(1e-10), f.feature_scale()
+    else:
+        extra = 0.5 * float(np.linalg.norm(np.asarray(f.grid.shape) * np.asarray(f.grid.spacing)))
+        feature = float(min(f.grid.spacing))
+    out = np.zeros((U.shape[0], len(vectors)), dtype=float if w.is_real else complex)
+    for j, v in enumerate(vectors):
+        t, wt = _time_nodes(w, quad, v_norm=float(np.linalg.norm(v)),
+                            extra_reach=extra, feature=feature)
+        h = window_eval(w, t)
+        out[:, j] = _dense_source(f, U, np.broadcast_to(v, U.shape), t) @ (h * wt)
+    return out
+
+
+def _assert_close(got, want, rtol=1e-14):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+_FAR_MIXTURE = gaussian_mixture_phantom([((0.3, -0.1), 0.9, 1.0), ((6.0, -5.0), 0.4, 0.5)])
+_VSET = polar_vset(uniform_circle(5)[0], np.geomspace(0.2, 3.0, 4))
+
+
+@pytest.mark.parametrize("w", [gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0),
+                               analytic_signal_window()], ids=lambda w: w.kind)
+def test_clipped_forward_matches_dense_rule(w):
+    grid = make_grid(2, 20, 16.0)
+    quad = QuadratureParams(panels=8)
+    got = windowed_ray_transform(_FAR_MIXTURE, w, grid, _VSET, quad).values
+    _assert_close(got, _dense_wrt(_FAR_MIXTURE, w, grid.points(), _VSET.vectors, quad))
+
+
+def test_clipped_forward_smoothed_disk():
+    disk = smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3)
+    grid = make_grid(2, 24, 24.0)
+    vset = polar_vset(uniform_circle(4)[0], np.geomspace(0.1, 1.0, 2))
+    quad = QuadratureParams(panels=8)
+    got = windowed_ray_transform(disk, gaussian_window(1.0), grid, vset, quad).values
+    _assert_close(got, _dense_wrt(disk, gaussian_window(1.0), grid.points(), vset.vectors, quad))
+
+
+def test_clipped_forward_field_touching_grid_edge():
+    # the gaussian's mass reaches the x1 = 5 edge of the sampled grid
+    field = sample_phantom(gaussian_phantom((4.2, 0.5), 0.6), make_grid(2, 32, 10.0))
+    assert np.max(np.abs(field.values[-1])) > 1e-2 * np.max(field.values)
+    grid = make_grid(2, 20, 14.0)
+    quad = QuadratureParams(panels=8)
+    for w in (gaussian_window(1.0), analytic_signal_window()):
+        got = windowed_ray_transform(field, w, grid, _VSET, quad).values
+        _assert_close(got, _dense_wrt(field, w, grid.points(), _VSET.vectors, quad))
+
+
+def test_clipped_perp_matches_dense_rule():
+    spec = gaussian_mixture_phantom([((1.4, 0.0), 0.23, 1.0), ((-1.4, 0.0), 0.23, 1.0)])
+    w = bump_window(2.0)
+    rho = np.geomspace(1e-10, 4.0, 256)
+    theta = 2.0 * np.pi * np.arange(32) / 32
+    quad = QuadratureParams(panels=16)
+    got = wrt_polar_perp(spec, w, rho, theta, quad).values.ravel()
+    # the dense rule, with the per-chunk nodes of wrt_polar_perp (one chunk here)
+    ct, st = np.cos(theta), np.sin(theta)
+    U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
+    V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
+    t, wt = _time_nodes(w, quad, v_norm=float(np.max(np.linalg.norm(V, axis=1))),
+                        extra_reach=spec.support_radius(1e-10), feature=spec.feature_scale())
+    _assert_close(got, _dense_source(spec, U, V, t) @ (window_eval(w, t) * wt))
+
+
+def test_ray_missing_the_source_is_exactly_zero():
+    spec = gaussian_phantom((0.0, 0.0), 0.5)
+    w = gaussian_window(1.0)
+    U = np.array([[10.0, 0.0]])
+    V = np.array([[0.0, 1.0]])
+    assert wrt_columns(spec, w, U, V)[0, 0] == 0.0
+    # the dense rule is tiny but not zero: the ray was skipped, not summed
+    assert 0.0 < abs(_dense_wrt(spec, w, U, V, QuadratureParams())[0, 0]) < 1e-60
+
+
+def test_underflowing_v_is_finite_and_correct():
+    # |v|^2 = 1e-400 underflows to 0: the ray is the point u
+    spec = gaussian_phantom((0.0, 0.0), 0.5)
+    field = sample_phantom(spec, make_grid(2, 32, 8.0))
+    w = gaussian_window(1.0)
+    U = np.array([[0.25, 0.0], [10.0, 0.0]])
+    V = np.array([[1e-200, 0.0]])
+    assert np.sum(V * V) == 0.0
+    for f in (spec, field):
+        got = wrt_columns(f, w, U, V)
+        assert np.all(np.isfinite(got)) and got[1, 0] == 0.0
+        _assert_close(got, _dense_wrt(f, w, U, V, QuadratureParams()))
+    want = spec.evaluate(U[0]) * w.sigma * np.sqrt(2.0 * np.pi)
+    assert wrt_columns(spec, w, U, V)[0, 0] == pytest.approx(want, rel=1e-12)
+    g = wrt_polar_perp(spec, w, np.array([1e-200, 0.5]), np.array([0.0, np.pi]))
+    assert np.all(np.isfinite(g.values))
+    assert g.values[0, 0] == pytest.approx(spec.evaluate(np.zeros(2)) * w.sigma * np.sqrt(2.0 * np.pi),
+                                           rel=1e-12)

@@ -14,7 +14,7 @@ from wrtkit import (
     window_eval,
     window_ft,
 )
-from wrtkit.windows import WindowSpec, window_ft_cutoff, window_support_radius
+from wrtkit.windows import WindowSpec, _bump_ft_nodes, window_ft_cutoff, window_support_radius
 
 REAL_WINDOWS = [gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0)]
 
@@ -122,3 +122,23 @@ def test_spec_validation():
         WindowSpec("gaussian")
     with pytest.raises(ValidationError):
         WindowSpec("bump", radius=-1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            WindowSpec("gaussian", sigma=bad)
+        with pytest.raises(ValidationError):
+            WindowSpec("hermite1", sigma=bad)
+        with pytest.raises(ValidationError):
+            WindowSpec("bump", radius=bad)
+
+
+def test_bump_ft_blocks_equal_the_full_product():
+    # long eta vectors are summed in blocks of 2048; the values must not change
+    w = bump_window(2.0)
+    t, wh = _bump_ft_nodes(w.radius)
+    eta = np.linspace(-60.0, 60.0, 6001)
+    want = 2.0 * np.cos(np.multiply.outer(eta, t)) @ wh
+    got = window_ft(w, eta)
+    assert got.shape == eta.shape and np.all(got.imag == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert window_ft(w, eta.reshape(1, -1, 1)).shape == (1, eta.size, 1)
+    assert np.isscalar(window_ft(w, 0.5))
