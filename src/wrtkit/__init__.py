@@ -72,7 +72,6 @@ from .invert_mellin import (
     recover_fl,
 )
 from .invert_slice import (
-    SliceDataset,
     SliceParams,
     SliceSpectrum,
     apodization_weights,
@@ -89,7 +88,6 @@ from .windows import (
     bump_window,
     gaussian_window,
     hermite1_window,
-    riesz_filter,
     window_constants,
     window_eval,
     window_ft,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fields import make_grid, sample_phantom
+from .fields import gaussian_phantom, make_grid, sample_phantom
 from .forward import (
     analytic_wrt_data,
     polar_vset,
@@ -52,8 +52,6 @@ class CalibrationReport:
 
 
 def default_calibration_phantoms():
-    from .fields import gaussian_phantom
-
     return [
         gaussian_phantom((0.0, 0.0), 0.7),
         gaussian_phantom((1.5, -0.5), 0.8, amplitude=0.8),

@@ -11,6 +11,7 @@ environment variable) caps the BLAS thread pool when the optional
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,13 +20,13 @@ import time
 import numpy as np
 
 from . import io as wio
-from . import windows as windows_mod
 from .calibrate import calibrate_constant, default_calibration_phantoms
 from .errors import HypothesisError, NumericalError, ValidationError, WrtError
 from .fields import (
     ScalarField,
     continuous_ft,
     continuous_ift,
+    gaussian_phantom,
     make_grid,
     rel_l2_error,
     sample_phantom,
@@ -50,9 +51,9 @@ from .invert_mellin import (
     mellin_transform,
     reconstruct_mellin,
 )
-from .invert_slice import SliceDataset, SliceParams, reconstruct_slice, slice_extract
+from .invert_slice import SliceParams, reconstruct_slice, slice_extract
 from .quad import QuadratureParams
-from .windows import WindowSpec, window_constants, window_ft, window_ft_cutoff
+from .windows import CONSTANT_MODES, WindowSpec, window_constants, window_ft, window_ft_cutoff
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -238,14 +239,11 @@ def cmd_invert(args):
     elif args.method == "slice":
         if isinstance(data, PolarWRT) or data.vset.mode != "v1-line":
             raise ValidationError("slice consumes v1-line data")
-        u1 = data.u_grid.axis_coords(0)
-        u2 = data.u_grid.axis_coords(1)
-        vals = data.values.reshape(u1.size, u2.size, data.vset.v1.size)
-        ds = SliceDataset(u1, u2, data.vset.v1, float(data.vset.vprime[0]), vals,
-                          w, apodization=args.apodize)
-        spec = slice_extract(ds, SliceParams(a=args.slice_a))
+        spec = slice_extract(dataclasses.replace(data, window=w),
+                             SliceParams(a=args.slice_a, apodization=args.apodize))
         rec = reconstruct_slice(spec, grid)
-        extra = [f"apodization: {args.apodize}, V = {ds.V:g}"]
+        v1 = data.vset.v1
+        extra = [f"apodization: {args.apodize}, V = {abs(v1[0]) + 0.5 * (v1[1] - v1[0]):g}"]
     elif args.method == "mellin":
         if not isinstance(data, PolarWRT):
             raise ValidationError("mellin consumes perp (polar) data")
@@ -291,9 +289,9 @@ def cmd_calibrate(args):
     return EXIT_OK
 
 
-def _selftest_checks():
-    from .fields import gaussian_phantom
-
+def _selftest_checks(fault=1.0):
+    """The selftest checks; ``fault`` != 1 scales the window constants that
+    two of them read, to exercise the failure path."""
     checks = []
 
     def check(name):
@@ -332,16 +330,17 @@ def _selftest_checks():
     @check("window transform constants match direct quadrature")
     def _wc():
         for w in (WindowSpec("gaussian", sigma=1.0), WindowSpec("hermite1", sigma=1.0)):
-            c = window_constants(w)
+            c_hat_half = window_constants(w).c_hat_half * fault
             eta = np.linspace(0.0, window_ft_cutoff(w), 4001)
             val = np.trapezoid(np.abs(window_ft(w, eta)) ** 2, eta)
-            assert abs(val - c.c_hat_half) < 1e-6 * c.c_hat_half
+            assert abs(val - c_hat_half) < 1e-6 * c_hat_half
 
     @check("backprojection filter is scale and rotation invariant")
     def _freq():
         w = WindowSpec("gaussian", sigma=1.0)
         xi = np.array([[1.0, 0.0], [0.0, 2.5], [1.2, -0.7]])
         dev, c, _ = t1_frequency_check(w, xi, n_theta=128)
+        c /= fault  # c = J / int |h|^2, the constant the fault scales
         assert dev < 1e-3
         assert abs(c - 2.0 * np.pi**2) < 1e-3 * 2.0 * np.pi**2
 
@@ -382,25 +381,17 @@ def _selftest_checks():
 
 
 def cmd_selftest(args):
-    if args.inject_fault:
-        windows_mod._FAULT_SCALE = 1.5
-        windows_mod._window_constants_cached.cache_clear()
     failures = 0
     rows = []
-    try:
-        for name, fn in _selftest_checks():
-            t0 = time.time()
-            try:
-                fn()
-                status = "pass"
-            except Exception as exc:  # report, keep going
-                status = f"FAIL ({type(exc).__name__}: {exc})"
-                failures += 1
-            rows.append((name, status, time.time() - t0))
-    finally:
-        if args.inject_fault:
-            windows_mod._FAULT_SCALE = 1.0
-            windows_mod._window_constants_cached.cache_clear()
+    for name, fn in _selftest_checks(fault=1.5 if args.inject_fault else 1.0):
+        t0 = time.time()
+        try:
+            fn()
+            status = "pass"
+        except Exception as exc:  # report, keep going
+            status = f"FAIL ({type(exc).__name__}: {exc})"
+            failures += 1
+        rows.append((name, status, time.time() - t0))
     width = max(len(r[0]) for r in rows)
     for name, status, dt in rows:
         print(f"{name:<{width}}  {status}  [{dt:.2f}s]")
@@ -459,8 +450,7 @@ def build_parser():
     sp.add_argument("--method", required=True, choices=["t1", "t2", "slice", "mellin"])
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--window")
-    sp.add_argument("--constant-mode", default="theory",
-                    choices=["paper", "theory", "calibrated", "raw"])
+    sp.add_argument("--constant-mode", default="theory", choices=CONSTANT_MODES)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--rmin", type=float, default=0.02)
     sp.add_argument("--rmax", type=float, default=8.0)

@@ -90,9 +90,6 @@ class Grid:
         coord = np.asarray(coord, dtype=float)
         return (coord - np.asarray(self.origin)) / np.asarray(self.spacing)
 
-    def translated(self, shift):
-        return Grid(self.shape, tuple(np.asarray(self.origin) + np.asarray(shift)), self.spacing)
-
     def frequency_grid(self):
         """Grid of DFT angular frequencies in fftshift (monotonic) order."""
         dxi = tuple(2.0 * np.pi / (N * d) for N, d in zip(self.shape, self.spacing))
@@ -111,19 +108,15 @@ class ScalarField:
             raise ValidationError("scalar field contains non-finite values")
         object.__setattr__(self, "values", values)
 
-    def norm2(self):
-        return float(np.sqrt(np.sum(self.values**2) * self.grid.cell_volume))
-
 
 @dataclass(frozen=True)
 class SpectralField:
     """Complex frequency-domain samples; grid coordinates are angular
-    frequencies (radians per unit length), fftshift order. ``convention``
-    is fixed to the e^{-i xi.x} forward kernel."""
+    frequencies (radians per unit length), fftshift order, under the
+    e^{-i xi.x} forward kernel."""
 
     grid: Grid
     values: np.ndarray
-    convention: str = "e-minus"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex).reshape(self.grid.shape)
@@ -291,17 +284,18 @@ def phantom_spectrum(spec, grid_or_points):
     return spec.spectrum(np.asarray(grid_or_points))
 
 
-def _axis_phases_forward(grid):
-    """Per-axis phase vectors exp(-i xi_k origin) on the fftshifted grid."""
-    fg = grid.frequency_grid()
-    return [np.exp(-1j * fg.axis_coords(ax) * grid.origin[ax]) for ax in range(grid.n)]
+def _phased(values, fgrid, origin, s):
+    """values * exp(s xi.origin) on the frequency grid, one axis at a time."""
+    for ax in range(fgrid.n):
+        ph = np.exp(s * fgrid.axis_coords(ax) * origin[ax])
+        values = values * ph.reshape([-1 if a == ax else 1 for a in range(fgrid.n)])
+    return values
 
 
-def continuous_ft(field, pad=1, warn_boundary=True):
-    """Continuous-FT approximation of a real or complex field.
-
-    pad > 1 zero-extends each axis by that factor (finer frequency grid).
-    Returns a SpectralField on the fftshifted frequency grid.
+def continuous_ft(field, warn_boundary=True):
+    """Continuous-FT approximation of a real or complex field on its own
+    grid; returns a SpectralField on ``field.grid.frequency_grid()``.
+    Zero-pad the field first for a finer frequency grid.
     """
     grid, values = field.grid, np.asarray(field.values)
     if warn_boundary:
@@ -313,18 +307,9 @@ def continuous_ft(field, pad=1, warn_boundary=True):
                 "the continuous-FT approximation degrades",
                 stacklevel=2,
             )
-    if pad > 1:
-        new_shape = tuple(int(round(N * pad)) for N in grid.shape)
-        padded = np.zeros(new_shape, dtype=values.dtype)
-        padded[tuple(slice(0, N) for N in grid.shape)] = values
-        # keep the origin: extra samples extend the tail side only
-        grid = Grid(new_shape, grid.origin, grid.spacing)
-        values = padded
-    F = np.fft.fftshift(np.fft.fftn(values))
-    F = F * grid.cell_volume
-    for ax, ph in enumerate(_axis_phases_forward(grid)):
-        F = F * ph.reshape([-1 if a == ax else 1 for a in range(grid.n)])
-    return SpectralField(grid.frequency_grid(), F)
+    F = np.fft.fftshift(np.fft.fftn(values)) * grid.cell_volume
+    fgrid = grid.frequency_grid()
+    return SpectralField(fgrid, _phased(F, fgrid, grid.origin, -1j))
 
 
 def continuous_ift(spec, out_grid=None, real_output=True):
@@ -335,7 +320,6 @@ def continuous_ift(spec, out_grid=None, real_output=True):
     centered at zero.
     """
     fgrid = spec.grid
-    n = fgrid.n
     shape = fgrid.shape
     dx = tuple(2.0 * np.pi / (N * dk) for N, dk in zip(shape, fgrid.spacing))
     if out_grid is None:
@@ -346,12 +330,8 @@ def continuous_ift(spec, out_grid=None, real_output=True):
             raise ValidationError("output grid shape does not match the spectrum")
         if not np.allclose(out_grid.spacing, dx, rtol=1e-12):
             raise ValidationError("output grid spacing incompatible with the spectral grid")
-    G = np.asarray(spec.values, dtype=complex)
     # strip exp(-i xi.x0) then inverse DFT, cf. the forward construction
-    for ax in range(n):
-        xi = fgrid.axis_coords(ax)
-        ph = np.exp(1j * xi * out_grid.origin[ax])
-        G = G * ph.reshape([-1 if a == ax else 1 for a in range(n)])
+    G = _phased(np.asarray(spec.values, dtype=complex), fgrid, out_grid.origin, 1j)
     vals = np.fft.ifftn(np.fft.ifftshift(G)) / np.prod(dx)
     # undo the fftshift ordering mismatch of the spatial index phase:
     # after ifftshift the k-index runs in DFT order, matching ifftn.

@@ -142,8 +142,14 @@ class PolarWRT:
         steps = np.diff(np.log(rho))
         if not np.allclose(steps, steps[0], rtol=1e-8):
             raise ValidationError("rho grid must be log-uniform")
+        vals = np.asarray(self.values)
+        if vals.shape != (rho.size, nt):
+            raise ValidationError("perp values must have shape (rho.size, theta.size)")
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("perp values contain non-finite entries")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "values", vals)
 
 
 def _time_nodes(w, quad, v_norm=None, extra_reach=None, feature=None):

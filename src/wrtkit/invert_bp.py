@@ -13,7 +13,8 @@ tames the |v|^-n singularity (the multiplier vanishes linearly in |v|).
 Backprojection is linear, so the weighted filtered spectra of all slices
 are summed and a single inverse real FFT returns to u.
 
-No admissibility (hhat(0) = 0) is required.
+No admissibility (hhat(0) = 0) is required.  The route is implemented
+for n = 2 (uniform direction weights on S^1).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from scipy import ndimage, special
 
 from .errors import HypothesisError, ValidationError
 from .fields import ScalarField
-from .windows import window_constants, window_ft
+from .quad import trapezoid_weights
+from .windows import _resolve_constant, window_constants, window_ft
 
 __all__ = [
     "BPParams",
@@ -50,10 +52,7 @@ class BPParams:
             raise ValidationError("need 0 < r_min < r_max")
         if self.n_theta < 4:
             raise ValidationError("need at least 4 directions")
-        if self.constant_mode not in ("paper", "theory", "calibrated", "raw"):
-            raise ValidationError(f"unknown constant mode {self.constant_mode!r}")
-        if self.constant_mode == "calibrated" and self.alpha is None:
-            raise ValidationError("calibrated mode needs alpha")
+        _resolve_constant(self.constant_mode, self.alpha)
 
 
 def paper_constant_t1(w, n):
@@ -74,7 +73,8 @@ def theory_constant_t1(w, n):
 
 
 def reconstruct_t1(data, w, grid, params=BPParams()):
-    """Ramp-filtered backprojection of full-redundancy data onto ``grid``."""
+    """Ramp-filtered backprojection of full-redundancy data onto ``grid``
+    (n = 2: uniform weights over the data's directions)."""
     if not w.is_real:
         raise HypothesisError("inversion requires a real window")
     if window_constants(w).c_h2 <= 0:
@@ -83,6 +83,8 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
         raise ValidationError("reconstruct_t1 consumes polar-vset data")
     u_grid = data.u_grid
     n = u_grid.n
+    if n != 2:
+        raise ValidationError("backprojection implemented for n = 2")
     dirs = data.vset.directions
     radii = data.vset.radii
     if radii is None or dirs is None:
@@ -93,36 +95,17 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
     radii_used = radii[sel]
     if radii_used.size < 2:
         raise ValidationError("need at least two radii for the log-r quadrature")
-    # trapezoid in log r (dv |v|^-n in polar form is d log r d theta)
-    wr = np.gradient(np.log(radii_used))
-    wr[[0, -1]] *= 0.5
-    # direction weights: uniform on S^1, equal on S^2
-    if n == 2:
-        wtheta = np.full(dirs.shape[0], 2.0 * np.pi / dirs.shape[0])
-    elif n == 3:
-        wtheta = _sphere_weights(dirs)
-    else:
-        raise ValidationError("backprojection implemented for n = 2 and 3")
+    # trapezoid in log r (dv |v|^-n in polar form is d log r d theta),
+    # uniform in the direction angle
+    wr = trapezoid_weights(np.log(radii_used))
+    wtheta = np.full(dirs.shape[0], 2.0 * np.pi / dirs.shape[0])
     cols = np.nonzero(np.tile(sel, dirs.shape[0]))[0]  # direction-major, as in the vset
     weights = np.multiply.outer(wtheta, wr).ravel()
     acc = _backproject(data, cols, weights, w, params.pad)
     raw = _resample(acc, u_grid, grid)
-    if params.constant_mode == "raw":
-        const = 1.0
-    elif params.constant_mode == "paper":
-        const = paper_constant_t1(w, n)
-    elif params.constant_mode == "theory":
-        const = theory_constant_t1(w, n)
-    else:
-        const = params.alpha
+    const = _resolve_constant(params.constant_mode, params.alpha,
+                              lambda: paper_constant_t1(w, n), lambda: theory_constant_t1(w, n))
     return ScalarField(grid, const * raw)
-
-
-def _sphere_weights(dirs):
-    """Equal 4 pi / N weights on S^2 (the directions are assumed uniform;
-    no product rule is built)."""
-    N = dirs.shape[0]
-    return np.full(N, 4.0 * np.pi / N)
 
 
 def _backproject(data, cols, weights, w, pad):
@@ -172,8 +155,7 @@ def t1_frequency_check(w, xi_samples, r_grid=None, n_theta=512, n=2):
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     if r_grid is None:
         r_grid = np.geomspace(1e-4, 1e4, 2048)
-    logr = np.log(r_grid)
-    wr = np.gradient(logr)
+    wr = trapezoid_weights(np.log(r_grid))
     beta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
     dirs = np.stack([np.cos(beta), np.sin(beta)], axis=1)
     vals = []

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
 from .fields import ScalarField
-from .windows import window_constants, window_ft
+from .quad import trapezoid_weights
+from .windows import _resolve_constant, window_constants, window_ft
 
 __all__ = [
     "PolarSpectralSamples",
@@ -91,12 +92,8 @@ def paper_constant_t2(w, n):
 
 
 def _r_weights(radii):
-    wr = np.zeros_like(radii)
-    if radii.size < 2:
-        raise ValidationError("need at least two radii for the r integral")
-    wr[1:-1] = 0.5 * (radii[2:] - radii[:-2])
-    wr[0] = 0.5 * (radii[1] - radii[0]) + radii[0]  # extend the panel to r = 0
-    wr[-1] = 0.5 * (radii[-1] - radii[-2])
+    wr = trapezoid_weights(radii)
+    wr[0] += radii[0]  # extend the first panel to r = 0
     return wr
 
 
@@ -117,10 +114,8 @@ def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None, decay_t
         raise HypothesisError("window must be non-zero")
     if grid.n != 2:
         raise ValidationError("synthesis implemented for n = 2")
-    if constant_mode not in ("paper", "theory", "calibrated", "raw"):
-        raise ValidationError(f"unknown constant mode {constant_mode!r}")
-    if constant_mode == "calibrated" and alpha is None:
-        raise ValidationError("calibrated mode needs alpha")
+    const = _resolve_constant(constant_mode, alpha, lambda: paper_constant_t2(w, grid.n),
+                              lambda: (2.0 * np.pi) ** (-grid.n))
     vals = samples.values
     if vals.size == 0:
         raise ValidationError("empty sample set")
@@ -133,24 +128,14 @@ def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None, decay_t
     inner = np.einsum("ksr,sr,r->ks", vals, hh, wr)      # (Ntheta, Nsigma)
     if constant_mode == "paper":
         coef = inner * sigma[None, :] ** grid.n
-        const = paper_constant_t2(w, grid.n)
     else:
         norm = np.einsum("sr,r->s", np.abs(hh) ** 2, wr)  # N(sigma)
         weight = np.zeros_like(sigma)
         ok = norm > 0
         weight[ok] = sigma[ok] ** (grid.n - 1) / norm[ok]
         coef = inner * weight[None, :]
-        if constant_mode == "raw":
-            const = 1.0
-        elif constant_mode == "theory":
-            const = (2.0 * np.pi) ** (-grid.n)
-        else:
-            const = alpha
     # trapezoid in sigma, uniform in theta
-    if sigma.size < 2:
-        raise ValidationError("need at least two sigma samples")
-    ws = np.gradient(sigma)
-    ws[[0, -1]] *= 0.5
+    ws = trapezoid_weights(sigma)
     dtheta = 2.0 * np.pi / samples.angles.size
     # per angle, sum_sigma c e^{i sigma theta.x} on the tensor grid is
     # E1^T diag(c) E2 with per-axis exponentials

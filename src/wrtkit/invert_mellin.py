@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
 from .fields import ScalarField
-from .quad import gauss_legendre_panels
+from .quad import gauss_legendre_panels, trapezoid_weights
 from .windows import window_eval, window_support_radius
 
 __all__ = [
@@ -195,7 +195,7 @@ def mellin_transform(r_grid, samples, t, y_grid):
     steps = np.diff(u)
     if not np.allclose(steps, steps[0], rtol=1e-8):
         raise ValidationError("Mellin transform needs a log-uniform r grid")
-    wu = np.gradient(u)
+    wu = trapezoid_weights(u)
     g = f * np.exp(t * u)
     gmax = np.max(np.abs(g))
     if gmax > 0 and max(abs(g[0]), abs(g[-1])) > 1e-8 * gmax:
@@ -253,7 +253,8 @@ def recover_fl(Mg, MH, t, r_grid, reg=RegParams()):
 
     f_l(r) = (1/2 pi) int_{-T}^{T} r^{-t-iy} Q(t + iy) dy with the
     regularized quotient Q = Mg conj(MH) / (|MH|^2 + lam); the finite band
-    realizes the exact formula's T -> infinity limit.
+    realizes the exact formula's T -> infinity limit; the y integral is
+    the trapezoid rule.
     """
     if t <= 1.0:
         raise ValidationError("contour abscissa must satisfy t > 1")
@@ -270,7 +271,7 @@ def recover_fl(Mg, MH, t, r_grid, reg=RegParams()):
     lam = reg.lam if reg.lam is not None else (1e-6 * hmax) ** 2
     Q = Mg.values * np.conj(MH.values) / (absH**2 + lam)
     y = Mg.y
-    wy = np.gradient(y)
+    wy = trapezoid_weights(y)
     r = np.asarray(r_grid, dtype=float)
     lnr = np.log(r)
     phase = np.exp(-1j * np.multiply.outer(lnr, y))
@@ -302,13 +303,10 @@ def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
     r_hi = max(rad.max(), g.rho.max())
     r_lo = max(1e-3 * r_hi, g.rho.min())
     r_grid = np.geomspace(r_lo, r_hi, 256)
-    MH_cache = {}
     f_ls = {}
     for l in range(0, L + 1):
         Mg = mellin_transform(series.rho, series.coefficient(l), t, y)
-        if l not in MH_cache:
-            MH_cache[l] = mellin_kernel_line(w, l, t, y)
-        f_ls[l] = recover_fl(Mg, MH_cache[l], t, r_grid, params.reg)
+        f_ls[l] = recover_fl(Mg, mellin_kernel_line(w, l, t, y), t, r_grid, params.reg)
     phi = np.arctan2(X[:, 1], X[:, 0])
     lr = np.log(np.maximum(rad, r_lo))
     lgrid = np.log(r_grid)

@@ -8,6 +8,7 @@ where fhat1 is the FT of f in x1 only and P_hat the 2-D FT of the data
 in (u1, v1).  The v1 integral lives on a finite window [-V, V] with
 apodization, which smears the delta(t - a) of the exact identity into a
 kernel of width ~ pi / (V |sigma|); accuracy therefore improves with V.
+The taper is ``SliceParams.apodization``.
 
 Full mode varies u2 with v2 = 0 (zeta = u2 covers all transverse
 coordinates); restricted mode keeps u on the x1-axis and varies v2
@@ -23,13 +24,12 @@ import numpy as np
 from scipy import ndimage, special
 
 from .errors import HypothesisError, ValidationError
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, continuous_ft
 from .forward import v1_line_vset, windowed_ray_transform, wrt_columns
-from .quad import QuadratureParams
+from .quad import QuadratureParams, trapezoid_weights
 from .windows import window_eval
 
 __all__ = [
-    "SliceDataset",
     "SliceParams",
     "SliceSpectrum",
     "apodization_weights",
@@ -42,38 +42,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SliceDataset:
-    """P_h f(u1, u2, v1, v2) sampled on u1 x u2 x v1 with fixed v2.
-
-    v1 is uniform and symmetric about 0 (half-step offset grids count and
-    avoid v = 0 when v2 = 0).
-    """
-
-    u1: np.ndarray            # (N1,)
-    u2: np.ndarray            # (N2,) transverse coordinates (full mode grid)
-    v1: np.ndarray            # (Nv,)
-    vprime: float             # fixed v2
-    values: np.ndarray        # (N1, N2, Nv)
-    window: object            # WindowSpec used when simulating/measuring
-    apodization: str = "hann"
-
-    def __post_init__(self):
-        v1 = np.asarray(self.v1, dtype=float)
-        d = np.diff(v1)
-        if not np.allclose(d, d[0], rtol=1e-10):
-            raise ValidationError("v1 grid must be uniform")
-        if abs(v1[0] + v1[-1]) > 1e-9 * abs(d[0]):
-            raise ValidationError("v1 grid must be symmetric about 0")
-
-    @property
-    def V(self):
-        return float(abs(self.v1[0]) + 0.5 * (self.v1[1] - self.v1[0]))
-
-
-@dataclass(frozen=True)
 class SliceParams:
+    """Slice parameter ``a``, ``mode`` 'full' or 'restricted', and the
+    ``apodization`` of the v1 integral ('hann', 'none' or 'kaiser:BETA')."""
+
     a: float = 0.0
     mode: str = "full"  # 'full' | 'restricted'
+    apodization: str = "hann"
 
     def __post_init__(self):
         if self.mode not in ("full", "restricted"):
@@ -83,6 +58,7 @@ class SliceParams:
                 "restricted mode needs a != 0: zeta = a v' cannot cover "
                 "transverse frequencies when a = 0"
             )
+        apodization_weights(self.apodization, 0.0, 1.0)  # rejects unknown kinds
 
 
 @dataclass(frozen=True)
@@ -92,7 +68,6 @@ class SliceSpectrum:
     sigma: np.ndarray
     zeta: np.ndarray
     values: np.ndarray  # (Nsigma, Nzeta)
-    dc_filled: bool = False
 
 
 def apodization_weights(kind, v1, V):
@@ -118,19 +93,15 @@ def symmetric_offset_grid(V, step):
     return (k + 0.5) * step
 
 
-def make_slice_dataset(f, w, u1, u2, v1, vprime=0.0, apodization="hann",
+def make_slice_dataset(f, w, u1, u2, v1, vprime=0.0,
                        quad=QuadratureParams(panels=8, max_panels=None)):
-    """Forward-simulate a full-mode dataset (u on the (u1, u2) grid)."""
-    du1 = u1[1] - u1[0]
-    du2 = u2[1] - u2[0]
-    grid = Grid((u1.size, u2.size), (u1[0], u2[0]), (du1, du2))
-    vset = v1_line_vset(v1, [vprime])
-    data = windowed_ray_transform(f, w, grid, vset, quad)
-    vals = data.values.reshape(u1.size, u2.size, v1.size)
-    return SliceDataset(u1, u2, v1, float(vprime), vals, w, apodization)
+    """Forward-simulate a full-mode dataset: WRTData on the (u1, u2) grid
+    with the v1-line vset (v1, vprime)."""
+    grid = Grid((u1.size, u2.size), (u1[0], u2[0]), (u1[1] - u1[0], u2[1] - u2[0]))
+    return windowed_ray_transform(f, w, grid, v1_line_vset(v1, [vprime]), quad)
 
 
-def make_restricted_dataset(f, w, u1, v1, vprimes, apodization="hann",
+def make_restricted_dataset(f, w, u1, v1, vprimes,
                             quad=QuadratureParams(panels=8, max_panels=None)):
     """Dataset with u restricted to the x1-axis; values (N1, Nv1, Nv')."""
     u1, v1, vprimes = (np.asarray(a, dtype=float) for a in (u1, v1, vprimes))
@@ -140,88 +111,69 @@ def make_restricted_dataset(f, w, u1, v1, vprimes, apodization="hann",
     return u1, v1, vprimes, out.reshape(u1.size, v1.size, vprimes.size)
 
 
-def _ft2(u1, v1, block, apod_kind, V):
-    """Continuous 2-D FT in (u1, v1) of block (N1, Nv) with apodization.
-
-    Returns (sigma, tau, spectrum) with sigma/tau monotonic.
-    """
-    w = apodization_weights(apod_kind, v1, V)
-    vals = block * w[None, :]
-    N1, Nv = vals.shape
-    d1, dv = u1[1] - u1[0], v1[1] - v1[0]
-    F = np.fft.fftshift(np.fft.fft2(vals)) * (d1 * dv)
-    sigma = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(N1, d1))
-    tau = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(Nv, dv))
-    F *= np.exp(-1j * sigma * u1[0])[:, None]
-    F *= np.exp(-1j * tau * v1[0])[None, :]
-    return sigma, tau, F
-
-
-def _ray_interp(F, tau, tau_wanted):
-    """Linear interpolation of each row of F at per-row tau values."""
-    dt = tau[1] - tau[0]
-    pos = (tau_wanted - tau[0]) / dt
-    rows = np.arange(F.shape[0], dtype=float)
-    coords = np.stack([rows, pos])
-    re = ndimage.map_coordinates(F.real, coords, order=1, mode="constant", cval=0.0)
-    im = ndimage.map_coordinates(F.imag, coords, order=1, mode="constant", cval=0.0)
-    return re + 1j * im
+def _extract(u1, v1, blocks, w, p):
+    """sigma and |sigma| P_hat(sigma, a sigma) / (2 pi h(a)) for every block
+    blocks[:, :, j] on u1 x v1, with P_hat the continuous FT in (u1, v1) of
+    the apodized block.  v1 must be uniform and symmetric about 0, so that
+    it spans (-V, V), and a sigma must stay inside the sampled tau band."""
+    if not w.is_real:
+        raise HypothesisError("inversion requires a real window")
+    ha = complex(np.asarray(window_eval(w, float(p.a))))
+    if abs(ha) <= 1e-12:
+        raise HypothesisError(f"window vanishes at a = {p.a}")
+    dv = np.diff(v1)
+    if not np.allclose(dv, dv[0], rtol=1e-10):
+        raise ValidationError("v1 grid must be uniform")
+    if abs(v1[0] + v1[-1]) > 1e-9 * abs(dv[0]):
+        raise ValidationError("v1 grid must be symmetric about 0")
+    grid = Grid((u1.size, v1.size), (u1[0], v1[0]), (u1[1] - u1[0], dv[0]))
+    fgrid = grid.frequency_grid()  # the grid of continuous_ft's output
+    sigma, tau = fgrid.axis_coords(0), fgrid.axis_coords(1)
+    pos = (p.a * sigma - tau[0]) / fgrid.spacing[1]  # tau index of a sigma
+    if pos.min() < -1e-9 or pos.max() > tau.size - 1 + 1e-9:
+        raise ValidationError("a * sigma leaves the v1 Nyquist band; refine v1")
+    coords = np.stack([np.arange(sigma.size, dtype=float), np.clip(pos, 0, tau.size - 1)])
+    apod = apodization_weights(p.apodization, v1, abs(v1[0]) + 0.5 * dv[0])
+    out = np.empty((sigma.size, blocks.shape[2]), dtype=complex)
+    for j in range(blocks.shape[2]):
+        F = continuous_ft(ScalarField(grid, blocks[:, :, j] * apod), warn_boundary=False).values
+        # row k read at tau = a sigma_k, linear in tau
+        out[:, j] = (ndimage.map_coordinates(F.real, coords, order=1)
+                     + 1j * ndimage.map_coordinates(F.imag, coords, order=1))
+    return sigma, np.abs(sigma)[:, None] * out / (2.0 * np.pi * ha)
 
 
 def _dc_even_extrapolate(vals, sigma):
     """Fill the sigma = 0 row from |sigma| in {d, 2d} (quadratic even model)."""
     i0 = int(np.argmin(np.abs(sigma)))
-    d = sigma[i0 + 1] - sigma[i0]
     g1 = 0.5 * (vals[i0 + 1] + vals[i0 - 1])
     g2 = 0.5 * (vals[i0 + 2] + vals[i0 - 2])
     vals[i0] = (4.0 * g1 - g2) / 3.0
-    return i0
 
 
-def slice_extract(ds, p):
-    """Extract fhat1(sigma, zeta) from a full-mode dataset.
+def slice_extract(data, p):
+    """Extract fhat1(sigma, zeta) from full-mode WRTData: a (u1, u2) grid
+    crossed with a v1-line vset (see :func:`make_slice_dataset`).
 
-    zeta = a v' + u2 (v' = ds.vprime, normally 0 in full mode).
+    zeta = a v' + u2 (v' is the vset's fixed v2, normally 0 in full mode).
     """
-    if not ds.window.is_real:
-        raise HypothesisError("inversion requires a real window")
-    ha = complex(np.asarray(window_eval(ds.window, float(p.a))))
-    if abs(ha) <= 1e-12:
-        raise HypothesisError(f"window vanishes at a = {p.a}")
-    N2 = ds.u2.size
-    out = None
-    for j in range(N2):
-        sigma, tau, F = _ft2(ds.u1, ds.v1, ds.values[:, j, :], ds.apodization, ds.V)
-        if np.max(np.abs(p.a * sigma)) > np.max(np.abs(tau)) + 1e-9:
-            raise ValidationError("a * sigma leaves the v1 Nyquist band; refine v1")
-        row = _ray_interp(F, tau, p.a * sigma)
-        fh = np.abs(sigma) * row / (2.0 * np.pi * ha)
-        if out is None:
-            out = np.empty((sigma.size, N2), dtype=complex)
-            sig = sigma
-        out[:, j] = fh
-    _dc_even_extrapolate(out, sig)
-    zeta = p.a * ds.vprime + ds.u2
-    return SliceSpectrum(sig, zeta, out, dc_filled=True)
+    if data.vset.mode != "v1-line" or data.u_grid.n != 2:
+        raise ValidationError("slice extraction needs v1-line data on a 2-D u grid")
+    u1, u2 = data.u_grid.axis_coords(0), data.u_grid.axis_coords(1)
+    v1 = data.vset.v1
+    blocks = data.values.reshape(u1.size, u2.size, v1.size).transpose(0, 2, 1)
+    sigma, out = _extract(u1, v1, blocks, data.window, p)
+    _dc_even_extrapolate(out, sigma)
+    return SliceSpectrum(sigma, p.a * float(data.vset.vprime[0]) + u2, out)
 
 
-def restricted_extract(u1, v1, vprimes, values, w, p, apodization="hann"):
-    """fhat1(sigma, a v') from an x1-axis restricted dataset."""
+def restricted_extract(u1, v1, vprimes, values, w, p):
+    """fhat1(sigma, a v') from an x1-axis restricted dataset, as returned
+    by :func:`make_restricted_dataset`."""
     if p.mode != "restricted":
         raise ValidationError("params must use restricted mode")
-    if not w.is_real:
-        raise HypothesisError("inversion requires a real window")
-    ha = complex(np.asarray(window_eval(w, p.a)))
-    if abs(ha) <= 1e-12:
-        raise HypothesisError(f"window vanishes at a = {p.a}")
-    V = float(abs(v1[0]) + 0.5 * (v1[1] - v1[0]))
-    out = []
-    for j in range(vprimes.size):
-        sigma, tau, F = _ft2(u1, v1, values[:, :, j], apodization, V)
-        row = _ray_interp(F, tau, p.a * sigma)
-        out.append(np.abs(sigma) * row / (2.0 * np.pi * ha))
-    zeta = p.a * vprimes
-    return SliceSpectrum(sigma, zeta, np.stack(out, axis=1))
+    sigma, out = _extract(np.asarray(u1, dtype=float), np.asarray(v1, dtype=float), values, w, p)
+    return SliceSpectrum(sigma, p.a * np.asarray(vprimes), out)
 
 
 def reconstruct_slice(spectrum, out_grid):
@@ -233,7 +185,7 @@ def reconstruct_slice(spectrum, out_grid):
     if x2.min() < zeta.min() - 1e-9 or x2.max() > zeta.max() + 1e-9:
         raise ValidationError("zeta coverage does not span the output grid")
     sig = spectrum.sigma
-    ws = np.gradient(sig)
+    ws = trapezoid_weights(sig)
     E = np.exp(1j * np.multiply.outer(x1, sig))  # (Nx1, Nsigma)
     rows = (E * ws[None, :]) @ spectrum.values / (2.0 * np.pi)  # (Nx1, Nzeta)
     imax = np.max(np.abs(rows.imag))

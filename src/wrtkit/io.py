@@ -52,12 +52,35 @@ def _write_dir(path, meta, array):
     np.ascontiguousarray(array, dtype=dtype).tofile(os.path.join(path, "data.bin"))
 
 
+def _wrt1_shape(m):
+    v = m["vset"]
+    if v["mode"] == "perp":
+        return len(v["rho"]), len(v["theta"])
+    return _grid_from_meta(m["u_grid"]).size, len(_vset_from_meta(v))
+
+
+# the meta keys each format requires, and the payload shape its meta implies
+_LAYOUTS = {
+    "gf1": (("kind", "shape", "origin", "spacing"), lambda m: m["shape"]),
+    "wrt1": (("vset", "window"), _wrt1_shape),
+    "pss1": (("angles", "sigma", "radii"),
+             lambda m: (len(m["angles"]), len(m["sigma"]), len(m["radii"]))),
+}
+
+
 def _read_dir(path, expected_format):
+    """(meta, payload shaped as the meta implies); malformed meta, missing
+    keys and a payload of the wrong length raise ValidationError."""
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
         raise ValidationError(f"{path}: not a dataset directory (meta.json missing)")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: meta.json is not valid JSON ({exc})")
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: meta.json is not a JSON object")
     if meta.get("format") != expected_format:
         raise ValidationError(
             f"{path}: format {meta.get('format')!r}, expected {expected_format!r}"
@@ -66,8 +89,23 @@ def _read_dir(path, expected_format):
         raise ValidationError(f"{path}: unsupported dtype {meta.get('dtype')!r}")
     if meta.get("order", "C") != "C":
         raise ValidationError(f"{path}: only C (row-major) order is supported")
-    data = np.fromfile(os.path.join(path, "data.bin"), dtype=_DTYPES[meta["dtype"]])
-    return meta, data
+    keys, shape_of = _LAYOUTS[expected_format]
+    missing = [k for k in keys if k not in meta]
+    if missing:
+        raise ValidationError(f"{path}: meta.json lacks {', '.join(map(repr, missing))}")
+    try:
+        shape = tuple(int(n) for n in shape_of(meta))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed meta.json ({type(exc).__name__}: {exc})")
+    try:
+        data = np.fromfile(os.path.join(path, "data.bin"), dtype=_DTYPES[meta["dtype"]])
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read data.bin ({exc})")
+    if data.size != int(np.prod(shape)):
+        raise ValidationError(
+            f"{path}: data.bin holds {data.size} values, the meta implies {shape}"
+        )
+    return meta, data.reshape(shape)
 
 
 def _grid_meta(grid):
@@ -100,11 +138,8 @@ def write_gf1(path, field):
 
 
 def read_gf1(path):
-    meta, data = _read_dir(path, "gf1")
+    meta, values = _read_dir(path, "gf1")
     grid = _grid_from_meta(meta)
-    if data.size != grid.size:
-        raise ValidationError(f"{path}: payload size does not match the grid")
-    values = data.reshape(grid.shape)
     if meta["kind"] == "spectral":
         return SpectralField(grid, values)
     return ScalarField(grid, values.real)
@@ -126,8 +161,8 @@ def window_to_json(w):
 def window_from_json(obj):
     try:
         return WindowSpec(obj["kind"], sigma=obj.get("sigma"), radius=obj.get("radius"))
-    except KeyError as exc:
-        raise ValidationError(f"window spec missing field {exc}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed window spec ({type(exc).__name__}: {exc})")
 
 
 def phantom_to_json(spec):
@@ -178,23 +213,13 @@ def _vset_from_meta(m):
 def write_wrt1(path, data):
     """Write WRTData or PolarWRT (the latter stored as vset mode 'perp')."""
     if isinstance(data, PolarWRT):
-        meta = {
-            "format": "wrt1",
-            "vset": {
-                "mode": "perp",
-                "rho": np.asarray(data.rho).tolist(),
-                "theta": np.asarray(data.theta).tolist(),
-            },
-            "window": window_to_json(data.window),
-            "dtype": "c128" if np.iscomplexobj(data.values) else "f64",
-            "order": "C",
-        }
-        _write_dir(path, meta, data.values)
-        return
+        layout = {"vset": {"mode": "perp", "rho": np.asarray(data.rho).tolist(),
+                           "theta": np.asarray(data.theta).tolist()}}
+    else:
+        layout = {"u_grid": _grid_meta(data.u_grid), "vset": _vset_meta(data.vset)}
     meta = {
         "format": "wrt1",
-        "u_grid": _grid_meta(data.u_grid),
-        "vset": _vset_meta(data.vset),
+        **layout,
         "window": window_to_json(data.window),
         "dtype": "c128" if np.iscomplexobj(data.values) else "f64",
         "order": "C",
@@ -208,10 +233,8 @@ def read_wrt1(path):
     if meta["vset"]["mode"] == "perp":
         rho = np.asarray(meta["vset"]["rho"], dtype=float)
         theta = np.asarray(meta["vset"]["theta"], dtype=float)
-        return PolarWRT(rho, theta, w, data.reshape(rho.size, theta.size))
-    grid = _grid_from_meta(meta["u_grid"])
-    vset = _vset_from_meta(meta["vset"])
-    return WRTData(grid, vset, w, data.reshape(grid.size, len(vset)))
+        return PolarWRT(rho, theta, w, data)
+    return WRTData(_grid_from_meta(meta["u_grid"]), _vset_from_meta(meta["vset"]), w, data)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +260,7 @@ def read_pss1(path):
     sigma = np.asarray(meta["sigma"], dtype=float)
     radii = np.asarray(meta["radii"], dtype=float)
     w = window_from_json(meta["window"]) if meta.get("window") else None
-    return PolarSpectralSamples(
-        angles, sigma, radii, data.reshape(angles.size, sigma.size, radii.size), window=w
-    )
+    return PolarSpectralSamples(angles, sigma, radii, data, window=w)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadratureParams", "gauss_legendre_panels"]
+from .errors import ValidationError
+
+__all__ = ["QuadratureParams", "gauss_legendre_panels", "trapezoid_weights"]
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,6 @@ class QuadratureParams:
         if self.max_panels is not None and self.max_panels < self.panels:
             object.__setattr__(self, "max_panels", self.panels)
 
-    def doubled(self):
-        return QuadratureParams(
-            panels=2 * self.panels,
-            nodes=self.nodes,
-            max_panels=None if self.max_panels is None else 2 * self.max_panels,
-        )
-
 
 def gauss_legendre_panels(a, b, panels, nodes):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
@@ -50,3 +45,15 @@ def gauss_legendre_panels(a, b, panels, nodes):
     t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wt = (half[:, None] * w[None, :]).ravel()
     return t, wt
+
+
+def trapezoid_weights(x):
+    """Weights of the trapezoid rule on the ordered nodes x (at least two):
+    half the distance between the two neighbours, half a step at the ends."""
+    x = np.asarray(x, dtype=float)
+    if x.size < 2:
+        raise ValidationError("the trapezoid rule needs at least two nodes")
+    w = np.empty_like(x)
+    w[1:-1] = 0.5 * (x[2:] - x[:-2])
+    w[0], w[-1] = 0.5 * (x[1] - x[0]), 0.5 * (x[-1] - x[-2])
+    return w

@@ -31,17 +31,14 @@ __all__ = [
     "analytic_signal_window",
     "window_eval",
     "window_ft",
-    "riesz_filter",
     "window_constants",
     "window_support_radius",
     "window_ft_cutoff",
 ]
 
 KINDS = ("gaussian", "hermite1", "bump", "analytic-signal")
-
-# Selftest fault injection hook: scales the window L2 constant when set.
-# Never touch outside of `wrtkit selftest --inject-fault`.
-_FAULT_SCALE = 1.0
+# normalization constants of the t1 and t2 inversions (CLI --constant-mode)
+CONSTANT_MODES = ("paper", "theory", "calibrated", "raw")
 
 
 @dataclass(frozen=True)
@@ -172,25 +169,6 @@ def window_ft_cutoff(w, tol=1e-14):
     raise ValidationError("no transform cutoff for the analytic-signal window")
 
 
-def riesz_filter(w, t_grid):
-    """Samples of I^-1 h on t_grid, where FT[I^-1 h](eta) = |eta| hhat(eta).
-
-    Computed by dense spectral quadrature on the half-line (the integrand
-    is smooth there); real windows only.
-    """
-    if not w.is_real:
-        raise HypothesisError("Riesz filter is defined for real windows only")
-    t_grid = np.asarray(t_grid, dtype=float)
-    eta_max = window_ft_cutoff(w, tol=1e-14)
-    eta, we = gauss_legendre_panels(0.0, eta_max, 64, 16)
-    hhat = window_ft(w, eta)
-    # I^-1 h(t) = (1/2pi) int |eta| hhat e^{i eta t} d eta
-    #           = (1/pi) Re int_0^inf eta hhat(eta) e^{i eta t} d eta  (real h)
-    phase = np.exp(1j * np.multiply.outer(t_grid, eta))
-    vals = (phase @ (eta * hhat * we)).real / np.pi
-    return vals
-
-
 @dataclass(frozen=True)
 class WindowConstants:
     c_h2: float        # integral |h|^2 dt
@@ -200,7 +178,7 @@ class WindowConstants:
 
 
 @functools.lru_cache(maxsize=32)
-def _window_constants_cached(w):
+def window_constants(w):
     if w.kind == "gaussian":
         s = w.sigma
         c_h2 = s * np.sqrt(np.pi)
@@ -231,13 +209,17 @@ def _window_constants_cached(w):
     )
 
 
-def window_constants(w):
-    c = _window_constants_cached(w)
-    if _FAULT_SCALE != 1.0:
-        return WindowConstants(
-            c_h2=c.c_h2 * _FAULT_SCALE,
-            c_hat_half=c.c_hat_half * _FAULT_SCALE,
-            c_hat_full=c.c_hat_full * _FAULT_SCALE,
-            hat_at_zero=c.hat_at_zero,
-        )
-    return c
+def _resolve_constant(mode, alpha, paper=None, theory=None):
+    """Check ``constant_mode`` and ``alpha`` of the t1/t2 inversions and
+    return the constant the mode selects: 1 for 'raw', alpha for
+    'calibrated', else ``paper()`` or ``theory()`` (None when not given)."""
+    if mode not in CONSTANT_MODES:
+        raise ValidationError(f"unknown constant mode {mode!r}")
+    if mode == "calibrated" and alpha is None:
+        raise ValidationError("calibrated mode needs alpha")
+    if mode == "raw":
+        return 1.0
+    if mode == "calibrated":
+        return alpha
+    chosen = paper if mode == "paper" else theory
+    return chosen() if chosen else None

@@ -6,6 +6,8 @@ import pytest
 from wrtkit import io as wio
 from wrtkit.cli import main, parse_window
 from wrtkit.errors import ValidationError
+from wrtkit.fields import ScalarField, make_grid
+from wrtkit.forward import PolarWRT, WRTData, polar_vset, uniform_circle
 from wrtkit.windows import WindowSpec
 
 
@@ -194,3 +196,67 @@ def test_reversed_forward_ranges_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _polar_wrt1(path):
+    grid = make_grid(2, 16, 8.0)
+    vset = polar_vset(uniform_circle(4)[0], [0.5, 1.0])
+    wio.write_wrt1(path, WRTData(grid, vset, WindowSpec("gaussian", sigma=1.0),
+                                 np.zeros((grid.size, len(vset)))))
+
+
+def _perp_wrt1(path):
+    theta = 2.0 * np.pi * np.arange(8) / 8
+    wio.write_wrt1(path, PolarWRT(np.geomspace(0.1, 1.0, 8), theta,
+                                  WindowSpec("bump", radius=2.0), np.zeros((8, 8))))
+
+
+def _gf1(path):
+    wio.write_gf1(path, ScalarField(make_grid(2, 8, 4.0), np.zeros((8, 8))))
+
+
+def _truncate(path, n_values):
+    data = path / "data.bin"
+    data.write_bytes(data.read_bytes()[:-8 * n_values])
+
+
+def _edit_meta(path, edit):
+    meta = json.loads((path / "meta.json").read_text())
+    edit(meta)
+    (path / "meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("write, damage", [
+    (_polar_wrt1, lambda d: _truncate(d, 5)),
+    (_perp_wrt1, lambda d: _truncate(d, 3)),
+    (_polar_wrt1, lambda d: _edit_meta(d, lambda m: m.pop("window"))),
+    (_gf1, lambda d: _edit_meta(d, lambda m: m.pop("kind"))),
+    (_gf1, lambda d: (d / "meta.json").write_text('{"format": "gf1", ')),
+    (_gf1, lambda d: (d / "meta.json").write_text("[1, 2]")),
+    (_gf1, lambda d: (d / "data.bin").unlink()),
+    (_polar_wrt1, lambda d: _edit_meta(d, lambda m: m.update(window="gaussian"))),
+], ids=["truncated-wrt1", "truncated-perp", "wrt1-without-window", "gf1-without-kind",
+        "meta-not-json", "meta-not-object", "no-data-bin", "window-not-object"])
+def test_malformed_dataset_exit_1(tmp_path, capsys, write, damage):
+    d = tmp_path / "d"
+    write(str(d))
+    damage(d)
+    if write is _gf1:
+        argv = ["compare", str(d), str(d)]
+    else:
+        argv = ["invert", "--method", "t1", "--in", str(d), "--out", str(tmp_path / "r")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_selftest_inject_fault(capsys):
+    assert main(["selftest", "--inject-fault"]) == 2
+    failed = [line.split("  FAIL (")[0].strip()
+              for line in capsys.readouterr().out.splitlines() if "  FAIL (" in line]
+    assert len(failed) == 2
+    assert failed[0].startswith("window transform constants")
+    assert failed[1].startswith("backprojection filter")
+    # the fault lives in the checks' arguments: nothing is left behind
+    assert main(["selftest"]) == 0

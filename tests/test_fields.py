@@ -15,7 +15,7 @@ from wrtkit import (
     smoothed_disk_phantom,
 )
 from wrtkit.errors import ZeroReferenceError
-from wrtkit.fields import ScalarField
+from wrtkit.fields import Grid, ScalarField
 
 
 def test_grid_roundtrip():
@@ -79,7 +79,9 @@ def test_smoothed_disk_profile():
 def test_phantom_spectrum_vs_dft():
     spec = gaussian_mixture_phantom([((0.3, -0.2), 0.8, 1.0), ((-1.0, 0.4), 0.6, 0.5)])
     grid = make_grid(2, 128, 24.0)
-    F = continuous_ft(sample_phantom(spec, grid), pad=2)
+    # zero-pad to twice the size on the tail side for a finer frequency grid
+    padded = np.pad(sample_phantom(spec, grid).values, ((0, 128), (0, 128)))
+    F = continuous_ft(ScalarField(Grid((256, 256), grid.origin, grid.spacing), padded))
     # compare on a low-frequency box where the DFT is well resolved
     xi = F.grid.points()
     keep = np.max(np.abs(xi), axis=1) < 4.0

@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 from wrtkit import (
+    NumericalError,
     PhantomSpec,
     ValidationError,
     analytic_signal_window,
@@ -162,6 +163,15 @@ def test_polar_wrt_validation():
         PolarWRT(rho, theta[:5], gaussian_window(1.0), vals[:, :5])  # not power of two
     with pytest.raises(ValidationError):
         PolarWRT(np.linspace(0.1, 1.0, 8), theta, gaussian_window(1.0), vals)
+
+
+def test_polar_wrt_rejects_bad_values():
+    theta = 2.0 * np.pi * np.arange(8) / 8
+    rho = np.geomspace(0.1, 1.0, 4)
+    with pytest.raises(ValidationError, match="shape"):
+        PolarWRT(rho, theta, gaussian_window(1.0), np.full((3, 5), np.nan))
+    with pytest.raises(NumericalError):
+        PolarWRT(rho, theta, gaussian_window(1.0), np.full((4, 8), np.nan))
 
 
 def test_fourier_identity_small_grid():

@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 from wrtkit import (
+    Grid,
     HypothesisError,
     ScalarField,
     ValidationError,
@@ -38,12 +39,14 @@ def _small_dataset(nd=16, nr=6):
 def _spline_extraction(data, sigma):
     """Reference: pad-2 DFT of each slice read along the ray by cubic splines."""
     nr = data.vset.radii.size
+    u = data.u_grid
+    padded_grid = Grid(tuple(2 * N for N in u.shape), u.origin, u.spacing)
     out = np.empty((data.vset.directions.shape[0], sigma.size, nr), dtype=complex)
     for k, theta in enumerate(data.vset.directions):
         for m in range(nr):
             col = k * nr + m
-            spec = continuous_ft(ScalarField(data.u_grid, data.slice_values(col)),
-                                 pad=2, warn_boundary=False)
+            padded = np.pad(data.slice_values(col), [(0, N) for N in u.shape])
+            spec = continuous_ft(ScalarField(padded_grid, padded), warn_boundary=False)
             idx = spec.grid.coord_to_index(np.multiply.outer(sigma, theta)).T
             out[k, :, m] = ndimage.map_coordinates(
                 spec.values.real, idx, order=3, mode="nearest"

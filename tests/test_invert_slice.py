@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from wrtkit.invert_slice import (
     slice_extract,
     symmetric_offset_grid,
 )
+from wrtkit.forward import WRTData
 from wrtkit.quad import QuadratureParams
 
 CENTER = (0.3, -0.2)
@@ -81,16 +84,13 @@ def test_params_validation():
 def test_complex_window_rejected():
     from wrtkit import analytic_signal_window
 
-    ds = _dataset(V=2.0, n2=4)
-    ds = type(ds)(ds.u1, ds.u2, ds.v1, ds.vprime, ds.values,
-                  analytic_signal_window(), ds.apodization)
+    ds = dataclasses.replace(_dataset(V=2.0, n2=4), window=analytic_signal_window())
     with pytest.raises(HypothesisError, match="real window"):
         slice_extract(ds, SliceParams(a=0.0))
 
 
 def test_window_vanishing_at_a_rejected():
-    ds = _dataset(V=2.0, n2=4)
-    ds = type(ds)(ds.u1, ds.u2, ds.v1, ds.vprime, ds.values, hermite1_window(1.0), ds.apodization)
+    ds = dataclasses.replace(_dataset(V=2.0, n2=4), window=hermite1_window(1.0))
     with pytest.raises(HypothesisError, match="vanishes"):
         slice_extract(ds, SliceParams(a=0.0))
 
@@ -171,3 +171,28 @@ def test_restricted_dataset_complex_window_matches_forward():
                                       QuadratureParams(panels=8, max_panels=None))
         want = data.values.reshape(u1.size, 2, v1.size)[:, 0, :]
         assert np.max(np.abs(vals[:, :, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_a_sigma_outside_the_sampled_v1_band_rejected_in_both_modes():
+    # a sigma reaches -2 pi .. 1.97 pi; the sampled tau band is -2 pi .. 1.5 pi
+    u1 = 0.25 * np.arange(-64, 64)
+    v1 = symmetric_offset_grid(2.0, 0.5)
+    w = gaussian_window(2.0)
+    vals = np.ones((u1.size, v1.size, 2))
+    with pytest.raises(ValidationError, match="Nyquist"):
+        restricted_extract(u1, v1, np.array([-1.0, 1.0]), vals, w,
+                           SliceParams(a=0.5, mode="restricted"))
+    data = WRTData(Grid((u1.size, 2), (u1[0], 0.0), (0.25, 1.0)), v1_line_vset(v1, [0.0]), w,
+                   np.ones((2 * u1.size, v1.size)))
+    with pytest.raises(ValidationError, match="Nyquist"):
+        slice_extract(data, SliceParams(a=0.5))
+    assert slice_extract(data, SliceParams(a=0.375)).values.shape == (u1.size, 2)
+
+
+def test_apodization_is_validated_by_the_params():
+    with pytest.raises(ValidationError):
+        SliceParams(apodization="boxcar")
+    ds = _dataset(V=2.0, n2=4)
+    none = slice_extract(ds, SliceParams(apodization="none"))
+    hann = slice_extract(ds, SliceParams())
+    assert not np.allclose(none.values, hann.values)

@@ -3,13 +3,11 @@ import pytest
 from scipy import integrate
 
 from wrtkit import (
-    HypothesisError,
     ValidationError,
     analytic_signal_window,
     bump_window,
     gaussian_window,
     hermite1_window,
-    riesz_filter,
     window_constants,
     window_eval,
     window_ft,
@@ -84,26 +82,6 @@ def test_support_radius_and_cutoff():
     assert abs(window_eval(wh, Th * 1.001)) < 1e-12
     eta = window_ft_cutoff(w, tol=1e-12)
     assert abs(window_ft(w, eta * 1.001)) < 1e-12 * abs(window_ft(w, 0.0))
-
-
-def test_riesz_filter_oracle():
-    # FT[I^-1 h](eta) = |eta| hhat(eta); invert by direct quadrature
-    w = gaussian_window(1.0)
-    t_grid = np.array([-1.5, 0.0, 0.8])
-    got = riesz_filter(w, t_grid)
-    for tg, g in zip(t_grid, got):
-        want, _ = integrate.quad(
-            lambda e: e * np.real(window_ft(w, e)) * np.cos(e * tg) / np.pi,
-            0.0,
-            12.0,
-            limit=400,
-        )
-        assert g == pytest.approx(want, abs=1e-10)
-
-
-def test_riesz_filter_rejects_complex_window():
-    with pytest.raises(HypothesisError):
-        riesz_filter(analytic_signal_window(), np.array([0.0]))
 
 
 def test_parity_flags():
