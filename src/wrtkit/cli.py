@@ -51,9 +51,9 @@ from .invert_mellin import (
     mellin_transform,
     reconstruct_mellin,
 )
-from .invert_slice import SliceParams, reconstruct_slice, slice_extract
+from .invert_slice import SliceParams, reconstruct_slice, slice_extract, symmetric_offset_grid
 from .quad import QuadratureParams
-from .windows import CONSTANT_MODES, WindowSpec, window_constants, window_ft, window_ft_cutoff
+from .windows import CONSTANT_MODES, WindowSpec, window_constants, window_ft
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,8 +171,10 @@ def cmd_forward(args):
     w = parse_window(args.window)
     quad = QuadratureParams(panels=args.quad_panels)
     if args.vmode == "perp":
-        if not 0 < args.rho_min <= args.rho_max:
-            raise ValidationError("perp radii need 0 < --rho-min <= --rho-max")
+        if not 0 < args.rho_min <= args.rho_max < np.inf:
+            raise ValidationError("perp radii need 0 < --rho-min <= --rho-max < inf")
+        if args.nrho < 2 or args.ntheta < 1:
+            raise ValidationError("perp data needs --nrho >= 2 and --ntheta >= 1")
         rho = np.geomspace(args.rho_min, args.rho_max, args.nrho)
         theta = 2.0 * np.pi * np.arange(args.ntheta) / args.ntheta
         data = wrt_polar_perp(src, w, rho, theta, quad)
@@ -182,13 +184,16 @@ def cmd_forward(args):
         return EXIT_OK
     grid = _out_grid(args, 2)
     if args.vmode == "polar":
-        if not 0 < args.rmin <= args.rmax:
-            raise ValidationError("polar radii need 0 < --rmin <= --rmax")
+        if not 0 < args.rmin <= args.rmax < np.inf:
+            raise ValidationError("polar radii need 0 < --rmin <= --rmax < inf")
+        if args.ndirs < 1 or args.nr < 1:
+            raise ValidationError("polar vset needs --ndirs >= 1 and --nr >= 1")
         dirs, _ = uniform_circle(args.ndirs, jitter=args.jitter, seed=args.seed)
         vset = polar_vset(dirs, np.geomspace(args.rmin, args.rmax, args.nr))
     elif args.vmode == "v1-line":
-        k = np.arange(-args.nv1 // 2, args.nv1 // 2)
-        v1 = (k + 0.5) * (2.0 * args.v1max / args.nv1)
+        if args.nv1 < 2 or args.nv1 % 2:
+            raise ValidationError("--nv1 must be even and at least 2")
+        v1 = symmetric_offset_grid(args.v1max, 2.0 * args.v1max / args.nv1)
         vset = v1_line_vset(v1, [args.vprime])
     else:
         raise ValidationError(f"unknown vmode {args.vmode!r}")
@@ -218,11 +223,8 @@ def cmd_invert(args):
     if args.method == "t1":
         if isinstance(data, PolarWRT):
             raise ValidationError("t1 consumes polar-vset data, not perp data")
-        params = BPParams(
-            r_min=args.rmin, r_max=args.rmax,
-            n_theta=max(4, 0 if data.vset.directions is None else data.vset.directions.shape[0]),
-            constant_mode=args.constant_mode, alpha=args.alpha,
-        )
+        params = BPParams(r_min=args.rmin, r_max=args.rmax,
+                          constant_mode=args.constant_mode, alpha=args.alpha)
         rec = reconstruct_t1(data, w, grid, params)
         extra = [f"constant mode: {args.constant_mode}"]
     elif args.method == "t2":
@@ -331,7 +333,7 @@ def _selftest_checks(fault=1.0):
     def _wc():
         for w in (WindowSpec("gaussian", sigma=1.0), WindowSpec("hermite1", sigma=1.0)):
             c_hat_half = window_constants(w).c_hat_half * fault
-            eta = np.linspace(0.0, window_ft_cutoff(w), 4001)
+            eta = np.linspace(0.0, 12.0 / w.sigma, 4001)
             val = np.trapezoid(np.abs(window_ft(w, eta)) ** 2, eta)
             assert abs(val - c_hat_half) < 1e-6 * c_hat_half
 

@@ -55,8 +55,10 @@ class Grid:
             raise ValidationError("grid shape/origin/spacing lengths differ")
         if any(s < 2 for s in self.shape):
             raise ValidationError("grid needs at least 2 samples per axis")
-        if any(d <= 0 for d in self.spacing):
-            raise ValidationError("grid spacing must be strictly positive")
+        if not all(0 < d < np.inf for d in self.spacing):
+            raise ValidationError("grid spacing must be finite and strictly positive")
+        if not all(-np.inf < o < np.inf for o in self.origin):
+            raise ValidationError("grid origin must be finite")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         object.__setattr__(self, "spacing", tuple(float(d) for d in self.spacing))
@@ -312,8 +314,8 @@ def continuous_ft(field, warn_boundary=True):
     return SpectralField(fgrid, _phased(F, fgrid, grid.origin, -1j))
 
 
-def continuous_ift(spec, out_grid=None, real_output=True):
-    """Inverse of :func:`continuous_ft`.
+def continuous_ift(spec, out_grid=None):
+    """Inverse of :func:`continuous_ft`; returns the real part as a ScalarField.
 
     ``out_grid`` must match the DFT-compatible spatial grid (same shape,
     spacing 2 pi / (N * dxi)); its origin is free. Defaults to the grid
@@ -335,17 +337,15 @@ def continuous_ift(spec, out_grid=None, real_output=True):
     vals = np.fft.ifftn(np.fft.ifftshift(G)) / np.prod(dx)
     # undo the fftshift ordering mismatch of the spatial index phase:
     # after ifftshift the k-index runs in DFT order, matching ifftn.
-    if real_output:
-        imax = np.max(np.abs(vals.imag))
-        rmax = np.max(np.abs(vals.real)) or 1.0
-        if imax > 1e-8 * rmax:
-            warnings.warn(
-                f"inverse transform has complex magnitude {imax:.2e} "
-                f"(relative {imax / rmax:.2e}); taking the real part",
-                stacklevel=2,
-            )
-        return ScalarField(out_grid, vals.real)
-    return SpectralField(out_grid, vals)
+    imax = np.max(np.abs(vals.imag))
+    rmax = np.max(np.abs(vals.real)) or 1.0
+    if imax > 1e-8 * rmax:
+        warnings.warn(
+            f"inverse transform has complex magnitude {imax:.2e} "
+            f"(relative {imax / rmax:.2e}); taking the real part",
+            stacklevel=2,
+        )
+    return ScalarField(out_grid, vals.real)
 
 
 def _boundary_max(values):

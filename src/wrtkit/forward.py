@@ -57,9 +57,11 @@ class VSet:
     def __post_init__(self):
         vec = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         object.__setattr__(self, "vectors", vec)
+        if vec.size == 0:
+            raise ValidationError("VSet needs at least one vector")
         norms = np.linalg.norm(vec, axis=1)
-        if np.any(norms == 0.0):
-            raise ValidationError("VSet contains v = 0, which is not allowed")
+        if not np.all((norms > 0.0) & (norms < np.inf)):
+            raise ValidationError("VSet vectors need a finite, non-zero norm (v = 0 is not allowed)")
 
     def __len__(self):
         return self.vectors.shape[0]
@@ -81,6 +83,8 @@ def polar_vset(directions, radii):
 
 def uniform_circle(n_theta, jitter=0.0, seed=0):
     """Uniform unit directions on S^1, optionally jittered (seeded)."""
+    if not 0 <= jitter < np.inf:
+        raise ValidationError("direction jitter must be finite and >= 0")
     offs = np.zeros(n_theta)
     if jitter:
         rng = np.random.default_rng(seed)
@@ -137,6 +141,8 @@ class PolarWRT:
         if np.any(rho <= 0):
             raise ValidationError("polar radii must be positive")
         nt = theta.size
+        if rho.size < 2 or nt < 1:
+            raise ValidationError("perp data needs at least 2 radii and 1 angle")
         if nt & (nt - 1):
             raise ValidationError("theta count must be a power of two")
         steps = np.diff(np.log(rho))
@@ -167,9 +173,9 @@ def _time_nodes(w, quad, v_norm=None, extra_reach=None, feature=None):
     T = window_support_radius(w, tol=1e-14)
     panels = quad.panels
     if quad.max_panels is not None and feature and v_norm:
-        delta = feature / v_norm
-        needed = int(np.ceil(4.0 * T / (quad.nodes * delta)))
-        panels = min(quad.max_panels, max(panels, needed))
+        delta = feature / v_norm  # 0 when |v| overflows: refine up to the cap
+        needed = np.inf if delta == 0 else np.ceil(4.0 * T / (quad.nodes * delta))
+        panels = int(min(quad.max_panels, max(panels, needed)))
     return gauss_legendre_panels(-T, T, panels, quad.nodes)
 
 

@@ -77,8 +77,6 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
     (n = 2: uniform weights over the data's directions)."""
     if not w.is_real:
         raise HypothesisError("inversion requires a real window")
-    if window_constants(w).c_h2 <= 0:
-        raise HypothesisError("window must be non-zero")
     if data.vset.mode != "polar":
         raise ValidationError("reconstruct_t1 consumes polar-vset data")
     u_grid = data.u_grid
@@ -142,19 +140,15 @@ def _resample(values, src_grid, dst_grid):
     return out.reshape(dst_grid.shape)
 
 
-def t1_frequency_check(w, xi_samples, r_grid=None, n_theta=512, n=2):
-    """Scale/rotation invariance of J(xi) = int |hhat(xi.v)|^2 |xi.v| |v|^-n dv.
+def t1_frequency_check(w, xi_samples, n_theta=512):
+    """Scale/rotation invariance of J(xi) = int |hhat(xi.v)|^2 |xi.v| |v|^-2 dv.
 
-    Computes J by log-polar quadrature in a fixed lab frame and returns
-    (max relative deviation across xi_samples, fitted c with
-    J = c * int |h|^2).  Exact value of c under this convention is
-    2 pi^2 for n = 2.
+    Computes J (n = 2) by log-polar quadrature over |v| in [1e-4, 1e4] in a
+    fixed lab frame and returns (max relative deviation across xi_samples,
+    fitted c with J = c * int |h|^2).  Exact value of c is 2 pi^2.
     """
-    if n != 2:
-        raise ValidationError("frequency check implemented for n = 2")
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
-    if r_grid is None:
-        r_grid = np.geomspace(1e-4, 1e4, 2048)
+    r_grid = np.geomspace(1e-4, 1e4, 2048)
     wr = trapezoid_weights(np.log(r_grid))
     beta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
     dirs = np.stack([np.cos(beta), np.sin(beta)], axis=1)

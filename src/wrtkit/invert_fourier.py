@@ -110,8 +110,6 @@ def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None, decay_t
     """
     if not w.is_real:
         raise HypothesisError("inversion requires a real window")
-    if window_constants(w).c_h2 <= 0:
-        raise HypothesisError("window must be non-zero")
     if grid.n != 2:
         raise ValidationError("synthesis implemented for n = 2")
     const = _resolve_constant(constant_mode, alpha, lambda: paper_constant_t2(w, grid.n),

@@ -101,12 +101,11 @@ class KernelH:
 class RegParams:
     """Tikhonov division Q = Mg conj(MH) / (|MH|^2 + lam).
 
-    lam defaults to (1e-6 max|MH|)^2; eps_div_rel flags ill-posedness when
-    |MH| stays below eps_div_rel * max|MH| on more than half the band.
+    lam defaults to (1e-6 max|MH|)^2; the division is ill-posed when |MH|
+    stays below 1e-6 max|MH| on more than half the band.
     """
 
     lam: float | None = None
-    eps_div_rel: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,9 @@ def mellin_transform(r_grid, samples, t, y_grid):
     return MellinLine(float(t), y, vals)
 
 
-def mellin_kernel_line(w, l, t, y_grid, panels=48, nodes=16):
-    """MH_l(t + i y) by quadrature after the substitution r = cos(psi).
+def mellin_kernel_line(w, l, t, y_grid):
+    """MH_l(t + i y) by quadrature (48 panels of 16 Gauss-Legendre nodes)
+    after the substitution r = cos(psi).
 
     MH_l(s) = int_0^{pi/2} [h(tan psi) e^{+i l psi} + h(-tan psi) e^{-i l psi}]
               cos^{s-2}(psi) d psi;
@@ -220,7 +220,7 @@ def mellin_kernel_line(w, l, t, y_grid, panels=48, nodes=16):
     y = np.asarray(y_grid, dtype=float)
     R = window_support_radius(w, tol=1e-15)
     psi_max = min(np.arctan(R), np.pi / 2 - 1e-12) if R is not None else np.pi / 2 - 1e-12
-    psi, wp = gauss_legendre_panels(0.0, psi_max, panels, nodes)
+    psi, wp = gauss_legendre_panels(0.0, psi_max, 48, 16)
     tanp = np.tan(psi)
     ephase = np.exp(1j * l * psi)
     amp = (
@@ -264,7 +264,7 @@ def recover_fl(Mg, MH, t, r_grid, reg=RegParams()):
         raise ValidationError("lines must share the y grid")
     absH = np.abs(MH.values)
     hmax = absH.max()
-    if hmax == 0 or np.mean(absH < reg.eps_div_rel * hmax) > 0.5:
+    if hmax == 0 or np.mean(absH < 1e-6 * hmax) > 0.5:
         raise NumericalError(
             "kernel spectrum too small; inversion ill-posed on this band"
         )

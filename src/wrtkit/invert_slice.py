@@ -43,21 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SliceParams:
-    """Slice parameter ``a``, ``mode`` 'full' or 'restricted', and the
-    ``apodization`` of the v1 integral ('hann', 'none' or 'kaiser:BETA')."""
+    """Slice parameter ``a`` and the ``apodization`` of the v1 integral
+    ('hann', 'none' or 'kaiser:BETA')."""
 
     a: float = 0.0
-    mode: str = "full"  # 'full' | 'restricted'
     apodization: str = "hann"
 
     def __post_init__(self):
-        if self.mode not in ("full", "restricted"):
-            raise ValidationError(f"unknown slice mode {self.mode!r}")
-        if self.mode == "restricted" and self.a == 0.0:
-            raise ValidationError(
-                "restricted mode needs a != 0: zeta = a v' cannot cover "
-                "transverse frequencies when a = 0"
-            )
         apodization_weights(self.apodization, 0.0, 1.0)  # rejects unknown kinds
 
 
@@ -88,6 +80,8 @@ def apodization_weights(kind, v1, V):
 
 def symmetric_offset_grid(V, step):
     """Uniform grid on (-V, V), symmetric, half-step offset (no zero)."""
+    if not (0 < V < np.inf and 0 < step < np.inf):
+        raise ValidationError("the half-width V and the step must be finite and positive")
     n = int(round(V / step))
     k = np.arange(-n, n)
     return (k + 0.5) * step
@@ -169,9 +163,9 @@ def slice_extract(data, p):
 
 def restricted_extract(u1, v1, vprimes, values, w, p):
     """fhat1(sigma, a v') from an x1-axis restricted dataset, as returned
-    by :func:`make_restricted_dataset`."""
-    if p.mode != "restricted":
-        raise ValidationError("params must use restricted mode")
+    by :func:`make_restricted_dataset`; needs a != 0."""
+    if p.a == 0.0:
+        raise ValidationError("restricted mode needs a != 0: zeta = a v' is 0 for every v'")
     sigma, out = _extract(np.asarray(u1, dtype=float), np.asarray(v1, dtype=float), values, w, p)
     return SliceSpectrum(sigma, p.a * np.asarray(vprimes), out)
 

@@ -30,7 +30,7 @@ class QuadratureParams:
 
     def __post_init__(self):
         if self.panels < 1 or self.nodes < 2:
-            raise ValueError("need at least 1 panel and 2 nodes")
+            raise ValidationError("need at least 1 panel and 2 nodes")
         if self.max_panels is not None and self.max_panels < self.panels:
             object.__setattr__(self, "max_panels", self.panels)
 

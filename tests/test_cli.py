@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrtkit import io as wio
 from wrtkit.cli import main, parse_window
@@ -186,6 +193,20 @@ def test_non_finite_window_parameter_exit_1(tmp_path, capsys, window):
     ["--vmode", "polar", "--rmin", "0", "--rmax", "1"],
     ["--vmode", "perp", "--rho-min", "4", "--rho-max", "1"],
     ["--vmode", "perp", "--rho-min", "nan", "--rho-max", "1"],
+    ["--quad-panels", "0"],
+    ["--vmode", "v1-line", "--nv1", "0"],
+    ["--vmode", "v1-line", "--nv1", "5"],
+    ["--vmode", "polar", "--ndirs", "0"],
+    ["--vmode", "polar", "--nr", "0"],
+    ["--vmode", "perp", "--nrho", "0"],
+    ["--vmode", "perp", "--nrho", "1"],
+    ["--vmode", "perp", "--ntheta", "0"],
+    ["--vmode", "polar", "--jitter", "nan"],
+    ["--vmode", "polar", "--rmax", "inf"],
+    ["--vmode", "v1-line", "--v1max", "inf"],
+    ["--vmode", "v1-line", "--vprime", "nan"],
+    ["--extent", "nan"],
+    ["--center", "inf"],
 ])
 def test_reversed_forward_ranges_exit_1(tmp_path, capsys, argv):
     spec = _phantom_file(tmp_path)
@@ -196,6 +217,38 @@ def test_reversed_forward_ranges_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+_COUNT = st.integers(-2, 9)
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e-320, 1e300]),
+                   st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(vmode=st.sampled_from(["polar", "v1-line", "perp"]),
+       counts=st.fixed_dictionaries({f: _COUNT for f in (
+           "--ndirs", "--nr", "--nv1", "--nrho", "--ntheta", "--quad-panels")}),
+       values=st.fixed_dictionaries({f: _VALUE for f in (
+           "--rmin", "--rmax", "--jitter", "--v1max", "--vprime", "--rho-min", "--rho-max",
+           "--extent", "--center")}))
+def test_forward_argv_property(vmode, counts, values):
+    # exit 0 with a dataset that has no empty axis, or exit 1 or 2 with one
+    # error line; never an exception
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = _phantom_file(pathlib.Path(tmp)), os.path.join(tmp, "d")
+        argv = ["forward", "--phantom", spec, "--window", "gaussian:1.0", "--vmode", vmode,
+                "--shape", "4", "--out", out]
+        argv += [f"{k}={v}" for k, v in {**counts, **values}.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not os.path.exists(out)
+        else:
+            assert min(wio.read_wrt1(out).values.shape) > 0
 
 
 def _polar_wrt1(path):

@@ -132,3 +132,6 @@ def test_make_grid_validation():
         make_grid(2, 0, 10.0)
     with pytest.raises(ValidationError):
         make_grid(2, 16, -1.0)
+    for extent, center in ((np.nan, 0.0), (np.inf, 0.0), (10.0, np.nan), (10.0, -np.inf)):
+        with pytest.raises(ValidationError):
+            make_grid(2, 16, extent, center)

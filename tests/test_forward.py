@@ -34,6 +34,10 @@ from wrtkit.quad import QuadratureParams
 def test_vset_rejects_zero_vector():
     with pytest.raises(ValidationError):
         VSet("full-grid", np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # an empty set, NaN and a norm that overflows are rejected as well
+    for bad in (np.zeros((0, 2)), [[np.nan, 1.0]], [[1e300, 1e300]]):
+        with pytest.raises(ValidationError):
+            VSet("full-grid", np.array(bad))
 
 
 def test_polar_vset_ordering():
@@ -56,6 +60,9 @@ def test_uniform_circle_unit_norm():
     dirs, ang = uniform_circle(16)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
     assert ang[0] == 0.0
+    for jitter in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValidationError):
+            uniform_circle(16, jitter=jitter)
 
 
 def test_forward_matches_gaussian_oracle():
@@ -163,6 +170,10 @@ def test_polar_wrt_validation():
         PolarWRT(rho, theta[:5], gaussian_window(1.0), vals[:, :5])  # not power of two
     with pytest.raises(ValidationError):
         PolarWRT(np.linspace(0.1, 1.0, 8), theta, gaussian_window(1.0), vals)
+    with pytest.raises(ValidationError, match="at least 2 radii"):
+        PolarWRT(rho[:1], theta, gaussian_window(1.0), vals[:1])
+    with pytest.raises(ValidationError, match="at least 2 radii"):
+        PolarWRT(rho, theta[:0], gaussian_window(1.0), vals[:, :0])
 
 
 def test_polar_wrt_rejects_bad_values():

@@ -75,10 +75,11 @@ def test_apodization_weights():
 
 
 def test_params_validation():
-    with pytest.raises(ValidationError):
-        SliceParams(a=0.0, mode="restricted")
-    with pytest.raises(ValidationError):
-        SliceParams(mode="sideways")
+    u1 = 0.25 * np.arange(-8, 8)
+    v1 = symmetric_offset_grid(2.0, 0.5)
+    with pytest.raises(ValidationError, match="a != 0"):
+        restricted_extract(u1, v1, np.array([-1.0, 1.0]), np.ones((u1.size, v1.size, 2)),
+                           gaussian_window(2.0), SliceParams(a=0.0))
 
 
 def test_complex_window_rejected():
@@ -145,7 +146,7 @@ def test_restricted_mode():
     u1r, v1r, vpr, vals = make_restricted_dataset(
         spec_f, w, u1, v1, vprimes, quad=QuadratureParams(panels=32, max_panels=None)
     )
-    out = restricted_extract(u1r, v1r, vpr, vals, w, SliceParams(a=a, mode="restricted"))
+    out = restricted_extract(u1r, v1r, vpr, vals, w, SliceParams(a=a))
     assert np.allclose(out.zeta, a * vprimes)
     band = (np.abs(out.sigma) > 0.4) & (np.abs(out.sigma) < 2.0)
     # finite-V smearing grows with |v'|; score the well-resolved inner columns
@@ -181,7 +182,7 @@ def test_a_sigma_outside_the_sampled_v1_band_rejected_in_both_modes():
     vals = np.ones((u1.size, v1.size, 2))
     with pytest.raises(ValidationError, match="Nyquist"):
         restricted_extract(u1, v1, np.array([-1.0, 1.0]), vals, w,
-                           SliceParams(a=0.5, mode="restricted"))
+                           SliceParams(a=0.5))
     data = WRTData(Grid((u1.size, 2), (u1[0], 0.0), (0.25, 1.0)), v1_line_vset(v1, [0.0]), w,
                    np.ones((2 * u1.size, v1.size)))
     with pytest.raises(ValidationError, match="Nyquist"):

@@ -12,7 +12,8 @@ from wrtkit import (
     window_eval,
     window_ft,
 )
-from wrtkit.windows import WindowSpec, _bump_ft_nodes, window_ft_cutoff, window_support_radius
+from wrtkit.quad import gauss_legendre_panels
+from wrtkit.windows import WindowSpec, _bump_ft_nodes, window_support_radius
 
 REAL_WINDOWS = [gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0)]
 
@@ -59,12 +60,13 @@ def test_constants_against_quadrature(w):
     T = window_support_radius(w, tol=1e-15)
     h2, _ = integrate.quad(lambda t: np.real(window_eval(w, t)) ** 2, -T, T, limit=400)
     assert c.c_h2 == pytest.approx(h2, rel=1e-9)
-    cutoff = window_ft_cutoff(w, tol=1e-13)
+    # a fixed band on which the rule resolves hhat and beyond which |hhat|^2 < 1e-30
+    band = 300.0 / w.radius if w.kind == "bump" else 12.0 / w.sigma
     half, _ = integrate.quad(
-        lambda e: np.abs(window_ft(w, e)) ** 2, 0.0, cutoff, limit=400
+        lambda e: np.abs(window_ft(w, e)) ** 2, 0.0, band, epsabs=0, epsrel=1e-12, limit=400
     )
-    assert c.c_hat_half == pytest.approx(half, rel=1e-5)
-    assert c.c_hat_full == pytest.approx(2.0 * half, rel=1e-5)
+    assert c.c_hat_half == pytest.approx(half, rel=1e-9)
+    assert c.c_hat_full == pytest.approx(2.0 * half, rel=1e-9)
     assert complex(c.hat_at_zero) == pytest.approx(complex(np.asarray(window_ft(w, 0.0))), abs=1e-12)
 
 
@@ -80,8 +82,6 @@ def test_support_radius_and_cutoff():
     wh = hermite1_window(0.7)
     Th = window_support_radius(wh, tol=1e-12)
     assert abs(window_eval(wh, Th * 1.001)) < 1e-12
-    eta = window_ft_cutoff(w, tol=1e-12)
-    assert abs(window_ft(w, eta * 1.001)) < 1e-12 * abs(window_ft(w, 0.0))
 
 
 def test_parity_flags():
@@ -120,3 +120,17 @@ def test_bump_ft_blocks_equal_the_full_product():
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert window_ft(w, eta.reshape(1, -1, 1)).shape == (1, eta.size, 1)
     assert np.isscalar(window_ft(w, 0.5))
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0, 8.0])
+def test_bump_ft_accurate_on_the_whole_axis(radius):
+    # against a 2048-panel rule for eta R in [0, 4000]: the rule must not
+    # alias at large eta R (a 32-panel rule reaches 0.57 hhat(0) near 2212)
+    w = bump_window(radius)
+    eta = np.linspace(0.0, 4000.0 / radius, 1001)
+    t, wt = gauss_legendre_panels(0.0, radius, 2048, 16)
+    wh = wt * window_eval(w, t)
+    want = np.concatenate([2.0 * np.cos(np.multiply.outer(eta[i:i + 64], t)) @ wh
+                           for i in range(0, eta.size, 64)])
+    err = np.max(np.abs(window_ft(w, eta) - want))
+    assert err <= 1e-14 * want[0]
