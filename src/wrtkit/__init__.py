@@ -62,7 +62,6 @@ from .invert_mellin import (
     KernelH,
     MellinLine,
     MellinParams,
-    RegParams,
     circular_decompose,
     kernel_H,
     mellin_convolution_residual,

@@ -46,7 +46,6 @@ from .invert_bp import BPParams, reconstruct_t1, t1_frequency_check
 from .invert_fourier import extract_polar_spectrum, reconstruct_t2
 from .invert_mellin import (
     MellinParams,
-    RegParams,
     circular_decompose,
     mellin_transform,
     reconstruct_mellin,
@@ -230,6 +229,8 @@ def cmd_invert(args):
     elif args.method == "t2":
         if isinstance(data, PolarWRT):
             raise ValidationError("t2 consumes polar-vset data, not perp data")
+        if args.nsigma < 2 or not 0 < args.sigma_max < np.inf:
+            raise ValidationError("t2 needs --nsigma >= 2 and a finite --sigma-max > 0")
         nyq = np.pi / max(data.u_grid.spacing)
         sigma = np.linspace(0.0, min(args.sigma_max, 0.95 * nyq), args.nsigma)
         samples = extract_polar_spectrum(data, sigma)
@@ -249,8 +250,7 @@ def cmd_invert(args):
     elif args.method == "mellin":
         if not isinstance(data, PolarWRT):
             raise ValidationError("mellin consumes perp (polar) data")
-        params = MellinParams(t=args.mellin_t, T=args.mellin_T,
-                              reg=RegParams(lam=args.reg_lambda))
+        params = MellinParams(t=args.mellin_t, T=args.mellin_T, lam=args.reg_lambda)
         rec = reconstruct_mellin(data, w, args.lmax, grid, params)
         extra = [f"L = {args.lmax}, t = {args.mellin_t}, T = {args.mellin_T}"]
     else:

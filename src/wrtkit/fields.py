@@ -184,24 +184,6 @@ class PhantomSpec:
             out += _component_profile(self.kind, c, r2)
         return out
 
-    def feature_scale(self):
-        """Narrowest length scale present (smallest sigma / smoothing)."""
-        if self.kind == "smoothed-disk":
-            return min(c["smoothing"] for c in self.components)
-        return min(c["sigma"] for c in self.components)
-
-    def support_radius(self, tol=1e-8):
-        """Radius (from the coordinate origin) beyond which |f| < tol."""
-        r = 0.0
-        for c in self.components:
-            cc = float(np.linalg.norm(c["center"]))
-            if self.kind == "smoothed-disk":
-                w = c["radius"] + c["smoothing"] * np.sqrt(2.0 * np.log(max(c["amplitude"], tol) / tol))
-            else:
-                w = c["sigma"] * np.sqrt(2.0 * np.log(max(abs(c["amplitude"]), tol) / tol + 1.0))
-            r = max(r, cc + w)
-        return r
-
     def spectrum(self, xi):
         """Closed-form continuous Fourier transform at (..., n) frequencies."""
         xi = np.asarray(xi, dtype=float)

@@ -158,44 +158,43 @@ class PolarWRT:
         object.__setattr__(self, "values", vals)
 
 
-def _time_nodes(w, quad, v_norm=None, extra_reach=None, feature=None):
-    """Quadrature nodes/weights covering the window support.
-
-    For the analytic-signal kernel the reach is scaled by 1/|v| (the
-    kernel decays only like 1/t, accuracy is documented as limited).
-    ``feature`` is the narrowest spatial length scale of the source; a
-    long v squeezes it into a t-interval of width feature / |v|, and the
-    panel count is refined (up to ``quad.max_panels``) to resolve it.
+def _time_nodes(w, quad, v_norm, feature):
+    """Nodes and weights of a real window: Gauss-Legendre panels on its
+    support [-T, T].  ``feature`` is the narrowest spatial length scale of
+    the source; a long v squeezes it into a t-interval of width
+    feature / |v|, and the panel count is refined (up to
+    ``quad.max_panels``) to resolve it.
     """
-    if w.kind == "analytic-signal":
-        reach = 20.0 + (extra_reach or 0.0) / max(v_norm, 1e-6)
-        return gauss_legendre_panels(-reach, reach, max(quad.panels, 64), quad.nodes)
     T = window_support_radius(w, tol=1e-14)
     panels = quad.panels
-    if quad.max_panels is not None and feature and v_norm:
+    if quad.max_panels is not None and v_norm:
         delta = feature / v_norm  # 0 when |v| overflows: refine up to the cap
         needed = np.inf if delta == 0 else np.ceil(4.0 * T / (quad.nodes * delta))
         panels = int(min(quad.max_panels, max(panels, needed)))
     return gauss_legendre_panels(-T, T, panels, quad.nodes)
 
 
-_EPS = 1e-17  # skipped panels hold source values below this share of the peak
+_EPS = 1e-17  # sources are treated as zero below this share of their peak
 
 
 def _ray_source(f):
-    """(values, interval) of a phantom or a sampled field: values(U, V, t) is
-    f(u_m + t_q v_m) as (M, Q), interval(U, V) the per-ray [lo, hi] in t
-    outside which |f| <= _EPS times the peak (lo > hi: the ray misses)."""
+    """(values, interval, feature) of a phantom or a sampled field: values(U,
+    V, t) is f(u_m + t_q v_m) as (M, Q), interval(U, V) the per-ray [lo, hi]
+    in t outside which |f| <= _EPS times the peak (lo > hi: the ray misses),
+    feature the narrowest length scale (smallest sigma or smoothing of a
+    phantom, smallest grid spacing of a field)."""
     if isinstance(f, PhantomSpec):
         tail = np.sqrt(2.0 * np.log(1.0 / _EPS))
+        disk = f.kind == "smoothed-disk"
         balls = [(np.asarray(c["center"]), c["radius"] + c["smoothing"] * (tail + 1.0)
-                  if f.kind == "smoothed-disk" else c["sigma"] * tail) for c in f.components]
+                  if disk else c["sigma"] * tail) for c in f.components]
+        feature = min(c["smoothing"] if disk else c["sigma"] for c in f.components)
 
         def interval(U, V):  # hull of the component balls
             lo, hi = zip(*(_ball_interval(U - c, V, r) for c, r in balls))
             return np.min(lo, axis=0), np.max(hi, axis=0)
 
-        return f.evaluate_along_rays, interval
+        return f.evaluate_along_rays, interval, feature
     if not isinstance(f, ScalarField):
         raise ValidationError("source must be a PhantomSpec or ScalarField")
     g = f.grid
@@ -218,7 +217,7 @@ def _ray_source(f):
                        for i in range(g.n)))
         return np.max(lo, axis=0), np.min(hi, axis=0)
 
-    return values, interval
+    return values, interval, float(min(g.spacing))
 
 
 def _ball_interval(du, V, rad):
@@ -233,23 +232,58 @@ def _ball_interval(du, V, rad):
     return np.where(hit, (-b - root) / safe, np.inf), np.where(hit, (-b + root) / safe, -np.inf)
 
 
-def _ray_sum(src, U, V, t, hw, k):
-    """sum_q f(u_m + t_q v_m) hw_q for paired rays (U, V), src from _ray_source.
-    A panel (k consecutive nodes) is skipped for a ray when all its nodes lie
-    outside the ray's support interval; rays that keep the same panel range
-    are evaluated as one dense block."""
-    values, interval = src
+def _ray_sum(src, w, quad, U, V):
+    """P_h f(u_m, v_m) for paired rays (U, V), src from _ray_source.
+
+    A real window takes the nodes of _time_nodes for the longest v; per ray,
+    the panels (quad.nodes consecutive nodes) outside the clip interval are
+    skipped, and rays that keep the same panel range form one dense block.
+    """
+    values, interval, feature = src
     lo, hi = interval(U, V)
+    if not w.is_real:
+        return _analytic_sum(values, w, quad, U, V, lo, hi)
+    k = quad.nodes
+    t, wt = _time_nodes(w, quad, float(np.max(np.linalg.norm(V, axis=1))), feature)
+    hw = window_eval(w, t) * wt
     npan = t.size // k
     p_lo = np.searchsorted(t[k - 1::k], lo, side="left")
     p_hi = np.maximum(np.searchsorted(t[::k], hi, side="right"), p_lo)
     key = p_lo * (npan + 1) + p_hi
-    out = np.zeros(U.shape[0], dtype=hw.dtype)
+    out = np.zeros(U.shape[0])
     order = np.argsort(key, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         a, z = divmod(int(key[rows[0]]), npan + 1)
         if z > a:
             out[rows] = values(U[rows], V[rows], t[a * k:z * k]) @ hw[a * k:z * k]
+    return out
+
+
+def _analytic_sum(values, w, quad, U, V, lo, hi):
+    """P_h f for h(t) = 1 / (2 pi i (t - i)) on the clip intervals [lo, hi].
+
+    Each interval is cut at t = 0, below the kernel's pole, so the pole sits
+    over a panel edge; a piece [a, b] gets max(panels, 64) panels, evaluated
+    as values(U + a V, (b - a) V, s) on nodes s in [0, 1] shared by all
+    pieces.  A ray with an unbounded interval (|v|^2 underflowed inside the
+    support) is the point u and gets f(u) hhat(0) = f(u) / 2.
+    """
+    s, ws = gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)
+    M = U.shape[0]
+    a = np.concatenate([lo, np.maximum(lo, 0.0)])
+    b = np.concatenate([np.minimum(hi, 0.0), hi])
+    length = b - a
+    sums = np.zeros(2 * M, dtype=complex)
+    live = np.flatnonzero((length > 0.0) & (length < np.inf))
+    step = max(1, 2**20 // s.size)  # pieces per block: temporaries near 16 MB
+    for j in range(0, live.size, step):
+        rows = live[j:j + step]
+        m, L = rows % M, length[rows, None]
+        h = window_eval(w, a[rows, None] + L * s)
+        sums[rows] = (values(U[m] + a[rows, None] * V[m], L * V[m], s) * h) @ ws * L[:, 0]
+    out = sums[:M] + sums[M:]
+    point = np.flatnonzero((lo < hi) & ~(hi - lo < np.inf))
+    out[point] = 0.5 * values(U[point], V[point], np.zeros(1))[:, 0]
     return out
 
 
@@ -262,27 +296,15 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     if vectors.shape[1] != U.shape[1]:
         raise ValidationError("vset/grid dimension mismatch")
     src = _ray_source(f)
-    if isinstance(f, PhantomSpec):
-        extra, feature = f.support_radius(1e-10), f.feature_scale()
-    else:
-        extra = 0.5 * float(np.linalg.norm(np.asarray(f.grid.shape) * np.asarray(f.grid.spacing)))
-        feature = float(min(f.grid.spacing))
     out = np.zeros((U.shape[0], vectors.shape[0]), dtype=float if w.is_real else complex)
     for j, v in enumerate(vectors):
-        t, wt = _time_nodes(w, quad, v_norm=float(np.linalg.norm(v)),
-                            extra_reach=extra, feature=feature)
-        out[:, j] = _ray_sum(src, U, np.broadcast_to(v, U.shape), t,
-                             window_eval(w, t) * wt, quad.nodes)
+        out[:, j] = _ray_sum(src, w, quad, U, np.broadcast_to(v, U.shape))
     return out
 
 
 def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
-    """P_h f on u_grid x vset by composite Gauss-Legendre quadrature in t.
-
-    The nodes are fixed by the window, ``quad`` and |v| alone; per ray, the
-    panels on which the source is below 1e-17 of its peak are skipped, so
-    the result equals the full rule to rounding.
-    """
+    """P_h f on u_grid x vset by composite Gauss-Legendre quadrature in t,
+    with the node rules of :class:`~wrtkit.quad.QuadratureParams`."""
     out = wrt_columns(f, w, u_grid.points(), vset.vectors, quad)
     if not np.all(np.isfinite(out)):
         raise NumericalError("windowed ray transform produced non-finite values")
@@ -341,7 +363,9 @@ def analytic_wrt_data(f, w, u_grid, vset):
 
 
 def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
-    """g(rho, theta) = P_h f(u, u^perp) with u = rho (cos t, sin t)."""
+    """g(rho, theta) = P_h f(u, u^perp) with u = rho (cos t, sin t), by the
+    rule of :func:`windowed_ray_transform` on blocks of 8,192 rays (a memory
+    bound; a real window refines its panels for the longest v in a block)."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(rho <= 0):
@@ -352,20 +376,9 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     # paired (rho, theta) points: u = rho e(theta), v = rho e(theta)^perp
     U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
     V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
-    vals = np.zeros(U.shape[0], dtype=float if w.is_real else complex)
     src = _ray_source(f)
-    extra, feature = ((f.support_radius(1e-10), f.feature_scale())
-                      if isinstance(f, PhantomSpec) else (None, None))
-    # |v| = rho varies across samples; chunk rows with similar reach
-    chunk = 8192
-    for lo in range(0, U.shape[0], chunk):
-        hi = min(lo + chunk, U.shape[0])
-        norms = np.linalg.norm(V[lo:hi], axis=1)
-        # shortest vector controls the analytic-signal reach, longest the
-        # panel refinement for real windows
-        vn = float(np.min(norms)) if w.kind == "analytic-signal" else float(np.max(norms))
-        t, wt = _time_nodes(w, quad, v_norm=vn, extra_reach=extra, feature=feature)
-        vals[lo:hi] = _ray_sum(src, U[lo:hi], V[lo:hi], t, window_eval(w, t) * wt, quad.nodes)
+    vals = np.concatenate([_ray_sum(src, w, quad, U[lo:lo + 8192], V[lo:lo + 8192])
+                           for lo in range(0, U.shape[0], 8192)])
     return PolarWRT(rho, theta, w, vals.reshape(rho.size, theta.size))
 
 

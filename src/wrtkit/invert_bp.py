@@ -2,14 +2,16 @@
 
 Reconstruction formula (window h real and non-zero):
 
-    f(x) = C int_{R^n} int_R P_h f(x - v t, v) I^-1 h(-t) |v|^-n dt dv
+    f(x) = C int_{R^n} int_R P_h f(x - v t, v) I^-1 h(t) |v|^-n dt dv
 
-with FT[I^-1 h](eta) = |eta| hhat(eta).  The v integral is evaluated in
-log-polar form (dr/r d theta), the t integral is a convolution of each
-fixed-v data slice with the Riesz-filtered window and is evaluated
-spectrally: FT_u of the filtered slice equals
-P_hat(xi, v) |xi.v| hhat(-xi.v), which is exact in t and automatically
-tames the |v|^-n singularity (the multiplier vanishes linearly in |v|).
+with FT[I^-1 h](eta) = |eta| hhat(eta); for an even window this is the
+statement's kernel I^-1 h(-t).  The v integral is evaluated in log-polar
+form (dr/r d theta), the t integral is a convolution of each fixed-v data
+slice with the Riesz-filtered window and is evaluated spectrally: FT_u of
+the filtered slice equals P_hat(xi, v) |xi.v| conj(hhat(-xi.v)) =
+fhat(xi) |xi.v| |hhat(-xi.v)|^2 for a real window, which is exact in t
+and automatically tames the |v|^-n singularity (the multiplier vanishes
+linearly in |v|).
 Backprojection is linear, so the weighted filtered spectra of all slices
 are summed and a single inverse real FFT returns to u.
 
@@ -110,7 +112,8 @@ def _backproject(data, cols, weights, w, pad):
     """sum_j weights_j Q_j, Q(u, v) = int P(u - v t, v) I^-1 h(-t) dt.
 
     Slices are zero-padded by ``pad`` and real-FFT'd in blocks of about
-    8 MB of spectra; FT(P) |xi.v| hhat(-xi.v) is summed and inverted once.
+    8 MB of spectra; FT(P) |xi.v| conj(hhat(-xi.v)) is summed and inverted
+    once.
     The Nyquist bin of an even-length axis is filtered at one sign of xi.
     """
     u_grid = data.u_grid
@@ -127,7 +130,7 @@ def _backproject(data, cols, weights, w, pad):
         F = np.fft.rfftn(slices, s=shape, axes=axes)
         for Fj, col, wt in zip(F, blk, weights[lo:lo + block]):
             xi_dot_v = sum(m * vi for m, vi in zip(mesh, data.vset.vectors[col]))
-            acc += Fj * (wt * np.abs(xi_dot_v) * window_ft(w, -xi_dot_v))
+            acc += Fj * (wt * np.abs(xi_dot_v) * np.conj(window_ft(w, -xi_dot_v)))
     Q = np.fft.irfftn(acc, s=shape, axes=tuple(range(u_grid.n)))
     return Q[tuple(slice(0, N) for N in u_grid.shape)]
 

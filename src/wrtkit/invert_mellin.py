@@ -32,7 +32,7 @@ supported window, matching the identity's hypotheses exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "HarmonicSeries",
     "MellinLine",
     "KernelH",
-    "RegParams",
     "MellinParams",
     "circular_decompose",
     "kernel_H",
@@ -97,29 +96,29 @@ class KernelH:
     window: object
 
 
-@dataclass(frozen=True)
-class RegParams:
-    """Tikhonov division Q = Mg conj(MH) / (|MH|^2 + lam).
-
-    lam defaults to (1e-6 max|MH|)^2; the division is ill-posed when |MH|
-    stays below 1e-6 max|MH| on more than half the band.
-    """
-
-    lam: float | None = None
+_MAX_HALF_LINE = 2**14  # y samples beside y = 0; the line fills dense matrices
 
 
 @dataclass(frozen=True)
 class MellinParams:
+    """Contour abscissa t, band [-T, T] sampled at step dy (T / dy at most
+    2^14), and the Tikhonov term lam of Q = Mg conj(MH) / (|MH|^2 + lam),
+    None meaning (1e-6 max|MH|)^2."""
+
     t: float = 2.0
     T: float = 40.0
     dy: float = 0.05
-    reg: RegParams = field(default_factory=RegParams)
+    lam: float | None = None
 
     def __post_init__(self):
-        if self.t <= 1.0:
-            raise ValidationError("contour abscissa must satisfy t > 1")
-        if self.T <= 0 or self.dy <= 0:
-            raise ValidationError("need T > 0 and dy > 0")
+        if not 1.0 < self.t < np.inf:
+            raise ValidationError("contour abscissa must be finite with t > 1")
+        if not (0 < self.T < np.inf and 0 < self.dy < np.inf):
+            raise ValidationError("need finite T > 0 and dy > 0")
+        if not self.T / self.dy <= _MAX_HALF_LINE:
+            raise ValidationError(f"T / dy = {self.T / self.dy:.3g} exceeds {_MAX_HALF_LINE}")
+        if self.lam is not None and not 0 <= self.lam < np.inf:
+            raise ValidationError("Tikhonov lambda must be finite and >= 0")
 
     def y_grid(self):
         n = int(round(self.T / self.dy))
@@ -134,6 +133,8 @@ def circular_decompose(g, L):
     (truncation/aliasing risk).
     """
     nt = g.theta.size
+    if L < 0:
+        raise ValidationError(f"harmonic cut-off L = {L} must be >= 0")
     if nt < 2 * L + 2:
         raise ValidationError(f"need at least {2 * L + 2} angles for L={L}")
     coef_all = np.fft.fft(g.values, axis=1) / nt  # (Nrho, Ntheta), index = l mod nt
@@ -218,8 +219,7 @@ def mellin_kernel_line(w, l, t, y_grid):
     """
     _check_not_odd(w)
     y = np.asarray(y_grid, dtype=float)
-    R = window_support_radius(w, tol=1e-15)
-    psi_max = min(np.arctan(R), np.pi / 2 - 1e-12) if R is not None else np.pi / 2 - 1e-12
+    psi_max = min(np.arctan(window_support_radius(w, tol=1e-15)), np.pi / 2 - 1e-12)
     psi, wp = gauss_legendre_panels(0.0, psi_max, 48, 16)
     tanp = np.tan(psi)
     ephase = np.exp(1j * l * psi)
@@ -248,13 +248,15 @@ def mellin_convolution_residual(g_line, f_line, H_line):
     return float(np.max(np.abs(g_line.values - f_line.values * H_line.values)) / ref)
 
 
-def recover_fl(Mg, MH, t, r_grid, reg=RegParams()):
+def recover_fl(Mg, MH, t, r_grid, lam=None):
     """f_l(r) on r_grid from lines Mg_l and MH_l sampled at abscissa t.
 
     f_l(r) = (1/2 pi) int_{-T}^{T} r^{-t-iy} Q(t + iy) dy with the
-    regularized quotient Q = Mg conj(MH) / (|MH|^2 + lam); the finite band
-    realizes the exact formula's T -> infinity limit; the y integral is
-    the trapezoid rule.
+    regularized quotient Q = Mg conj(MH) / (|MH|^2 + lam), lam None meaning
+    (1e-6 max|MH|)^2; the division is ill-posed when |MH| stays below
+    1e-6 max|MH| on more than half the band.  The finite band realizes the
+    exact formula's T -> infinity limit; the y integral is the trapezoid
+    rule.
     """
     if t <= 1.0:
         raise ValidationError("contour abscissa must satisfy t > 1")
@@ -268,7 +270,7 @@ def recover_fl(Mg, MH, t, r_grid, reg=RegParams()):
         raise NumericalError(
             "kernel spectrum too small; inversion ill-posed on this band"
         )
-    lam = reg.lam if reg.lam is not None else (1e-6 * hmax) ** 2
+    lam = lam if lam is not None else (1e-6 * hmax) ** 2
     Q = Mg.values * np.conj(MH.values) / (absH**2 + lam)
     y = Mg.y
     wy = trapezoid_weights(y)
@@ -306,7 +308,7 @@ def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
     f_ls = {}
     for l in range(0, L + 1):
         Mg = mellin_transform(series.rho, series.coefficient(l), t, y)
-        f_ls[l] = recover_fl(Mg, mellin_kernel_line(w, l, t, y), t, r_grid, params.reg)
+        f_ls[l] = recover_fl(Mg, mellin_kernel_line(w, l, t, y), t, r_grid, params.lam)
     phi = np.arctan2(X[:, 1], X[:, 0])
     lr = np.log(np.maximum(rad, r_lo))
     lgrid = np.log(r_grid)

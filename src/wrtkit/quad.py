@@ -14,14 +14,14 @@ __all__ = ["QuadratureParams", "gauss_legendre_panels", "trapezoid_weights"]
 @dataclass(frozen=True)
 class QuadratureParams:
     """Composite Gauss-Legendre rule: ``panels`` equal panels with
-    ``nodes`` points each.
-
-    ``max_panels`` caps automatic panel refinement when the integrand
-    carries features much narrower than a panel (long v vectors sweep a
-    compact source through the window support in a tiny t-interval);
-    set it to None (or to ``panels``) to disable refinement.  The forward
-    transforms keep these nodes and skip, per ray, the whole panels on
-    which the source is below 1e-17 of its peak.
+    ``nodes`` points each, placed by the forward transforms in one of two
+    ways.  A real window gets ``panels`` panels on its support [-T, T],
+    refined up to ``max_panels`` (None or ``panels``: no refinement) when
+    long v vectors sweep the source's narrowest feature through the
+    support in a tiny t-interval; per ray, the panels where the source is
+    below 1e-17 of its peak are skipped.  The analytic-signal kernel gets
+    max(``panels``, 64) panels on each ray's clip interval (where the
+    source is above that level), cut at t = 0 below its pole.
     """
 
     panels: int = 32

@@ -103,8 +103,10 @@ def window_eval(w, t):
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(x2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - x2, 1e-300)), 0.0)
         return out
-    # analytic-signal: 1 / (2 pi i (t - i))
-    return 1.0 / (2.0j * np.pi * (t - 1.0j))
+    # analytic-signal: 1 / (2 pi i (t - i)) = (1 - i t) / (2 pi (1 + t^2)),
+    # real arithmetic up to one complex result
+    r = 1.0 / (2.0 * np.pi * (1.0 + t * t))
+    return r - 1j * (t * r)
 
 
 @functools.lru_cache(maxsize=32)
@@ -145,16 +147,14 @@ def window_ft(w, eta):
 
 @functools.lru_cache(maxsize=128)
 def window_support_radius(w, tol=1e-14):
-    """T with |h(t)| < tol for |t| > T (None for analytic-signal)."""
+    """T with |h(t)| < tol for |t| > T, for a real window."""
     if w.kind == "gaussian":
         return w.sigma * np.sqrt(2.0 * np.log(1.0 / tol))
     if w.kind == "hermite1":
         t0 = w.sigma * np.sqrt(2.0 * np.log(1.0 / tol))
         f = lambda t: abs(t) * np.exp(-0.5 * (t / w.sigma) ** 2) - tol
         return float(optimize.brentq(f, t0 / 2, 4 * t0))
-    if w.kind == "bump":
-        return w.radius
-    return None
+    return w.radius  # bump
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from wrtkit import io as wio
 from wrtkit.cli import main, parse_window
 from wrtkit.errors import ValidationError
-from wrtkit.fields import ScalarField, make_grid
-from wrtkit.forward import PolarWRT, WRTData, polar_vset, uniform_circle
-from wrtkit.windows import WindowSpec
+from wrtkit.fields import ScalarField, gaussian_phantom, make_grid
+from wrtkit.forward import (PolarWRT, WRTData, analytic_wrt_data, polar_vset, uniform_circle,
+                            v1_line_vset, windowed_ray_transform, wrt_polar_perp)
+from wrtkit.invert_slice import symmetric_offset_grid
+from wrtkit.quad import QuadratureParams
+from wrtkit.windows import CONSTANT_MODES, WindowSpec
 
 
 def _phantom_file(tmp_path, name="spec.json", sigma=0.7, center=(0.4, -0.2)):
@@ -249,6 +252,86 @@ def test_forward_argv_property(vmode, counts, values):
             assert not os.path.exists(out)
         else:
             assert min(wio.read_wrt1(out).values.shape) > 0
+
+
+@pytest.fixture(scope="module")
+def invert_inputs(tmp_path_factory):
+    """Tiny valid datasets, one per inversion method."""
+    d = tmp_path_factory.mktemp("invert")
+    spec, w = gaussian_phantom((1.0, 0.0), 0.3), WindowSpec("gaussian", sigma=1.0)
+    grid = make_grid(2, 8, 8.0)
+    paths = {m: str(d / m) for m in ("t1", "slice", "mellin")}
+    wio.write_wrt1(paths["t1"], analytic_wrt_data(
+        spec, w, grid, polar_vset(uniform_circle(4)[0], [0.5, 1.0, 2.0])))
+    wio.write_wrt1(paths["slice"], windowed_ray_transform(
+        spec, w, grid, v1_line_vset(symmetric_offset_grid(2.0, 0.5), [0.0]),
+        QuadratureParams(panels=4)))
+    wio.write_wrt1(paths["mellin"], wrt_polar_perp(
+        spec, WindowSpec("bump", radius=2.0), np.geomspace(1e-8, 4.0, 64),
+        2.0 * np.pi * np.arange(8) / 8, QuadratureParams(panels=4)))
+    paths["t2"] = paths["t1"]
+    return paths
+
+
+def _run_invert(paths, method, argv, out):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["invert", "--method", method, "--in", paths[method], "--shape", "4",
+                   "--extent", "4", "--lmax", "1", "--out", out, *argv])
+    return rc, err.getvalue().splitlines()
+
+
+def test_invert_inputs_reconstruct(invert_inputs, tmp_path):
+    for method in ("t1", "t2", "slice", "mellin"):
+        rc, err = _run_invert(invert_inputs, method, [], str(tmp_path / method))
+        assert rc == 0, (method, err)
+
+
+@pytest.mark.parametrize("method, argv", [
+    ("t2", ["--nsigma", "-1"]),
+    ("t2", ["--nsigma", "1"]),
+    ("t2", ["--sigma-max", "nan"]),
+    ("t2", ["--sigma-max", "0"]),
+    ("mellin", ["--lmax", "-1"]),
+    ("mellin", ["--mellin-T", "nan"]),
+    ("mellin", ["--mellin-T", "inf"]),
+    ("mellin", ["--mellin-T", "1e300"]),
+    ("mellin", ["--mellin-t", "nan"]),
+    ("mellin", ["--mellin-t", "inf"]),
+    ("mellin", ["--reg-lambda", "-1"]),
+    ("mellin", ["--reg-lambda", "nan"]),
+])
+def test_bad_invert_arguments_exit_1(invert_inputs, tmp_path, method, argv):
+    out = tmp_path / "r"
+    rc, err = _run_invert(invert_inputs, method, argv, str(out))
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+_INVERT_FLAGS = {"--nsigma": _COUNT, "--lmax": _COUNT, **{f: _VALUE for f in (
+    "--rmin", "--rmax", "--sigma-max", "--alpha", "--slice-a", "--mellin-t", "--mellin-T",
+    "--reg-lambda", "--extent", "--center")}}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(["t1", "t2", "slice", "mellin"]),
+       mode=st.sampled_from(CONSTANT_MODES),
+       flags=st.lists(st.sampled_from(sorted(_INVERT_FLAGS)), max_size=3, unique=True).flatmap(
+           lambda keys: st.fixed_dictionaries({k: _INVERT_FLAGS[k] for k in keys})))
+def test_invert_argv_property(invert_inputs, method, mode, flags):
+    # up to three flags off their defaults: exit 0 with a finite field, or
+    # exit 1 or 2 with one error line; never an exception
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "r")
+        argv = ["--constant-mode", mode] + [f"{k}={v}" for k, v in flags.items()]
+        rc, err = _run_invert(invert_inputs, method, argv, out)
+        assert rc in (0, 1, 2)
+        if rc:
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert not os.path.exists(out)
+        else:
+            assert np.all(np.isfinite(wio.read_gf1(out).values))
 
 
 def _polar_wrt1(path):

@@ -5,10 +5,12 @@ from wrtkit import (
     BPParams,
     HypothesisError,
     ValidationError,
+    WRTData,
     analytic_signal_window,
     analytic_wrt_data,
     gaussian_phantom,
     gaussian_window,
+    hermite1_window,
     make_grid,
     paper_constant_t1,
     polar_vset,
@@ -20,6 +22,7 @@ from wrtkit import (
     uniform_circle,
     v1_line_vset,
     windowed_ray_transform,
+    wrt_columns,
 )
 from wrtkit.quad import QuadratureParams
 from wrtkit.windows import window_ft
@@ -57,6 +60,39 @@ def test_reconstruct_gaussian_theory_constant():
     assert rel_l2_error(rec, sample_phantom(spec, out)) < 0.08
 
 
+def _hermite1_wrt(f, sigma_w, u, v):
+    """Closed-form P_h f of gaussian phantom(s) for h(t) = t e^{-t^2 / 2 sigma_w^2}:
+    int t e^{-alpha t^2 - beta t} dt = -beta / (2 alpha) sqrt(pi / alpha) e^{beta^2 / 4 alpha}."""
+    out = 0.0
+    v2 = np.sum(v * v, axis=-1)
+    for c in f.components:
+        s = c["sigma"]
+        du = u - np.asarray(c["center"])
+        alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * sigma_w**2)
+        beta = np.sum(du * v, axis=-1) / s**2
+        out = out + c["amplitude"] * np.sqrt(np.pi / alpha) * (-beta / (2.0 * alpha)) * np.exp(
+            -0.5 * np.sum(du * du, axis=-1) / s**2 + beta**2 / (4.0 * alpha))
+    return out
+
+
+def test_reconstruct_odd_window_has_positive_scale():
+    # hhat of hermite1 is odd and imaginary: the filter needs conj(hhat(-xi.v))
+    # to sum |hhat|^2 (hhat(-xi.v)^2 = -|hhat|^2 returned -0.78 f)
+    spec = gaussian_phantom((0.4, -0.2), 0.7)
+    w = hermite1_window(1.0)
+    grid = make_grid(2, 48, 24.0)
+    vset = polar_vset(uniform_circle(24)[0], np.geomspace(0.05, 4.0, 20))
+    U = grid.points()[::97]
+    assert np.max(np.abs(wrt_columns(spec, w, U, vset.vectors[::7])
+                         - _hermite1_wrt(spec, w.sigma, U[:, None], vset.vectors[::7]))) < 1e-12
+    data = WRTData(grid, vset, w, _hermite1_wrt(spec, w.sigma, grid.points()[:, None], vset.vectors))
+    out = make_grid(2, 32, 16.0)
+    rec = reconstruct_t1(data, w, out, BPParams(r_min=0.05, r_max=4.0)).values
+    ref = sample_phantom(spec, out).values
+    scale = np.sum(rec * ref) / np.sum(ref * ref)
+    assert 0.7 < scale < 1.1
+
+
 def _per_slice_backprojection(data, w, pad):
     """Reference: filter each slice with a padded complex FFT pair, then sum."""
     u_grid, vset = data.u_grid, data.vset
@@ -71,7 +107,7 @@ def _per_slice_backprojection(data, w, pad):
     for col, v in enumerate(vset.vectors):
         xi_dot_v = sum(m * vi for m, vi in zip(mesh, v))
         F = np.fft.fftn(data.slice_values(col), s=shape, axes=(0, 1))
-        Q = np.fft.ifftn(F * np.abs(xi_dot_v) * window_ft(w, -xi_dot_v))
+        Q = np.fft.ifftn(F * np.abs(xi_dot_v) * np.conj(window_ft(w, -xi_dot_v)))
         acc += wtheta * wr[col % logr.size] * Q[:u_grid.shape[0], :u_grid.shape[1]].real
     return acc
 

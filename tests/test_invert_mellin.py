@@ -23,7 +23,6 @@ from wrtkit.forward import PolarWRT
 from wrtkit.invert_mellin import (
     MellinLine,
     MellinParams,
-    RegParams,
     circular_decompose,
     kernel_H,
     mellin_convolution_residual,
@@ -237,7 +236,17 @@ def test_reconstruct_radial(perp_data):
 
 
 def test_mellin_params_validation():
-    with pytest.raises(ValidationError):
-        MellinParams(t=0.5)
-    with pytest.raises(ValidationError):
-        MellinParams(T=-1.0)
+    for kwargs in ({"t": 0.5}, {"t": np.nan}, {"t": np.inf},
+                   {"T": -1.0}, {"T": np.nan}, {"T": np.inf}, {"T": 1e300},
+                   {"dy": 0.0}, {"dy": np.nan}, {"dy": 1e-320},
+                   {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf}):
+        with pytest.raises(ValidationError):
+            MellinParams(**kwargs)
+    assert MellinParams(lam=0.0).lam == 0.0
+
+
+def test_negative_harmonic_cut_off_rejected():
+    theta = 2.0 * np.pi * np.arange(8) / 8
+    g = PolarWRT(np.geomspace(0.5, 2.0, 4), theta, WINDOW, np.ones((4, 8)))
+    with pytest.raises(ValidationError, match="L = -1"):
+        circular_decompose(g, -1)

@@ -158,7 +158,7 @@ def test_restricted_mode():
 
 
 def test_restricted_dataset_complex_window_matches_forward():
-    # per-v nodes: the analytic-signal reach depends on |v|
+    # per-ray nodes: the analytic-signal kernel is integrated on each ray's clip interval
     spec_f = gaussian_phantom(CENTER, SIG)
     w = analytic_signal_window()
     u1 = np.arange(-8, 8) * 0.5
