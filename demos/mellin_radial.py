@@ -83,7 +83,7 @@ def main():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rec = reconstruct_mellin(data, WINDOW, L, grid,
-                                     MellinParams(t=2.0, T=40.0, dy=0.05))
+                                     MellinParams(t=2.0, T=40.0))
         print(f"two-bump reconstruction rel-L2 at L = {L}: "
               f"{rel_l2_error(rec, ref):.4f}")
 

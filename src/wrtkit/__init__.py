@@ -24,7 +24,6 @@ from .fields import (
     gaussian_mixture_phantom,
     gaussian_phantom,
     make_grid,
-    phantom_spectrum,
     rel_l2_error,
     sample_phantom,
     smoothed_disk_phantom,
@@ -59,7 +58,6 @@ from .invert_fourier import (
 )
 from .invert_mellin import (
     HarmonicSeries,
-    KernelH,
     MellinLine,
     MellinParams,
     circular_decompose,

@@ -158,10 +158,7 @@ def _forward_source(args):
     if args.phantom:
         return _load_phantom(args.phantom)
     if args.infile:
-        field = wio.read_gf1(args.infile)
-        if not isinstance(field, ScalarField):
-            raise ValidationError("forward input must be a scalar gf1 field")
-        return field
+        return wio.read_gf1(args.infile)
     raise ValidationError("forward needs --phantom or --in")
 
 
@@ -196,17 +193,13 @@ def cmd_forward(args):
         vset = v1_line_vset(v1, [args.vprime])
     else:
         raise ValidationError(f"unknown vmode {args.vmode!r}")
+    # the closed form first: a source or window it does not cover writes nothing
+    want = analytic_wrt_data(src, w, grid, vset).values if args.oracle else None
     data = windowed_ray_transform(src, w, grid, vset, quad)
     wio.write_wrt1(args.out, data)
     lines = [f"wrote {args.out}: {data.values.shape[0]}x{data.values.shape[1]} values"]
     payload = {"out": args.out, "shape": list(data.values.shape)}
     if args.oracle:
-        if not (
-            getattr(src, "kind", None) in ("gaussian", "gaussian-mixture")
-            and w.kind == "gaussian"
-        ):
-            raise ValidationError("--oracle needs a gaussian phantom and gaussian window")
-        want = analytic_wrt_data(src, w, grid, vset).values
         dev = float(np.max(np.abs(data.values - want)))
         scale = float(np.max(np.abs(data.values))) or 1.0
         payload["oracle_max_deviation"] = dev / scale
@@ -220,8 +213,6 @@ def cmd_invert(args):
     w = parse_window(args.window) if args.window else data.window
     grid = _out_grid(args, 2)
     if args.method == "t1":
-        if isinstance(data, PolarWRT):
-            raise ValidationError("t1 consumes polar-vset data, not perp data")
         params = BPParams(r_min=args.rmin, r_max=args.rmax,
                           constant_mode=args.constant_mode, alpha=args.alpha)
         rec = reconstruct_t1(data, w, grid, params)
@@ -231,8 +222,7 @@ def cmd_invert(args):
             raise ValidationError("t2 consumes polar-vset data, not perp data")
         if args.nsigma < 2 or not 0 < args.sigma_max < np.inf:
             raise ValidationError("t2 needs --nsigma >= 2 and a finite --sigma-max > 0")
-        nyq = np.pi / max(data.u_grid.spacing)
-        sigma = np.linspace(0.0, min(args.sigma_max, 0.95 * nyq), args.nsigma)
+        sigma = np.linspace(0.0, min(args.sigma_max, 0.95 * data.u_grid.nyquist), args.nsigma)
         samples = extract_polar_spectrum(data, sigma)
         if args.dump_pss:
             wio.write_pss1(args.dump_pss, samples)
@@ -240,16 +230,12 @@ def cmd_invert(args):
                              alpha=args.alpha)
         extra = [f"constant mode: {args.constant_mode}"]
     elif args.method == "slice":
-        if isinstance(data, PolarWRT) or data.vset.mode != "v1-line":
-            raise ValidationError("slice consumes v1-line data")
         spec = slice_extract(dataclasses.replace(data, window=w),
                              SliceParams(a=args.slice_a, apodization=args.apodize))
         rec = reconstruct_slice(spec, grid)
         v1 = data.vset.v1
         extra = [f"apodization: {args.apodize}, V = {abs(v1[0]) + 0.5 * (v1[1] - v1[0]):g}"]
     elif args.method == "mellin":
-        if not isinstance(data, PolarWRT):
-            raise ValidationError("mellin consumes perp (polar) data")
         params = MellinParams(t=args.mellin_t, T=args.mellin_T, lam=args.reg_lambda)
         rec = reconstruct_mellin(data, w, args.lmax, grid, params)
         extra = [f"L = {args.lmax}, t = {args.mellin_t}, T = {args.mellin_T}"]

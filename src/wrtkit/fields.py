@@ -31,7 +31,6 @@ __all__ = [
     "smoothed_disk_phantom",
     "make_grid",
     "sample_phantom",
-    "phantom_spectrum",
     "continuous_ft",
     "continuous_ift",
     "rel_l2_error",
@@ -98,6 +97,11 @@ class Grid:
         origin = tuple(-(N // 2) * dk for N, dk in zip(self.shape, dxi))
         return Grid(self.shape, origin, dxi)
 
+    @property
+    def nyquist(self):
+        """Largest |xi| every axis of :meth:`frequency_grid` reaches: the band."""
+        return min((N // 2) * (2.0 * np.pi / (N * d)) for N, d in zip(self.shape, self.spacing))
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -133,25 +137,26 @@ class SpectralField:
 class PhantomSpec:
     """Closed-form test object: gaussian, gaussian-mixture or smoothed-disk.
 
-    ``components`` is a tuple of dicts.  Gaussian components carry
-    (center, sigma, amplitude); the smoothed disk carries
-    (center, radius, smoothing, amplitude) and is the indicator of a disk
-    convolved with an isotropic Gaussian (C^inf, evaluated through the
-    noncentral-chi-square CDF).
+    ``components`` is a non-empty sequence of mappings, stored as dicts of
+    floats.  Gaussian components carry (center, sigma, amplitude); the
+    smoothed disk carries (center, radius, smoothing, amplitude) and is the
+    indicator of a disk convolved with an isotropic Gaussian (C^inf,
+    evaluated through the noncentral-chi-square CDF).  Centres share one
+    dimension, numbers are finite, lengths positive; amplitude defaults to 1.
     """
 
     kind: str
     components: tuple
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "gaussian-mixture", "smoothed-disk"):
+        if not isinstance(self.kind, str) or self.kind not in _SHAPE_KEYS:
             raise ValidationError(f"unknown phantom kind {self.kind!r}")
-        for c in self.components:
-            if self.kind == "smoothed-disk":
-                if c["radius"] <= 0 or c["smoothing"] <= 0:
-                    raise ValidationError("disk radius and smoothing must be positive")
-            elif c["sigma"] <= 0:
-                raise ValidationError("gaussian sigma must be positive")
+        comps = tuple(_component(self.kind, c) for c in self.components)
+        if not comps:
+            raise ValidationError("phantom needs at least one component")
+        if len({len(c["center"]) for c in comps}) != 1 or not comps[0]["center"]:
+            raise ValidationError("phantom centres need one common, non-zero dimension")
+        object.__setattr__(self, "components", comps)
 
     @property
     def n(self):
@@ -205,6 +210,26 @@ class PhantomSpec:
         return out
 
 
+_SHAPE_KEYS = {"gaussian": ("sigma",), "gaussian-mixture": ("sigma",),
+               "smoothed-disk": ("radius", "smoothing")}  # the positive lengths of a kind
+
+
+def _component(kind, c):
+    """One phantom component as a dict of finite floats, checked."""
+    try:
+        center, amp = tuple(float(x) for x in c["center"]), float(c.get("amplitude", 1.0))
+        lengths = {k: float(c[k]) for k in _SHAPE_KEYS[kind]}
+    except KeyError as exc:
+        raise ValidationError(f"phantom component missing field {exc}")
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed phantom component ({exc})")
+    if not np.all(np.isfinite([*center, amp, *lengths.values()])):
+        raise ValidationError("phantom centres, amplitudes and lengths must be finite")
+    if min(lengths.values()) <= 0:
+        raise ValidationError(f"phantom {' and '.join(lengths)} must be positive")
+    return {"center": center, "amplitude": amp, **lengths}
+
+
 def _component_profile(kind, c, r2):
     if kind == "smoothed-disk":
         R, s, amp = c["radius"], c["smoothing"], c["amplitude"]
@@ -215,21 +240,17 @@ def _component_profile(kind, c, r2):
 
 
 def gaussian_phantom(center, sigma, amplitude=1.0):
-    return PhantomSpec("gaussian", ({"center": tuple(center), "sigma": float(sigma), "amplitude": float(amplitude)},))
+    return PhantomSpec("gaussian", ({"center": center, "sigma": sigma, "amplitude": amplitude},))
 
 
 def gaussian_mixture_phantom(components):
-    comps = tuple(
-        {"center": tuple(c), "sigma": float(s), "amplitude": float(a)} for c, s, a in components
-    )
-    return PhantomSpec("gaussian-mixture", comps)
+    return PhantomSpec("gaussian-mixture", tuple(
+        {"center": c, "sigma": s, "amplitude": a} for c, s, a in components))
 
 
 def smoothed_disk_phantom(center, radius, smoothing, amplitude=1.0):
-    return PhantomSpec(
-        "smoothed-disk",
-        ({"center": tuple(center), "radius": float(radius), "smoothing": float(smoothing), "amplitude": float(amplitude)},),
-    )
+    return PhantomSpec("smoothed-disk", ({"center": center, "radius": radius,
+                                          "smoothing": smoothing, "amplitude": amplitude},))
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +281,6 @@ def sample_phantom(spec, grid):
     return ScalarField(grid, vals)
 
 
-def phantom_spectrum(spec, grid_or_points):
-    """Closed-form spectrum sampled on a frequency grid or point array."""
-    if isinstance(grid_or_points, Grid):
-        pts = grid_or_points.points()
-        return spec.spectrum(pts).reshape(grid_or_points.shape)
-    return spec.spectrum(np.asarray(grid_or_points))
-
-
 def _phased(values, fgrid, origin, s):
     """values * exp(s xi.origin) on the frequency grid, one axis at a time."""
     for ax in range(fgrid.n):
@@ -296,24 +309,18 @@ def continuous_ft(field, warn_boundary=True):
     return SpectralField(fgrid, _phased(F, fgrid, grid.origin, -1j))
 
 
-def continuous_ift(spec, out_grid=None):
+def continuous_ift(spec, out_grid):
     """Inverse of :func:`continuous_ft`; returns the real part as a ScalarField.
 
     ``out_grid`` must match the DFT-compatible spatial grid (same shape,
-    spacing 2 pi / (N * dxi)); its origin is free. Defaults to the grid
-    centered at zero.
+    spacing 2 pi / (N * dxi)); its origin is free.
     """
     fgrid = spec.grid
-    shape = fgrid.shape
-    dx = tuple(2.0 * np.pi / (N * dk) for N, dk in zip(shape, fgrid.spacing))
-    if out_grid is None:
-        origin = tuple(-(N // 2) * d for N, d in zip(shape, dx))
-        out_grid = Grid(shape, origin, dx)
-    else:
-        if out_grid.shape != shape:
-            raise ValidationError("output grid shape does not match the spectrum")
-        if not np.allclose(out_grid.spacing, dx, rtol=1e-12):
-            raise ValidationError("output grid spacing incompatible with the spectral grid")
+    dx = tuple(2.0 * np.pi / (N * dk) for N, dk in zip(fgrid.shape, fgrid.spacing))
+    if out_grid.shape != fgrid.shape:
+        raise ValidationError("output grid shape does not match the spectrum")
+    if not np.allclose(out_grid.spacing, dx, rtol=1e-12):
+        raise ValidationError("output grid spacing incompatible with the spectral grid")
     # strip exp(-i xi.x0) then inverse DFT, cf. the forward construction
     G = _phased(np.asarray(spec.values, dtype=complex), fgrid, out_grid.origin, 1j)
     vals = np.fft.ifftn(np.fft.ifftshift(G)) / np.prod(dx)

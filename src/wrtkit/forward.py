@@ -13,7 +13,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import NumericalError, ValidationError
-from .fields import Grid, PhantomSpec, ScalarField, continuous_ft, phantom_spectrum
+from .fields import Grid, PhantomSpec, ScalarField, continuous_ft
 from .quad import QuadratureParams, gauss_legendre_panels
 from .windows import (
     WindowSpec,
@@ -200,10 +200,11 @@ def _ray_source(f):
     g = f.grid
     coef = ndimage.spline_filter(f.values, 3, mode="constant")  # map_coordinates' prefilter
     # B-spline weights are >= 0 and sum to 1, so beyond the 2-cell stencil of
-    # the coefficients above _EPS max|c|, |f| <= _EPS max|c|; off the grid
-    # mode "constant" reads 0 (one cell of margin absorbs rounding in the clip)
+    # the coefficients above _EPS max|c|, |f| <= _EPS max|c|; outside the
+    # sample range [0, N - 1] mode "constant" reads 0, so the box ends there
+    # and a field that does not vanish at the edge jumps at the interval end
     big = np.nonzero(np.abs(coef) >= _EPS * np.max(np.abs(coef)))
-    box = g.index_to_coord(np.array([np.clip([ix.min() - 2, ix.max() + 2], -1, N)
+    box = g.index_to_coord(np.array([np.clip([ix.min() - 2, ix.max() + 2], 0, N - 1)
                                      for ix, N in zip(big, g.shape)]).T)
     mid, half = 0.5 * (box[0] + box[1]), 0.5 * (box[1] - box[0])
 
@@ -291,11 +292,11 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     """P_h f(u_m, v_j), (M, Nv), for base points U (M, n) crossed with
     vectors (Nv, n); the quadrature of :func:`windowed_ray_transform`."""
     U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
-    if isinstance(f, PhantomSpec) and f.n != U.shape[1]:
-        raise ValidationError("phantom/grid dimension mismatch")
+    src = _ray_source(f)  # rejects anything but a phantom or a sampled field
+    if (f.grid if isinstance(f, ScalarField) else f).n != U.shape[1]:
+        raise ValidationError("source/grid dimension mismatch")
     if vectors.shape[1] != U.shape[1]:
         raise ValidationError("vset/grid dimension mismatch")
-    src = _ray_source(f)
     out = np.zeros((U.shape[0], vectors.shape[0]), dtype=float if w.is_real else complex)
     for j, v in enumerate(vectors):
         out[:, j] = _ray_sum(src, w, quad, U, np.broadcast_to(v, U.shape))
@@ -305,14 +306,16 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
 def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
     """P_h f on u_grid x vset by composite Gauss-Legendre quadrature in t,
     with the node rules of :class:`~wrtkit.quad.QuadratureParams`."""
-    out = wrt_columns(f, w, u_grid.points(), vset.vectors, quad)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("windowed ray transform produced non-finite values")
-    return WRTData(u_grid, vset, w, out)
+    return WRTData(u_grid, vset, w, wrt_columns(f, w, u_grid.points(), vset.vectors, quad))
+
+
+def _has_closed_form(f, w):
+    """Whether :func:`analytic_wrt_gaussian` applies: gaussian phantom(s), gaussian window."""
+    return isinstance(f, PhantomSpec) and f.kind.startswith("gaussian") and w.kind == "gaussian"
 
 
 def analytic_wrt_gaussian(f, w, u, v):
-    """Closed-form P_h f for gaussian phantom(s) and a gaussian window.
+    """Closed-form P_h f for gaussian phantom(s) and a gaussian window, else ValidationError.
 
     Derived by completing the square in t:
       integral amp exp(-(A + 2 B t + |v|^2 t^2) / (2 s^2)) exp(-t^2 / 2 sw^2) dt
@@ -322,10 +325,8 @@ def analytic_wrt_gaussian(f, w, u, v):
     u and v are paired points, broadcast against each other over their
     leading axes.  v = 0 is legal here (value f(u) integral h).
     """
-    if w.kind != "gaussian":
-        raise ValidationError("analytic oracle needs a gaussian window")
-    if f.kind not in ("gaussian", "gaussian-mixture"):
-        raise ValidationError("analytic oracle needs gaussian phantom(s)")
+    if not _has_closed_form(f, w):
+        raise ValidationError("the closed form needs gaussian phantom(s) and a gaussian window")
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     sw = w.sigma
@@ -370,30 +371,28 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     theta = np.asarray(theta, dtype=float)
     if np.any(rho <= 0):
         raise ValidationError("rho must be strictly positive")
-    if isinstance(f, PhantomSpec) and f.n != 2:
+    src = _ray_source(f)
+    if (f.grid if isinstance(f, ScalarField) else f).n != 2:
         raise ValidationError("perpendicular polar transform is n=2 only")
     ct, st = np.cos(theta), np.sin(theta)
     # paired (rho, theta) points: u = rho e(theta), v = rho e(theta)^perp
     U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
     V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
-    src = _ray_source(f)
     vals = np.concatenate([_ray_sum(src, w, quad, U[lo:lo + 8192], V[lo:lo + 8192])
                            for lo in range(0, U.shape[0], 8192)])
     return PolarWRT(rho, theta, w, vals.reshape(rho.size, theta.size))
 
 
-def fourier_identity_residual(data, f_spec, w=None, band=None):
-    """Residual of FT_u(P_h f)(xi, v) = fhat(xi) hhat(-xi.v).
+def fourier_identity_residual(data, f_spec, band=None):
+    """Residual of FT_u(P_h f)(xi, v) = fhat(xi) hhat(-xi.v), h the data's window.
 
     Returns max over sampled (xi, v) of |lhs - rhs| / max |fhat|.
     ``band``: optional cap on |xi| (defaults to the full frequency grid).
     """
-    w = w or data.window
-    if data.vset.mode not in ("full-grid", "polar"):
-        raise ValidationError("identity check needs a full-grid or polar vset")
-    fgrid = data.u_grid.frequency_grid()
-    Xi = fgrid.points()
-    fhat = phantom_spectrum(f_spec, Xi)
+    if not isinstance(data, WRTData) or data.vset.mode not in ("full-grid", "polar"):
+        raise ValidationError("identity check needs WRTData on a full-grid or polar vset")
+    Xi = data.u_grid.frequency_grid().points()
+    fhat = f_spec.spectrum(Xi)
     scale = np.max(np.abs(fhat))
     mask = np.ones(Xi.shape[0], dtype=bool)
     if band is not None:
@@ -404,6 +403,6 @@ def fourier_identity_residual(data, f_spec, w=None, band=None):
         lhs = continuous_ft(
             ScalarField(data.u_grid, data.slice_values(j)), warn_boundary=False
         ).values.ravel()
-        rhs = fhat * window_ft(w, -(Xi @ v))
+        rhs = fhat * window_ft(data.window, -(Xi @ v))
         worst = max(worst, float(np.max(np.abs(lhs - rhs)[mask]) / scale))
     return worst

@@ -28,6 +28,7 @@ from scipy import ndimage, special
 
 from .errors import HypothesisError, ValidationError
 from .fields import ScalarField
+from .forward import WRTData
 from .quad import trapezoid_weights
 from .windows import _resolve_constant, window_constants, window_ft
 
@@ -75,12 +76,12 @@ def theory_constant_t1(w, n):
 
 
 def reconstruct_t1(data, w, grid, params=BPParams()):
-    """Ramp-filtered backprojection of full-redundancy data onto ``grid``
-    (n = 2: uniform weights over the data's directions)."""
+    """Ramp-filtered backprojection of polar-vset WRTData (else ValidationError,
+    before any window check) onto ``grid``, uniform over the directions (n = 2)."""
+    if not isinstance(data, WRTData) or data.vset.mode != "polar":
+        raise ValidationError("reconstruct_t1 consumes polar-vset WRTData")
     if not w.is_real:
         raise HypothesisError("inversion requires a real window")
-    if data.vset.mode != "polar":
-        raise ValidationError("reconstruct_t1 consumes polar-vset data")
     u_grid = data.u_grid
     n = u_grid.n
     if n != 2:

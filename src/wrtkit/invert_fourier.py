@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
 from .fields import ScalarField
+from .forward import WRTData
 from .quad import trapezoid_weights
 from .windows import _resolve_constant, window_constants, window_ft
 
@@ -54,18 +55,15 @@ def extract_polar_spectrum(data, sigma):
 
     The continuous u-transform is the exact sum along each ray,
     cell_volume * sum_x P(x, v) exp(-i sigma theta_j.x), evaluated per
-    direction for all radii at once; sigma beyond the u-grid Nyquist band
-    is rejected.  Returns PolarSpectralSamples over the data's own
-    direction/radius sets.
+    direction for all radii at once.  Anything but polar-vset WRTData, and
+    sigma beyond ``u_grid.nyquist``, is rejected.  Returns
+    PolarSpectralSamples over the data's own direction/radius sets.
     """
-    if data.vset.mode != "polar":
-        raise ValidationError("polar-vset data required")
+    if not isinstance(data, WRTData) or data.vset.mode != "polar":
+        raise ValidationError("extract_polar_spectrum consumes polar-vset WRTData")
     sigma = np.asarray(sigma, dtype=float)
     u_grid = data.u_grid
-    fgrid = u_grid.frequency_grid()
-    nyq = min(
-        abs(fgrid.axis_coords(ax)[0]) for ax in range(fgrid.n)
-    )
+    nyq = u_grid.nyquist
     if np.any(sigma > nyq + 1e-12):
         raise ValidationError(f"sigma grid exceeds the Nyquist band ({nyq:.3g})")
     dirs = data.vset.directions

@@ -38,13 +38,13 @@ import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
 from .fields import ScalarField
+from .forward import PolarWRT
 from .quad import gauss_legendre_panels, trapezoid_weights
 from .windows import window_eval, window_support_radius
 
 __all__ = [
     "HarmonicSeries",
     "MellinLine",
-    "KernelH",
     "MellinParams",
     "circular_decompose",
     "kernel_H",
@@ -88,41 +88,31 @@ class MellinLine:
             raise ValidationError("Mellin line y grid must be symmetric")
 
 
-@dataclass(frozen=True)
-class KernelH:
-    l: int
-    r: np.ndarray
-    values: np.ndarray
-    window: object
-
-
+_DY = 0.05  # step of the y line
 _MAX_HALF_LINE = 2**14  # y samples beside y = 0; the line fills dense matrices
 
 
 @dataclass(frozen=True)
 class MellinParams:
-    """Contour abscissa t, band [-T, T] sampled at step dy (T / dy at most
-    2^14), and the Tikhonov term lam of Q = Mg conj(MH) / (|MH|^2 + lam),
-    None meaning (1e-6 max|MH|)^2."""
+    """Contour abscissa t > 1, band [-T, T] of the y line (sampled at step
+    0.05, so 0 < T <= 2^14 * 0.05), and the Tikhonov term lam of
+    Q = Mg conj(MH) / (|MH|^2 + lam), None meaning (1e-6 max|MH|)^2."""
 
     t: float = 2.0
     T: float = 40.0
-    dy: float = 0.05
     lam: float | None = None
 
     def __post_init__(self):
         if not 1.0 < self.t < np.inf:
             raise ValidationError("contour abscissa must be finite with t > 1")
-        if not (0 < self.T < np.inf and 0 < self.dy < np.inf):
-            raise ValidationError("need finite T > 0 and dy > 0")
-        if not self.T / self.dy <= _MAX_HALF_LINE:
-            raise ValidationError(f"T / dy = {self.T / self.dy:.3g} exceeds {_MAX_HALF_LINE}")
+        if not 0 < self.T <= _MAX_HALF_LINE * _DY:
+            raise ValidationError(f"need 0 < T <= {_MAX_HALF_LINE * _DY:g} (2^14 steps of {_DY})")
         if self.lam is not None and not 0 <= self.lam < np.inf:
             raise ValidationError("Tikhonov lambda must be finite and >= 0")
 
     def y_grid(self):
-        n = int(round(self.T / self.dy))
-        return np.linspace(-n, n, 2 * n + 1) * self.dy
+        n = int(round(self.T / _DY))
+        return np.linspace(-n, n, 2 * n + 1) * _DY
 
 
 def circular_decompose(g, L):
@@ -130,8 +120,10 @@ def circular_decompose(g, L):
 
     Computed as FFT over theta divided by the sample count; returns
     l in [-L, L].  Warns when the edge harmonic is not negligible
-    (truncation/aliasing risk).
+    (truncation/aliasing risk).  g must be PolarWRT (ValidationError).
     """
+    if not isinstance(g, PolarWRT):
+        raise ValidationError("circular harmonics need perp (PolarWRT) data")
     nt = g.theta.size
     if L < 0:
         raise ValidationError(f"harmonic cut-off L = {L} must be >= 0")
@@ -161,7 +153,7 @@ def _check_not_odd(w):
 
 
 def kernel_H(w, l, r_grid):
-    """Pointwise H_l(r) on r_grid (values 0 for r >= 1)."""
+    """Pointwise H_l(r) on r_grid as a complex array (0 for r >= 1)."""
     _check_not_odd(w)
     r = np.asarray(r_grid, dtype=float)
     if np.any(r <= 0):
@@ -176,7 +168,7 @@ def kernel_H(w, l, r_grid):
         + np.asarray(window_eval(w, -g)) / phase
     )
     vals[inside] = both / (ri * np.sqrt(1.0 - ri**2))
-    return KernelH(int(l), r, vals, w)
+    return vals
 
 
 def mellin_transform(r_grid, samples, t, y_grid):
@@ -283,9 +275,11 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
 def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
     """Truncated harmonic series reconstruction on a Cartesian grid.
 
-    Needs a compactly supported, not-odd window (the smooth bump); other
-    real windows should use the backprojection or spectral routes instead.
+    Needs PolarWRT data (checked first) and a compactly supported, not-odd
+    window (the smooth bump); use the backprojection or spectral routes else.
     """
+    if not isinstance(g, PolarWRT):
+        raise ValidationError("harmonic-series inversion consumes perp (PolarWRT) data")
     if w.parity == "odd":
         _check_not_odd(w)
     if not (w.is_real and w.is_compactly_supported):

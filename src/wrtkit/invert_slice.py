@@ -25,7 +25,7 @@ from scipy import ndimage, special
 
 from .errors import HypothesisError, ValidationError
 from .fields import Grid, ScalarField, continuous_ft
-from .forward import v1_line_vset, windowed_ray_transform, wrt_columns
+from .forward import WRTData, v1_line_vset, windowed_ray_transform, wrt_columns
 from .quad import QuadratureParams, trapezoid_weights
 from .windows import window_eval
 
@@ -150,9 +150,10 @@ def slice_extract(data, p):
     crossed with a v1-line vset (see :func:`make_slice_dataset`).
 
     zeta = a v' + u2 (v' is the vset's fixed v2, normally 0 in full mode).
+    Any other dataset is a ValidationError, checked before the window.
     """
-    if data.vset.mode != "v1-line" or data.u_grid.n != 2:
-        raise ValidationError("slice extraction needs v1-line data on a 2-D u grid")
+    if not isinstance(data, WRTData) or data.vset.mode != "v1-line" or data.u_grid.n != 2:
+        raise ValidationError("slice extraction needs v1-line WRTData on a 2-D u grid")
     u1, u2 = data.u_grid.axis_coords(0), data.u_grid.axis_coords(1)
     v1 = data.vset.v1
     blocks = data.values.reshape(u1.size, u2.size, v1.size).transpose(0, 2, 1)

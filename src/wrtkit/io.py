@@ -4,7 +4,7 @@ Every dataset is a directory holding ``meta.json`` plus ``data.bin`` with
 raw little-endian values in C (row-major) order; complex data is stored
 as interleaved (re, im) float64 pairs.  Formats:
 
-* ``gf1``  -- scalar or spectral field on a uniform grid
+* ``gf1``  -- real scalar field on a uniform grid (kind ``scalar``, f64)
 * ``wrt1`` -- windowed-ray-transform data: u-grid x vset (u-major) or the
   polar perpendicular configuration (``vset.mode == "perp"``)
 * ``pss1`` -- polar spectral samples (debugging dump)
@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .errors import ValidationError
-from .fields import Grid, PhantomSpec, ScalarField, SpectralField
+from .fields import Grid, PhantomSpec, ScalarField
 from .forward import PolarWRT, VSet, WRTData, polar_vset, v1_line_vset
 from .invert_fourier import PolarSpectralSamples
 from .windows import WindowSpec
@@ -125,24 +125,20 @@ def _grid_from_meta(m):
 
 
 def write_gf1(path, field):
-    spectral = isinstance(field, SpectralField)
-    meta = {
-        "format": "gf1",
-        "kind": "spectral" if spectral else "scalar",
-        "n": field.grid.n,
-        "dtype": "c128" if spectral else "f64",
-        "order": "C",
-        **_grid_meta(field.grid),
-    }
+    """Write a ScalarField (the only kind gf1 stores)."""
+    if not isinstance(field, ScalarField):
+        raise ValidationError("gf1 stores a ScalarField")
+    meta = {"format": "gf1", "kind": "scalar", "n": field.grid.n, "dtype": "f64",
+            "order": "C", **_grid_meta(field.grid)}
     _write_dir(path, meta, field.values)
 
 
 def read_gf1(path):
+    """The ScalarField of a gf1 directory; any kind but f64 'scalar' is rejected."""
     meta, values = _read_dir(path, "gf1")
-    grid = _grid_from_meta(meta)
-    if meta["kind"] == "spectral":
-        return SpectralField(grid, values)
-    return ScalarField(grid, values.real)
+    if meta["kind"] != "scalar" or meta["dtype"] != "f64":
+        raise ValidationError(f"{path}: gf1 holds f64 scalars, not {meta['kind']} {meta['dtype']}")
+    return ScalarField(_grid_from_meta(meta), values)
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +166,13 @@ def phantom_to_json(spec):
 
 
 def phantom_from_json(obj):
+    """PhantomSpec of a JSON object; PhantomSpec checks the components."""
     try:
-        kind = obj["kind"]
-        comps = []
-        for c in obj["components"]:
-            c = dict(c)
-            c["center"] = tuple(c["center"])
-            c.setdefault("amplitude", 1.0)
-            comps.append(c)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"phantom spec missing field {exc}")
-    try:
-        return PhantomSpec(kind, tuple(comps))
+        return PhantomSpec(obj["kind"], tuple(obj["components"]))
     except KeyError as exc:
         raise ValidationError(f"phantom spec missing field {exc}")
+    except TypeError as exc:
+        raise ValidationError(f"malformed phantom spec ({exc})")
 
 
 def _vset_meta(vset):
@@ -267,13 +256,12 @@ def read_pss1(path):
 # pgm
 
 
-def write_pgm(path, field, lo=None, hi=None):
-    """8-bit PGM of a 2-D field; the linear scaling goes to ``path + '.json'``."""
+def write_pgm(path, field):
+    """8-bit PGM of a 2-D field, min to max; the scaling goes to ``path + '.json'``."""
     vals = np.asarray(field.values, dtype=float)
     if vals.ndim != 2:
         raise ValidationError("PGM export needs a 2-D field")
-    lo = float(vals.min()) if lo is None else float(lo)
-    hi = float(vals.max()) if hi is None else float(hi)
+    lo, hi = float(vals.min()), float(vals.max())
     span = hi - lo if hi > lo else 1.0
     img = np.clip(np.round((vals - lo) / span * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:

@@ -73,9 +73,7 @@ def calibrations():
     out = {}
     for method in ("t1", "t2"):
         t0 = time.perf_counter()
-        out[method] = calibrate_constant(
-            method, WINDOW, default_calibration_phantoms(), cv_limit=0.10
-        )
+        out[method] = calibrate_constant(method, WINDOW, default_calibration_phantoms())
         out[method + "_time"] = time.perf_counter() - t0
     return out
 
@@ -316,7 +314,7 @@ def test_criterion_6_mellin():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rec = reconstruct_mellin(data, MELLIN_WINDOW, L, grid,
-                                     MellinParams(t=2.0, T=40.0, dy=0.05))
+                                     MellinParams(t=2.0, T=40.0))
         rec_errs[L] = rel_l2_error(rec, ref)
     dt = time.perf_counter() - t0
     ok = (

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrtkit import io as wio
+from wrtkit.calibrate import calibrate_constant
 from wrtkit.cli import main, parse_window
 from wrtkit.errors import ValidationError
 from wrtkit.fields import ScalarField, gaussian_phantom, make_grid
 from wrtkit.forward import (PolarWRT, WRTData, analytic_wrt_data, polar_vset, uniform_circle,
                             v1_line_vset, windowed_ray_transform, wrt_polar_perp)
+from wrtkit.invert_fourier import extract_polar_spectrum
 from wrtkit.invert_slice import symmetric_offset_grid
 from wrtkit.quad import QuadratureParams
 from wrtkit.windows import CONSTANT_MODES, WindowSpec
@@ -396,3 +398,108 @@ def test_selftest_inject_fault(capsys):
     assert failed[1].startswith("backprojection filter")
     # the fault lives in the checks' arguments: nothing is left behind
     assert main(["selftest"]) == 0
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method, wrong", [
+    ("t1", "slice"), ("t1", "mellin"), ("t2", "slice"), ("t2", "mellin"),
+    ("slice", "t1"), ("slice", "mellin"), ("mellin", "t1"), ("mellin", "slice")])
+def test_invert_rejects_the_wrong_dataset_exit_1(invert_inputs, tmp_path, method, wrong):
+    # the t1 path doubles as the polar dataset, the mellin path is perp data
+    out = tmp_path / "r"
+    rc, err = _run_invert({method: invert_inputs[wrong]}, method, [], str(out))
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("components", [
+    [],
+    [{"center": [0, 0], "sigma": "x"}],
+    [{"center": [0, "a"], "sigma": 1.0}],
+    [{"center": [0, 0], "sigma": 1.0, "amplitude": "x"}],
+    [{"center": [float("inf"), 0], "sigma": 1.0}],
+], ids=["no-components", "sigma-not-a-number", "center-not-a-number",
+        "amplitude-not-a-number", "center-infinite"])
+def test_bad_phantom_spec_exit_1(tmp_path, capsys, components):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "gaussian", "components": components}))
+    out = tmp_path / "f"
+    assert main(["phantom", "--spec", str(spec), "--shape", "8", "--out", str(out)]) == 1
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_t2_on_coarse_odd_grid_and_dump_pss(tmp_path, capsys):
+    # on a 9-point axis the band is 8/9 of pi / d: sigma is sized from Grid.nyquist
+    data, pss, rec = (str(tmp_path / k) for k in ("data", "pss", "rec"))
+    assert main(["forward", "--phantom", _phantom_file(tmp_path), "--window", "gaussian:1.0",
+                 "--shape", "9", "--extent", "20", "--ndirs", "8", "--nr", "4",
+                 "--out", data]) == 0
+    assert main(["invert", "--method", "t2", "--in", data, "--shape", "9",
+                 "--dump-pss", pss, "--out", rec]) == 0
+    back, dataset = wio.read_pss1(pss), wio.read_wrt1(data)
+    assert back.sigma[-1] == 0.95 * dataset.u_grid.nyquist
+    want = extract_polar_spectrum(dataset, back.sigma)
+    assert np.array_equal(back.values, want.values)
+    assert np.array_equal(back.radii, want.radii) and back.window == want.window
+    assert np.all(np.isfinite(wio.read_gf1(rec).values))
+
+
+def test_forward_from_a_gf1_field(tmp_path, capsys):
+    field, data = str(tmp_path / "field"), str(tmp_path / "data")
+    assert main(["phantom", "--spec", _phantom_file(tmp_path), "--shape", "24",
+                 "--extent", "12", "--out", field]) == 0
+    argv = ["forward", "--in", field, "--window", "gaussian:1.0", "--ndirs", "4", "--nr", "2",
+            "--shape", "8", "--extent", "8", "--quad-panels", "4"]
+    assert main(argv + ["--out", data]) == 0
+    got = wio.read_wrt1(data)
+    want = windowed_ray_transform(wio.read_gf1(field), WindowSpec("gaussian", sigma=1.0),
+                                  got.u_grid, got.vset, QuadratureParams(panels=4))
+    assert np.array_equal(got.values, want.values)
+    capsys.readouterr()
+    # a sampled field has no closed form: --oracle fails before anything is written
+    out = tmp_path / "oracle"
+    assert main(argv + ["--oracle", "--out", str(out)]) == 1
+    assert _one_error_line(capsys)
+    assert not out.exists()
+    # a 3-D field does not fit the 2-D rays of either vmode
+    wio.write_gf1(field, ScalarField(make_grid(3, 4, 4.0), np.ones((4, 4, 4))))
+    for vmode in ("polar", "perp"):
+        assert main(argv + ["--vmode", vmode, "--out", str(out)]) == 1
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
+
+def test_compare_writes_pgm_and_sidecar(tmp_path, capsys):
+    a, b, pgm = str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "diff.pgm")
+    for path, sigma in ((a, 0.7), (b, 0.9)):
+        assert main(["phantom", "--spec", _phantom_file(tmp_path, sigma=sigma),
+                     "--shape", "16", "--extent", "8", "--out", path]) == 0
+    assert main(["compare", a, b, "--pgm", pgm]) == 0
+    diff = np.abs(wio.read_gf1(a).values - wio.read_gf1(b).values)
+    raw = pathlib.Path(pgm).read_bytes()
+    header = b"P5\n16 16\n255\n"
+    assert raw.startswith(header) and len(raw) == len(header) + 256
+    img = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(16, 16)
+    assert img.min() == 0 and img.flat[diff.argmax()] == 255
+    side = json.loads(pathlib.Path(pgm + ".json").read_text())
+    assert side == {"min": diff.min(), "max": diff.max(), "levels": 256}
+
+
+def test_calibrate_with_phantom_files(tmp_path, capsys):
+    specs = [gaussian_phantom((0.3, 0.1), 0.7), gaussian_phantom((1.0, -0.5), 0.8, 0.9),
+             gaussian_phantom((-0.8, 0.6), 0.6, 1.1)]
+    paths = []
+    for i, spec in enumerate(specs):
+        paths.append(tmp_path / f"p{i}.json")
+        paths[-1].write_text(json.dumps(wio.phantom_to_json(spec)))
+    w = WindowSpec("gaussian", sigma=1.0)
+    assert main(["calibrate", "--method", "t1", "--window", "gaussian:1.0", "--fast", "--json",
+                 "--phantoms", *map(str, paths)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == calibrate_constant("t1", w, specs, fast=True).to_json()

@@ -9,13 +9,12 @@ from wrtkit import (
     gaussian_mixture_phantom,
     gaussian_phantom,
     make_grid,
-    phantom_spectrum,
     rel_l2_error,
     sample_phantom,
     smoothed_disk_phantom,
 )
 from wrtkit.errors import ZeroReferenceError
-from wrtkit.fields import Grid, ScalarField
+from wrtkit.fields import Grid, PhantomSpec, ScalarField
 
 
 def test_grid_roundtrip():
@@ -76,7 +75,7 @@ def test_smoothed_disk_profile():
     assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_phantom_spectrum_vs_dft():
+def test_phantom_spec_spectrum_vs_dft():
     spec = gaussian_mixture_phantom([((0.3, -0.2), 0.8, 1.0), ((-1.0, 0.4), 0.6, 0.5)])
     grid = make_grid(2, 128, 24.0)
     # zero-pad to twice the size on the tail side for a finer frequency grid
@@ -135,3 +134,45 @@ def test_make_grid_validation():
     for extent, center in ((np.nan, 0.0), (np.inf, 0.0), (10.0, np.nan), (10.0, -np.inf)):
         with pytest.raises(ValidationError):
             make_grid(2, 16, extent, center)
+
+
+@pytest.mark.parametrize("shape, extent", [(9, 20.0), (8, 20.0), ((9, 16), (20.0, 12.0)),
+                                           ((64, 7), 10.0), (3, 1.0)])
+def test_grid_nyquist_is_the_band_every_axis_reaches(shape, extent):
+    g = make_grid(2, shape, extent)
+    fg = g.frequency_grid()
+    assert g.nyquist == min(np.max(np.abs(fg.axis_coords(ax))) for ax in range(2))
+    for N, d in zip(g.shape, g.spacing):
+        if N % 2 == 0:  # the band of an even axis is pi / d, to one ulp
+            assert abs((N // 2) * (2.0 * np.pi / (N * d)) - np.pi / d) <= np.spacing(np.pi / d)
+        else:  # an odd axis stops (N - 1) / N short of it
+            assert (N // 2) * (2.0 * np.pi / (N * d)) < np.pi / d
+
+
+@pytest.mark.parametrize("kind, components", [
+    ("gaussian", ()),
+    ("gaussian", ({"center": (0.0, 0.0)},)),
+    ("gaussian", ({"center": (0.0, 0.0), "sigma": "x"},)),
+    ("gaussian", ({"center": (0.0, "a"), "sigma": 1.0},)),
+    ("gaussian", ({"center": (0.0, 0.0), "sigma": 1.0, "amplitude": "x"},)),
+    ("gaussian", ({"center": (np.inf, 0.0), "sigma": 1.0},)),
+    ("gaussian", ({"center": (0.0, 0.0), "sigma": np.nan},)),
+    ("gaussian", ({"center": (0.0, 0.0), "sigma": -1.0},)),
+    ("gaussian", ({"center": (), "sigma": 1.0},)),
+    ("gaussian", ({"center": 0.0, "sigma": 1.0},)),
+    ("gaussian", ("center",)),
+    ("gaussian-mixture", ({"center": (0.0, 0.0), "sigma": 1.0},
+                          {"center": (0.0, 0.0, 0.0), "sigma": 1.0})),
+    ("smoothed-disk", ({"center": (0.0, 0.0), "radius": 1.0, "smoothing": 0.0},)),
+    ("smoothed-disk", ({"center": (0.0, 0.0), "radius": 1.0},)),
+    ("disk", ({"center": (0.0, 0.0), "sigma": 1.0},)),
+])
+def test_phantom_spec_validates_components(kind, components):
+    with pytest.raises(ValidationError):
+        PhantomSpec(kind, components)
+
+
+def test_phantom_spec_stores_floats_with_unit_amplitude():
+    spec = PhantomSpec("gaussian", ({"center": [1, 2], "sigma": 1},))
+    assert spec.components == ({"center": (1.0, 2.0), "sigma": 1.0, "amplitude": 1.0},)
+    assert spec == gaussian_phantom((1, 2), 1)

@@ -27,7 +27,11 @@ from wrtkit import (
     wrt_columns,
     wrt_polar_perp,
 )
-from wrtkit.forward import PolarWRT, VSet, _ray_source, _time_nodes
+from wrtkit.forward import PolarWRT, VSet, WRTData, _ray_source, _time_nodes
+from wrtkit.invert_bp import reconstruct_t1
+from wrtkit.invert_fourier import extract_polar_spectrum
+from wrtkit.invert_mellin import circular_decompose, reconstruct_mellin
+from wrtkit.invert_slice import SliceParams, slice_extract, symmetric_offset_grid
 from wrtkit.quad import QuadratureParams
 
 
@@ -185,6 +189,61 @@ def test_polar_wrt_rejects_bad_values():
         PolarWRT(rho, theta, gaussian_window(1.0), np.full((4, 8), np.nan))
 
 
+def test_forward_matches_gaussian_oracle_in_3d():
+    # the forward model is not tied to n = 2
+    spec = gaussian_mixture_phantom([((0.3, -0.1, 0.2), 0.9, 1.0), ((-0.7, 0.5, -0.4), 0.6, 0.4)])
+    w = gaussian_window(1.1)
+    grid = make_grid(3, 8, 6.0)
+    vset = VSet("full-grid", [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [-0.3, 1.2, 0.4],
+                              [2.0, -1.0, 0.7], [0.05, 0.02, -0.1]])
+    data = windowed_ray_transform(spec, w, grid, vset)
+    U = grid.points()
+    want = np.stack([analytic_wrt_gaussian(spec, w, U, v[None, :]) for v in vset.vectors], axis=1)
+    _assert_close(data.values, want, rtol=1e-12)
+
+
+def test_closed_form_needs_gaussian_phantom_and_window():
+    grid = make_grid(2, 8, 4.0)
+    u, v = grid.points(), np.array([[1.0, 0.5]])
+    spec = gaussian_phantom((0.2, 0.1), 0.8)
+    for f, w in ((sample_phantom(spec, grid), gaussian_window(1.0)),
+                 (smoothed_disk_phantom((0.0, 0.0), 1.0, 0.2), gaussian_window(1.0)),
+                 (spec, bump_window(2.0)), (spec, analytic_signal_window())):
+        with pytest.raises(ValidationError):
+            analytic_wrt_gaussian(f, w, u, v)
+
+
+def _containers():
+    """One dataset of each kind, all with an odd window (h(0) = 0)."""
+    w, grid = hermite1_window(1.0), make_grid(2, 8, 8.0)
+    polar = polar_vset(uniform_circle(4)[0], [0.5, 1.0])
+    vline = v1_line_vset(symmetric_offset_grid(2.0, 0.5), [0.0])
+    theta = 2.0 * np.pi * np.arange(8) / 8
+    return {"polar": WRTData(grid, polar, w, np.zeros((grid.size, len(polar)))),
+            "v1-line": WRTData(grid, vline, w, np.zeros((grid.size, len(vline)))),
+            "perp": PolarWRT(np.geomspace(0.1, 1.0, 8), theta, w, np.zeros((8, 8)))}
+
+
+_OUT = make_grid(2, 4, 4.0)
+# each route with a window its hypothesis check rejects: the dataset is checked first
+_ROUTES = {
+    "t1": lambda d: reconstruct_t1(d, analytic_signal_window(), _OUT),
+    "t2": lambda d: extract_polar_spectrum(d, [0.0, 0.5]),
+    "slice": lambda d: slice_extract(d, SliceParams(a=0.0)),
+    "mellin": lambda d: reconstruct_mellin(d, hermite1_window(1.0), 1, _OUT),
+    "harmonics": lambda d: circular_decompose(d, 1),
+}
+
+
+@pytest.mark.parametrize("route, kind", [
+    ("t1", "v1-line"), ("t1", "perp"), ("t2", "v1-line"), ("t2", "perp"),
+    ("slice", "polar"), ("slice", "perp"), ("mellin", "polar"), ("mellin", "v1-line"),
+    ("harmonics", "polar"), ("harmonics", "v1-line")])
+def test_routes_reject_the_wrong_dataset(route, kind):
+    with pytest.raises(ValidationError):
+        _ROUTES[route](_containers()[kind])
+
+
 def test_fourier_identity_small_grid():
     spec = gaussian_phantom((0.2, -0.1), 0.8)
     w = gaussian_window(1.0)
@@ -288,13 +347,13 @@ def test_clipped_forward_field_touching_grid_edge():
     got = windowed_ray_transform(field, w, grid, _VSET, quad).values
     _assert_close(got, _dense_wrt(field, w, grid.points(), _VSET.vectors, quad))
     # the analytic-signal kernel has no dense rule: the same rule with 4x the
-    # panels (64 and 256 per piece).  The spline field drops to 0 at the grid
-    # edge, a jump inside a panel, so the rule converges slowly there (the
-    # two differ by 1.9e-3)
+    # panels (64 and 256 per piece).  The spline field drops to 0 at the end
+    # of its sample range, where the clip interval ends, so the jump falls on
+    # a panel edge and both rules converge fast
     w, U = analytic_signal_window(), grid.points()[::10]
     got = wrt_columns(field, w, U, _VSET.vectors, quad)
     _assert_close(got, wrt_columns(field, w, U, _VSET.vectors, QuadratureParams(panels=256)),
-                  rtol=5e-3)
+                  rtol=1e-8)
 
 
 def test_clipped_perp_matches_dense_rule():

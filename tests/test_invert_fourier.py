@@ -14,7 +14,6 @@ from wrtkit import (
     gaussian_phantom,
     gaussian_window,
     make_grid,
-    phantom_spectrum,
     polar_vset,
     reconstruct_t2,
     rel_l2_error,
@@ -62,7 +61,7 @@ def test_extraction_matches_factorized_spectrum():
     samples = extract_polar_spectrum(data, sigma)
     hhat = window_ft(w, -np.multiply.outer(sigma, data.vset.radii))
     want = np.stack([
-        phantom_spectrum(spec, np.multiply.outer(sigma, theta))[:, None] * hhat
+        spec.spectrum(np.multiply.outer(sigma, theta))[:, None] * hhat
         for theta in data.vset.directions
     ])
     scale = np.max(np.abs(want))

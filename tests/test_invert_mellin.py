@@ -120,9 +120,9 @@ def test_kernel_even_window_is_chebyshev_real():
             * np.cos(l * np.arccos(r))
             / (r * np.sqrt(1.0 - r**2))
         )
-        assert np.max(np.abs(K.values - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(K - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
     outside = kernel_H(WINDOW, 0, np.array([1.0, 1.7]))
-    assert np.allclose(outside.values, 0.0)
+    assert np.allclose(outside, 0.0)
 
 
 def test_kernel_line_matches_direct_quadrature():
@@ -132,7 +132,7 @@ def test_kernel_line_matches_direct_quadrature():
         line = mellin_kernel_line(WINDOW, l, t, np.array([-1.0, 0.0, 1.0]))
 
         def ig(x):
-            k = kernel_H(WINDOW, l, np.array([x])).values[0]
+            k = kernel_H(WINDOW, l, np.array([x]))[0]
             return (x ** (t - 1.0) * k).real
 
         want, _ = integrate.quad(ig, 1e-9, 1.0 - 1e-12, limit=800)
@@ -219,7 +219,7 @@ def test_reconstruct_requires_compact_not_odd_window(perp_data):
 def test_reconstruct_two_bump(perp_data):
     grid = make_grid(2, 48, 4.4)
     ref = sample_phantom(_two_bump(), grid)
-    rec = reconstruct_mellin(perp_data, WINDOW, 16, grid, MellinParams(t=2.0, T=40.0, dy=0.05))
+    rec = reconstruct_mellin(perp_data, WINDOW, 16, grid, MellinParams(t=2.0, T=40.0))
     assert rel_l2_error(rec, ref) < 0.05
 
 
@@ -231,14 +231,13 @@ def test_reconstruct_radial(perp_data):
         warnings.simplefilter("ignore")
         g = wrt_polar_perp(spec, WINDOW, rho, theta, QuadratureParams(panels=16))
     grid = make_grid(2, 32, 4.0)
-    rec = reconstruct_mellin(g, WINDOW, 4, grid, MellinParams(t=2.0, T=40.0, dy=0.05))
+    rec = reconstruct_mellin(g, WINDOW, 4, grid, MellinParams(t=2.0, T=40.0))
     assert rel_l2_error(rec, sample_phantom(spec, grid)) < 0.02
 
 
 def test_mellin_params_validation():
     for kwargs in ({"t": 0.5}, {"t": np.nan}, {"t": np.inf},
-                   {"T": -1.0}, {"T": np.nan}, {"T": np.inf}, {"T": 1e300},
-                   {"dy": 0.0}, {"dy": np.nan}, {"dy": 1e-320},
+                   {"T": -1.0}, {"T": np.nan}, {"T": np.inf}, {"T": 1e300}, {"T": 820.0},
                    {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf}):
         with pytest.raises(ValidationError):
             MellinParams(**kwargs)

@@ -6,6 +6,7 @@ import pytest
 from wrtkit import (
     ValidationError,
     analytic_wrt_data,
+    continuous_ft,
     extract_polar_spectrum,
     gaussian_phantom,
     gaussian_window,
@@ -95,6 +96,20 @@ def test_pss1_roundtrip(tmp_path):
     assert np.array_equal(back.values, samples.values)
 
 
+def test_gf1_holds_scalar_fields_only(tmp_path):
+    f = _field()
+    with pytest.raises(ValidationError):
+        wio.write_gf1(str(tmp_path / "spectrum"), continuous_ft(f, warn_boundary=False))
+    p = tmp_path / "field"
+    wio.write_gf1(str(p), f)
+    meta = json.loads((p / "meta.json").read_text())
+    meta.update(kind="spectral", dtype="c128")
+    (p / "meta.json").write_text(json.dumps(meta))
+    (p / "data.bin").write_bytes(np.zeros(f.values.size, dtype="<c16").tobytes())
+    with pytest.raises(ValidationError, match="spectral"):
+        wio.read_gf1(str(p))
+
+
 def test_pgm_output(tmp_path):
     f = _field()
     p = str(tmp_path / "img.pgm")
@@ -102,7 +117,7 @@ def test_pgm_output(tmp_path):
     raw = open(p, "rb").read()
     assert raw.startswith(b"P5")
     side = json.load(open(p + ".json"))
-    assert "min" in side and "max" in side
+    assert side["min"] == f.values.min() and side["max"] == f.values.max()
 
 
 def test_read_gf1_rejects_wrong_format(tmp_path):
