@@ -186,13 +186,11 @@ def cmd_forward(args):
             raise ValidationError("polar vset needs --ndirs >= 1 and --nr >= 1")
         dirs, _ = uniform_circle(args.ndirs, jitter=args.jitter, seed=args.seed)
         vset = polar_vset(dirs, np.geomspace(args.rmin, args.rmax, args.nr))
-    elif args.vmode == "v1-line":
+    else:  # v1-line
         if args.nv1 < 2 or args.nv1 % 2:
             raise ValidationError("--nv1 must be even and at least 2")
         v1 = symmetric_offset_grid(args.v1max, 2.0 * args.v1max / args.nv1)
         vset = v1_line_vset(v1, [args.vprime])
-    else:
-        raise ValidationError(f"unknown vmode {args.vmode!r}")
     # the closed form first: a source or window it does not cover writes nothing
     want = analytic_wrt_data(src, w, grid, vset).values if args.oracle else None
     data = windowed_ray_transform(src, w, grid, vset, quad)
@@ -235,12 +233,10 @@ def cmd_invert(args):
         rec = reconstruct_slice(spec, grid)
         v1 = data.vset.v1
         extra = [f"apodization: {args.apodize}, V = {abs(v1[0]) + 0.5 * (v1[1] - v1[0]):g}"]
-    elif args.method == "mellin":
+    else:  # mellin
         params = MellinParams(t=args.mellin_t, T=args.mellin_T, lam=args.reg_lambda)
         rec = reconstruct_mellin(data, w, args.lmax, grid, params)
         extra = [f"L = {args.lmax}, t = {args.mellin_t}, T = {args.mellin_T}"]
-    else:
-        raise ValidationError(f"unknown method {args.method!r}")
     wio.write_gf1(args.out, rec)
     _report(args, {"out": args.out, "method": args.method},
             [f"wrote {args.out} ({args.method})"] + extra)
@@ -484,13 +480,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         _resolve_threads(args)
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (HypothesisError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except WrtError as exc:
+    except WrtError as exc:  # ValidationError and the rest: usage or validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -72,11 +72,14 @@ def full_grid_vset(grid):
 
 
 def polar_vset(directions, radii):
-    """Direction-major polar vset: v[k * Nr + j] = radii[j] * directions[k]."""
+    """Direction-major polar vset, v[k * Nr + j] = radii[j] * directions[k];
+    the routes read ``radii`` as |v|, so directions must be unit vectors."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValidationError("polar radii must be strictly positive")
+    if not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12):
+        raise ValidationError("polar directions must be unit vectors")
     vec = (directions[:, None, :] * radii[None, :, None]).reshape(-1, directions.shape[1])
     return VSet("polar", vec, directions=directions, radii=radii)
 
@@ -126,8 +129,8 @@ class WRTData:
 class PolarWRT:
     """g(rho, theta) = P_h f(rho e(theta), rho e(theta)^perp), n = 2 only.
 
-    theta uniform on [0, 2 pi) with power-of-two count (FFT friendly),
-    rho log-uniform (Mellin friendly).
+    theta_k = 2 pi k / N with N a power of two (the FFT of
+    circular_decompose), rho positive and log-uniform (Mellin friendly).
     """
 
     rho: np.ndarray
@@ -136,26 +139,33 @@ class PolarWRT:
     values: np.ndarray  # (Nrho, Ntheta)
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        if np.any(rho <= 0):
-            raise ValidationError("polar radii must be positive")
-        nt = theta.size
-        if rho.size < 2 or nt < 1:
-            raise ValidationError("perp data needs at least 2 radii and 1 angle")
-        if nt & (nt - 1):
-            raise ValidationError("theta count must be a power of two")
-        steps = np.diff(np.log(rho))
-        if not np.allclose(steps, steps[0], rtol=1e-8):
-            raise ValidationError("rho grid must be log-uniform")
+        rho, theta = _perp_axes(self.rho, self.theta)
         vals = np.asarray(self.values)
-        if vals.shape != (rho.size, nt):
+        if vals.shape != (rho.size, theta.size):
             raise ValidationError("perp values must have shape (rho.size, theta.size)")
         if not np.all(np.isfinite(vals)):
             raise NumericalError("perp values contain non-finite entries")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "values", vals)
+
+
+def _perp_axes(rho, theta):
+    """rho and theta as float arrays on the grid PolarWRT documents, else ValidationError."""
+    rho, theta = np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
+    nt = theta.size
+    if np.any(rho <= 0):
+        raise ValidationError("polar radii must be positive")
+    if rho.size < 2 or nt < 1:
+        raise ValidationError("perp data needs at least 2 radii and 1 angle")
+    if nt & (nt - 1):
+        raise ValidationError("theta count must be a power of two")
+    if theta.ndim != 1 or not np.allclose(theta, 2.0 * np.pi * np.arange(nt) / nt, 0.0, 1e-12):
+        raise ValidationError("theta grid must be 2 pi k / N, k = 0, ..., N - 1")
+    steps = np.diff(np.log(rho))
+    if not np.allclose(steps, steps[0], rtol=1e-8):
+        raise ValidationError("rho grid must be log-uniform")
+    return rho, theta
 
 
 def _time_nodes(w, quad, v_norm, feature):
@@ -267,7 +277,10 @@ def _analytic_sum(values, w, quad, U, V, lo, hi):
     over a panel edge; a piece [a, b] gets max(panels, 64) panels, evaluated
     as values(U + a V, (b - a) V, s) on nodes s in [0, 1] shared by all
     pieces.  A ray with an unbounded interval (|v|^2 underflowed inside the
-    support) is the point u and gets f(u) hhat(0) = f(u) / 2.
+    support) is the point u and gets f(u) hhat(0) = f(u) / 2.  The panels
+    resolve the pole only for |v| >= 1e-2: against the Faddeeva closed form
+    (gaussian sigma 0.5, u = (0.25, 0), v perpendicular to u) the error is
+    5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6.
     """
     s, ws = gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)
     M = U.shape[0]
@@ -367,10 +380,7 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     """g(rho, theta) = P_h f(u, u^perp) with u = rho (cos t, sin t), by the
     rule of :func:`windowed_ray_transform` on blocks of 8,192 rays (a memory
     bound; a real window refines its panels for the longest v in a block)."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(rho <= 0):
-        raise ValidationError("rho must be strictly positive")
+    rho, theta = _perp_axes(rho, theta)
     src = _ray_source(f)
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:
         raise ValidationError("perpendicular polar transform is n=2 only")

@@ -86,19 +86,15 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
     n = u_grid.n
     if n != 2:
         raise ValidationError("backprojection implemented for n = 2")
-    dirs = data.vset.directions
-    radii = data.vset.radii
+    dirs, radii = data.vset.directions, data.vset.radii
     if radii is None or dirs is None:
         raise ValidationError("polar vset metadata missing")
     sel = (radii >= params.r_min - 1e-12) & (radii <= params.r_max + 1e-12)
     if not np.any(sel):
         raise ValidationError("no radii inside [r_min, r_max]: data does not cover the quadrature range")
-    radii_used = radii[sel]
-    if radii_used.size < 2:
-        raise ValidationError("need at least two radii for the log-r quadrature")
     # trapezoid in log r (dv |v|^-n in polar form is d log r d theta),
     # uniform in the direction angle
-    wr = trapezoid_weights(np.log(radii_used))
+    wr = trapezoid_weights(np.log(radii[sel]))
     wtheta = np.full(dirs.shape[0], 2.0 * np.pi / dirs.shape[0])
     cols = np.nonzero(np.tile(sel, dirs.shape[0]))[0]  # direction-major, as in the vset
     weights = np.multiply.outer(wtheta, wr).ravel()

@@ -55,32 +55,30 @@ def extract_polar_spectrum(data, sigma):
 
     The continuous u-transform is the exact sum along each ray,
     cell_volume * sum_x P(x, v) exp(-i sigma theta_j.x), evaluated per
-    direction for all radii at once.  Anything but polar-vset WRTData, and
-    sigma beyond ``u_grid.nyquist``, is rejected.  Returns
+    direction for all radii at once.  Anything but polar-vset WRTData on a
+    2-D u grid, and sigma beyond ``u_grid.nyquist``, is rejected.  Returns
     PolarSpectralSamples over the data's own direction/radius sets.
     """
-    if not isinstance(data, WRTData) or data.vset.mode != "polar":
-        raise ValidationError("extract_polar_spectrum consumes polar-vset WRTData")
+    if not isinstance(data, WRTData) or data.vset.mode != "polar" or data.u_grid.n != 2:
+        raise ValidationError("extract_polar_spectrum consumes polar-vset WRTData on a 2-D grid")
     sigma = np.asarray(sigma, dtype=float)
     u_grid = data.u_grid
     nyq = u_grid.nyquist
     if np.any(sigma > nyq + 1e-12):
         raise ValidationError(f"sigma grid exceeds the Nyquist band ({nyq:.3g})")
-    dirs = data.vset.directions
-    radii = data.vset.radii
-    angles = np.arctan2(dirs[:, 1], dirs[:, 0]) if dirs.shape[1] == 2 else None
+    dirs, radii = data.vset.directions, data.vset.radii
     nt, nr = dirs.shape[0], radii.size
-    x = [u_grid.axis_coords(ax) for ax in range(u_grid.n)]
-    # (N_1, ..., N_n, Ntheta, Nr): the slices of direction k are [..., k, :]
+    x1, x2 = u_grid.axis_coords(0), u_grid.axis_coords(1)
+    # (N_1, N_2, Ntheta, Nr): the slices of direction k are [:, :, k, :]
     vals = data.values.reshape(*u_grid.shape, nt, nr)
     out = np.empty((nt, sigma.size, nr), dtype=complex)
     for k in range(nt):
-        E = [np.exp(-1j * np.multiply.outer(sigma * dirs[k, ax], xa)) for ax, xa in enumerate(x)]
-        acc = np.tensordot(E[0], vals[..., k, :], axes=1)  # (Nsigma, N_2, ..., N_n, Nr)
-        for Ea in E[1:]:
-            acc = np.einsum("sj,sj...->s...", Ea, acc)
-        out[k] = u_grid.cell_volume * acc
-    return PolarSpectralSamples(angles, sigma, radii, out, window=data.window)
+        E1 = np.exp(-1j * np.multiply.outer(sigma * dirs[k, 0], x1))
+        E2 = np.exp(-1j * np.multiply.outer(sigma * dirs[k, 1], x2))
+        acc = np.tensordot(E1, vals[:, :, k, :], axes=1)  # (Nsigma, N_2, Nr)
+        out[k] = u_grid.cell_volume * np.einsum("sj,sjr->sr", E2, acc)
+    return PolarSpectralSamples(np.arctan2(dirs[:, 1], dirs[:, 0]), sigma, radii, out,
+                                window=data.window)
 
 
 def paper_constant_t2(w, n):
@@ -95,7 +93,7 @@ def _r_weights(radii):
     return wr
 
 
-def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None, decay_tol=1e-14):
+def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None):
     """Synthesize f on ``grid`` from polar spectral samples (n = 2).
 
     inner(sigma, theta) = sum_r w_r P_hat(sigma theta, r theta) hhat(r sigma)
@@ -120,7 +118,7 @@ def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None, decay_t
     wr = _r_weights(radii)
     hh = window_ft(w, np.multiply.outer(sigma, radii))  # hhat(r sigma), (Nsigma, Nr)
     hmax = np.max(np.abs(hh)) or 1.0
-    hh = np.where(np.abs(hh) < decay_tol * hmax, 0.0, hh)
+    hh = np.where(np.abs(hh) < 1e-14 * hmax, 0.0, hh)  # drop the decayed tail
     inner = np.einsum("ksr,sr,r->ks", vals, hh, wr)      # (Ntheta, Nsigma)
     if constant_mode == "paper":
         coef = inner * sigma[None, :] ** grid.n

@@ -54,8 +54,8 @@ def _write_dir(path, meta, array):
 
 def _wrt1_shape(m):
     v = m["vset"]
-    if v["mode"] == "perp":
-        return len(v["rho"]), len(v["theta"])
+    if v["mode"] == "perp":  # parsed here, so malformed numbers are a meta error
+        return np.asarray(v["rho"], dtype=float).size, np.asarray(v["theta"], dtype=float).size
     return _grid_from_meta(m["u_grid"]).size, len(_vset_from_meta(v))
 
 

@@ -21,7 +21,8 @@ class QuadratureParams:
     support in a tiny t-interval; per ray, the panels where the source is
     below 1e-17 of its peak are skipped.  The analytic-signal kernel gets
     max(``panels``, 64) panels on each ray's clip interval (where the
-    source is above that level), cut at t = 0 below its pole.
+    source is above that level), cut at t = 0 below its pole; they resolve
+    the pole only for |v| >= 1e-2 (off by 0.9 % at |v| = 1e-3, 99 % at 1e-6).
     """
 
     panels: int = 32
@@ -48,11 +49,12 @@ def gauss_legendre_panels(a, b, panels, nodes):
 
 
 def trapezoid_weights(x):
-    """Weights of the trapezoid rule on the ordered nodes x (at least two):
-    half the distance between the two neighbours, half a step at the ends."""
+    """Trapezoid weights, half the distance between the two neighbours (half a
+    step at the ends), on at least two finite, strictly increasing nodes x;
+    else ValidationError, as reversed nodes would flip the integral's sign."""
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValidationError("the trapezoid rule needs at least two nodes")
+    if x.size < 2 or not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+        raise ValidationError("trapezoid nodes must be at least two, finite and strictly increasing")
     w = np.empty_like(x)
     w[1:-1] = 0.5 * (x[2:] - x[:-2])
     w[0], w[-1] = 0.5 * (x[1] - x[0]), 0.5 * (x[-1] - x[-2])

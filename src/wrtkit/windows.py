@@ -16,7 +16,6 @@ integral_0^inf |hhat|^2 = pi c_h2 and integral_R |hhat|^2 = 2 pi c_h2.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +108,6 @@ def window_eval(w, t):
     return r - 1j * (t * r)
 
 
-@functools.lru_cache(maxsize=32)
 def _bump_ft_nodes(radius):
     # the integrand is C^inf with all derivatives vanishing at |t| = R,
     # so a dense composite rule on [0, R] is spectrally accurate; 64 panels
@@ -145,7 +143,6 @@ def window_ft(w, eta):
     raise ValidationError("analytic-signal window has no transform in this catalog")
 
 
-@functools.lru_cache(maxsize=128)
 def window_support_radius(w, tol=1e-14):
     """T with |h(t)| < tol for |t| > T, for a real window."""
     if w.kind == "gaussian":
@@ -160,7 +157,6 @@ def window_support_radius(w, tol=1e-14):
 @dataclass(frozen=True)
 class WindowConstants:
     c_h2: float        # integral |h|^2 dt
-    hat_at_zero: complex
 
     @property
     def c_hat_half(self):
@@ -173,7 +169,6 @@ class WindowConstants:
         return 2.0 * np.pi * self.c_h2
 
 
-@functools.lru_cache(maxsize=32)
 def window_constants(w):
     if w.kind == "gaussian":
         c_h2 = w.sigma * np.sqrt(np.pi)
@@ -185,7 +180,7 @@ def window_constants(w):
         c_h2 = 2.0 * wh @ window_eval(w, t)
     else:
         raise HypothesisError("window constants require a real window")
-    return WindowConstants(c_h2=float(c_h2), hat_at_zero=complex(window_ft(w, 0.0)))
+    return WindowConstants(c_h2=float(c_h2))
 
 
 def _resolve_constant(mode, alpha, paper=None, theory=None):

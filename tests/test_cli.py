@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import pathlib
+import shutil
 import tempfile
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from wrtkit import io as wio
 from wrtkit.calibrate import calibrate_constant
-from wrtkit.cli import main, parse_window
+from wrtkit.cli import build_parser, main, parse_window
 from wrtkit.errors import ValidationError
 from wrtkit.fields import ScalarField, gaussian_phantom, make_grid
 from wrtkit.forward import (PolarWRT, WRTData, analytic_wrt_data, polar_vset, uniform_circle,
@@ -373,8 +375,10 @@ def _edit_meta(path, edit):
     (_gf1, lambda d: (d / "meta.json").write_text("[1, 2]")),
     (_gf1, lambda d: (d / "data.bin").unlink()),
     (_polar_wrt1, lambda d: _edit_meta(d, lambda m: m.update(window="gaussian"))),
+    (_perp_wrt1, lambda d: _edit_meta(d, lambda m: m["vset"].update(theta=["x"] * 8))),
 ], ids=["truncated-wrt1", "truncated-perp", "wrt1-without-window", "gf1-without-kind",
-        "meta-not-json", "meta-not-object", "no-data-bin", "window-not-object"])
+        "meta-not-json", "meta-not-object", "no-data-bin", "window-not-object",
+        "perp-theta-not-a-number"])
 def test_malformed_dataset_exit_1(tmp_path, capsys, write, damage):
     d = tmp_path / "d"
     write(str(d))
@@ -503,3 +507,88 @@ def test_calibrate_with_phantom_files(tmp_path, capsys):
                  "--phantoms", *map(str, paths)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == calibrate_constant("t1", w, specs, fast=True).to_json()
+
+
+def test_t1_on_descending_radii_exit_1(tmp_path, capsys):
+    # a reversed log-r grid would flip the sign of the backprojection
+    radii = np.geomspace(0.05, 4.0, 8)[::-1]
+    data, out = str(tmp_path / "data"), tmp_path / "rec"
+    w, grid = WindowSpec("gaussian", sigma=1.0), make_grid(2, 16, 8.0)
+    wio.write_wrt1(data, analytic_wrt_data(gaussian_phantom((0.4, -0.2), 0.7), w, grid,
+                                           polar_vset(uniform_circle(8)[0], radii)))
+    assert main(["invert", "--method", "t1", "--in", data, "--shape", "8", "--extent", "8",
+                 "--out", str(out)]) == 1
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_mellin_on_non_uniform_theta_exit_1(invert_inputs, tmp_path):
+    # circular_decompose's FFT needs theta_k = 2 pi k / N
+    data = tmp_path / "perp"
+    shutil.copytree(invert_inputs["mellin"], data)
+
+    def bend(meta):
+        meta["vset"]["theta"][1] += 0.1
+
+    _edit_meta(data, bend)
+    out = tmp_path / "rec"
+    rc, err = _run_invert({"mellin": str(data)}, "mellin", [], str(out))
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_jittered_forward_is_seeded(tmp_path, capsys):
+    argv = ["forward", "--phantom", _phantom_file(tmp_path), "--window", "gaussian:1.0",
+            "--shape", "8", "--extent", "8", "--ndirs", "4", "--nr", "2", "--quad-panels", "4",
+            "--jitter", "0.3"]
+    paths = [tmp_path / k for k in ("a", "b", "c")]
+    for path, seed in zip(paths, ("4", "4", "5")):
+        assert main(argv + ["--seed", seed, "--out", str(path)]) == 0
+    assert (paths[0] / "data.bin").read_bytes() == (paths[1] / "data.bin").read_bytes()
+    dirs = [wio.read_wrt1(str(p)).vset.directions for p in paths]
+    assert np.array_equal(dirs[0], dirs[1]) and not np.allclose(dirs[0], dirs[2])
+
+
+def test_phantom_center_of_the_wrong_dimension_exit_1(tmp_path, capsys):
+    out = tmp_path / "f"
+    assert main(["phantom", "--spec", _phantom_file(tmp_path), "--shape", "8",
+                 "--center", "1,2,3", "--out", str(out)]) == 1
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+_SHARED = ["-h", "--help", "--out", "--seed", "--threads", "--json"]
+_GRID = ["--shape", "--extent", "--center"]
+# every flag of every subcommand; a change to the command line shows here
+_CLI_SURFACE = {
+    "phantom": ["--spec"] + _SHARED + _GRID,
+    "forward": ["--phantom", "--in", "--window", "--vmode", "--ndirs", "--rmin", "--rmax", "--nr",
+                "--jitter", "--v1max", "--nv1", "--vprime", "--rho-min", "--rho-max", "--nrho",
+                "--ntheta", "--quad-panels", "--oracle"] + _SHARED + _GRID,
+    "invert": ["--method", "--in", "--window", "--constant-mode", "--alpha", "--rmin", "--rmax",
+               "--sigma-max", "--nsigma", "--dump-pss", "--apodize", "--slice-a", "--lmax",
+               "--mellin-t", "--mellin-T", "--reg-lambda"] + _SHARED + _GRID,
+    "compare": ["a", "b", "--pgm"] + _SHARED,
+    "calibrate": ["--method", "--window", "--phantoms", "--fast"] + _SHARED,
+    "selftest": ["--inject-fault"] + _SHARED,
+}
+_CLI_CHOICES = {
+    ("forward", "--vmode"): ["polar", "v1-line", "perp"],
+    ("invert", "--method"): ["t1", "t2", "slice", "mellin"],
+    ("invert", "--constant-mode"): ["paper", "theory", "calibrated", "raw"],
+    ("calibrate", "--method"): ["t1", "t2"],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_CLI_SURFACE)
+    choices = {}
+    for name, sp in sub.choices.items():
+        opts = [o for a in sp._actions for o in (a.option_strings or [a.dest])]
+        assert sorted(opts) == sorted(_CLI_SURFACE[name]), name
+        choices.update({(name, a.option_strings[0]): list(a.choices)
+                        for a in sp._actions if a.choices is not None})
+    assert choices == _CLI_CHOICES

@@ -29,10 +29,10 @@ from wrtkit import (
 )
 from wrtkit.forward import PolarWRT, VSet, WRTData, _ray_source, _time_nodes
 from wrtkit.invert_bp import reconstruct_t1
-from wrtkit.invert_fourier import extract_polar_spectrum
+from wrtkit.invert_fourier import extract_polar_spectrum, reconstruct_t2
 from wrtkit.invert_mellin import circular_decompose, reconstruct_mellin
 from wrtkit.invert_slice import SliceParams, slice_extract, symmetric_offset_grid
-from wrtkit.quad import QuadratureParams
+from wrtkit.quad import QuadratureParams, trapezoid_weights
 
 
 def test_vset_rejects_zero_vector():
@@ -242,6 +242,75 @@ _ROUTES = {
 def test_routes_reject_the_wrong_dataset(route, kind):
     with pytest.raises(ValidationError):
         _ROUTES[route](_containers()[kind])
+
+
+_RADII = np.geomspace(0.1, 2.0, 6)
+_SIGMA = np.linspace(0.0, 1.5, 7)
+_RHO, _THETA = np.geomspace(1e-6, 8.0, 64), 2.0 * np.pi * np.arange(8) / 8
+
+
+def _polar(radii, dirs=uniform_circle(8)[0]):
+    """Closed-form polar data of a gaussian on an n-D grid, n = dirs.shape[1]."""
+    n = dirs.shape[1]
+    spec = gaussian_phantom((0.5,) + (0.0,) * (n - 1), 0.8)
+    return analytic_wrt_data(spec, gaussian_window(1.0), make_grid(n, 8, 8.0),
+                             polar_vset(dirs, radii))
+
+
+def _t2(data, sigma=_SIGMA):
+    return reconstruct_t2(extract_polar_spectrum(data, sigma), gaussian_window(1.0), _OUT)
+
+
+def _perp(rho, theta):
+    """Perp data exp(-rho^2), which decays at both ends of the Mellin grid."""
+    return PolarWRT(rho, theta, bump_window(2.0), np.outer(np.exp(-rho**2), np.ones(theta.size)))
+
+
+# each case breaks one rule of the grid that the route's quadrature assumes;
+# unchecked, a reversed grid flips the sign of its integral
+_BROKEN_GRIDS = {
+    "t1-descending-radii": lambda: reconstruct_t1(_polar(_RADII[::-1]), gaussian_window(1.0),
+                                                  _OUT),
+    "t2-descending-radii": lambda: _t2(_polar(_RADII[::-1])),
+    "t2-descending-sigma": lambda: _t2(_polar(_RADII), _SIGMA[::-1]),
+    "mellin-descending-rho": lambda: reconstruct_mellin(
+        _perp(_RHO[::-1], _THETA), bump_window(2.0), 1, _OUT),
+    "non-unit-directions": lambda: polar_vset(2.0 * uniform_circle(8)[0], _RADII),
+    "non-uniform-theta": lambda: _perp(_RHO, _THETA + np.linspace(0.0, 0.1, 8)),
+    "t2-3d-polar-data": lambda: _t2(_polar(_RADII, np.eye(3))),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_GRIDS))
+def test_routes_reject_grids_their_quadrature_does_not_fit(case):
+    with pytest.raises(ValidationError):
+        _BROKEN_GRIDS[case]()
+
+
+@pytest.mark.parametrize("nodes", [[0.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                                   [1.0, 0.5, 0.0], [0.0, 1.0, 1.0, 2.0]],
+                         ids=["one-node", "nan", "inf", "descending", "repeated"])
+def test_trapezoid_weights_need_finite_increasing_nodes(nodes):
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        trapezoid_weights(nodes)
+
+
+def test_perp_forward_checks_theta_before_integrating():
+    # a 3-D source fails later, in the forward itself: the theta check runs first
+    spec = gaussian_phantom((0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(ValidationError, match="theta grid"):
+        wrt_polar_perp(spec, bump_window(2.0), _RHO, _THETA + 0.01)
+    with pytest.raises(ValidationError, match="n=2 only"):
+        wrt_polar_perp(spec, bump_window(2.0), _RHO, _THETA)
+
+
+def test_uniform_circle_jitter_keeps_unit_directions_near_the_grid():
+    n, jitter = 16, 0.3
+    dirs, ang = uniform_circle(n, jitter=jitter, seed=3)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    offs = ang / (2.0 * np.pi / n) - np.arange(n)  # in steps of 2 pi / N
+    assert np.all(np.abs(offs) <= jitter) and np.max(np.abs(offs)) > 0.0
+    assert np.array_equal(uniform_circle(n, jitter=jitter, seed=3)[1], ang)
 
 
 def test_fourier_identity_small_grid():

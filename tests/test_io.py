@@ -8,6 +8,7 @@ from wrtkit import (
     analytic_wrt_data,
     continuous_ft,
     extract_polar_spectrum,
+    full_grid_vset,
     gaussian_phantom,
     gaussian_window,
     make_grid,
@@ -65,6 +66,20 @@ def test_wrt1_roundtrip_polar(tmp_path):
     assert np.allclose(back.vset.vectors, data.vset.vectors)
     assert np.array_equal(back.values, data.values)
     assert back.window == data.window
+
+
+def test_wrt1_roundtrip_full_grid(tmp_path):
+    spec = gaussian_phantom((0.1, 0.3), 0.8)
+    grid = make_grid(2, 12, 6.0)
+    data = analytic_wrt_data(spec, gaussian_window(1.0), grid,
+                             full_grid_vset(make_grid(2, 3, 2.0, center=(0.1, 0.2))))
+    p = str(tmp_path / "data")
+    wio.write_wrt1(p, data)
+    back = wio.read_wrt1(p)
+    assert back.u_grid == data.u_grid and back.window == data.window
+    assert back.vset.mode == "full-grid"
+    assert np.array_equal(back.vset.vectors, data.vset.vectors)
+    assert np.array_equal(back.values, data.values)
 
 
 def test_wrt1_roundtrip_perp(tmp_path):
