@@ -167,8 +167,8 @@ def cmd_forward(args):
     w = parse_window(args.window)
     quad = QuadratureParams(panels=args.quad_panels)
     if args.vmode == "perp":
-        if not 0 < args.rho_min <= args.rho_max < np.inf:
-            raise ValidationError("perp radii need 0 < --rho-min <= --rho-max < inf")
+        if not 0 < args.rho_min < args.rho_max < np.inf:
+            raise ValidationError("perp radii need 0 < --rho-min < --rho-max < inf")
         if args.nrho < 2 or args.ntheta < 1:
             raise ValidationError("perp data needs --nrho >= 2 and --ntheta >= 1")
         rho = np.geomspace(args.rho_min, args.rho_max, args.nrho)

@@ -163,8 +163,8 @@ def _perp_axes(rho, theta):
     if theta.ndim != 1 or not np.allclose(theta, 2.0 * np.pi * np.arange(nt) / nt, 0.0, 1e-12):
         raise ValidationError("theta grid must be 2 pi k / N, k = 0, ..., N - 1")
     steps = np.diff(np.log(rho))
-    if not np.allclose(steps, steps[0], rtol=1e-8):
-        raise ValidationError("rho grid must be log-uniform")
+    if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-8)):
+        raise ValidationError("rho grid must be log-uniform with a positive step")
     return rho, theta
 
 

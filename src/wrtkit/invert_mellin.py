@@ -73,14 +73,16 @@ class HarmonicSeries:
 
 @dataclass(frozen=True)
 class MellinLine:
-    """Samples M(t + i y_k) on a vertical line."""
+    """Samples M(t + i y_k) on a vertical line, one row per harmonic."""
 
     t: float
     y: np.ndarray        # uniform, symmetric
-    values: np.ndarray   # complex
+    values: np.ndarray   # complex, (Ny,) or (K, Ny)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
+        if np.ndim(self.values) not in (1, 2) or np.shape(self.values)[-1] != y.size:
+            raise ValidationError("Mellin line values must have shape (Ny,) or (K, Ny)")
         d = np.diff(y)
         if y.size > 1 and not np.allclose(d, d[0], rtol=1e-10):
             raise ValidationError("Mellin line needs a uniform y grid")
@@ -94,9 +96,9 @@ _MAX_HALF_LINE = 2**14  # y samples beside y = 0; the line fills dense matrices
 
 @dataclass(frozen=True)
 class MellinParams:
-    """Contour abscissa t > 1, band [-T, T] of the y line (sampled at step
-    0.05, so 0 < T <= 2^14 * 0.05), and the Tikhonov term lam of
-    Q = Mg conj(MH) / (|MH|^2 + lam), None meaning (1e-6 max|MH|)^2."""
+    """Contour abscissa t > 1, band [-T, T] of the y line (step 0.05, so
+    0 < T <= 2^14 * 0.05), and the Tikhonov term lam of Q = Mg conj(MH) /
+    (|MH|^2 + lam), None meaning (1e-6 max|MH_l|)^2, per harmonic."""
 
     t: float = 2.0
     T: float = 40.0
@@ -131,7 +133,7 @@ def circular_decompose(g, L):
         raise ValidationError(f"need at least {2 * L + 2} angles for L={L}")
     coef_all = np.fft.fft(g.values, axis=1) / nt  # (Nrho, Ntheta), index = l mod nt
     ls = np.arange(-L, L + 1)
-    coefs = np.stack([coef_all[:, l % nt] for l in ls], axis=0)
+    coefs = coef_all[:, ls % nt].T
     mags = np.max(np.abs(coefs), axis=1)
     top = mags.max()
     if top > 0 and max(mags[0], mags[-1]) > 0.01 * top:
@@ -174,9 +176,10 @@ def kernel_H(w, l, r_grid):
 def mellin_transform(r_grid, samples, t, y_grid):
     """Mf(t + i y) = int_0^inf f(r) r^{t + i y - 1} dr on a log-uniform grid.
 
-    In u = ln r the integral is int f(e^u) e^{t u} e^{i y u} du, evaluated
-    by trapezoid; the weighted integrand must have decayed at both grid
-    ends (compact support inside the grid counts).
+    samples (Nrho,) or (K, Nrho) give values (Ny,) or (K, Ny).  In u = ln r
+    the integral is int f(e^u) e^{t u} e^{i y u} du, a trapezoid rule with
+    one e^{i y u} matrix for all rows; each row's weighted integrand must
+    have decayed at both grid ends (compact support inside the grid counts).
     """
     r = np.asarray(r_grid, dtype=float)
     f = np.asarray(samples)
@@ -189,19 +192,22 @@ def mellin_transform(r_grid, samples, t, y_grid):
         raise ValidationError("Mellin transform needs a log-uniform r grid")
     wu = trapezoid_weights(u)
     g = f * np.exp(t * u)
-    gmax = np.max(np.abs(g))
-    if gmax > 0 and max(abs(g[0]), abs(g[-1])) > 1e-8 * gmax:
+    mag = np.abs(np.atleast_2d(g))
+    gmax, ends = mag.max(axis=1), np.maximum(mag[:, 0], mag[:, -1])
+    bad = ends > 1e-8 * gmax
+    if np.any(bad):
         raise ValidationError(
             "samples have not decayed at the r-grid ends; widen the grid "
-            f"(end/max = {max(abs(g[0]), abs(g[-1])) / gmax:.2e})"
+            f"(end/max = {np.max(ends[bad] / gmax[bad]):.2e})"
         )
-    vals = np.exp(1j * np.multiply.outer(y, u)) @ (wu * g)
-    return MellinLine(float(t), y, vals)
+    E = np.multiply.outer(1j * u, y)  # (Nrho, Ny), exponentiated in place
+    np.exp(E, out=E)
+    return MellinLine(float(t), y, (wu * g) @ E)
 
 
 def mellin_kernel_line(w, l, t, y_grid):
     """MH_l(t + i y) by quadrature (48 panels of 16 Gauss-Legendre nodes)
-    after the substitution r = cos(psi).
+    after the substitution r = cos(psi); l scalar gives (Ny,), K of them (K, Ny).
 
     MH_l(s) = int_0^{pi/2} [h(tan psi) e^{+i l psi} + h(-tan psi) e^{-i l psi}]
               cos^{s-2}(psi) d psi;
@@ -214,19 +220,18 @@ def mellin_kernel_line(w, l, t, y_grid):
     psi_max = min(np.arctan(window_support_radius(w, tol=1e-15)), np.pi / 2 - 1e-12)
     psi, wp = gauss_legendre_panels(0.0, psi_max, 48, 16)
     tanp = np.tan(psi)
-    ephase = np.exp(1j * l * psi)
+    ephase = np.exp(1j * np.multiply.outer(l, psi))  # (psi.size,) or (K, psi.size)
     amp = (
         np.asarray(window_eval(w, tanp)) * ephase
         + np.asarray(window_eval(w, -tanp)) / ephase
     ) * wp
-    lncos = np.log(np.cos(psi))
-    s_minus_2 = (t - 2.0) + 1j * y
-    vals = np.exp(np.multiply.outer(s_minus_2, lncos)) @ amp
-    return MellinLine(float(t), y, vals)
+    E = np.multiply.outer(np.log(np.cos(psi)), (t - 2.0) + 1j * y)  # (psi.size, Ny)
+    np.exp(E, out=E)
+    return MellinLine(float(t), y, amp @ E)
 
 
 def mellin_convolution_residual(g_line, f_line, H_line):
-    """max_y |Mg_l(s) - Mf_l(s) MH_l(s)| / max|Mg_l|.
+    """max_y |Mg_l(s) - Mf_l(s) MH_l(s)| / max|Mg_l|, the worst row of a stack.
 
     All three lines must share the abscissa and the y grid.
     """
@@ -234,42 +239,41 @@ def mellin_convolution_residual(g_line, f_line, H_line):
         raise ValidationError("lines must share the y grid")
     if abs(f_line.t - g_line.t) > 1e-12 or abs(H_line.t - g_line.t) > 1e-12:
         raise ValidationError("lines must share the abscissa")
-    ref = np.max(np.abs(g_line.values))
-    if ref == 0:
-        return 0.0
-    return float(np.max(np.abs(g_line.values - f_line.values * H_line.values)) / ref)
+    ref = np.max(np.abs(g_line.values), axis=-1)
+    dev = np.max(np.abs(g_line.values - f_line.values * H_line.values), axis=-1)
+    return float(np.max(np.divide(dev, ref, out=np.zeros_like(ref), where=ref > 0)))
 
 
 def recover_fl(Mg, MH, t, r_grid, lam=None):
     """f_l(r) on r_grid from lines Mg_l and MH_l sampled at abscissa t.
 
     f_l(r) = (1/2 pi) int_{-T}^{T} r^{-t-iy} Q(t + iy) dy with the
-    regularized quotient Q = Mg conj(MH) / (|MH|^2 + lam), lam None meaning
-    (1e-6 max|MH|)^2; the division is ill-posed when |MH| stays below
-    1e-6 max|MH| on more than half the band.  The finite band realizes the
-    exact formula's T -> infinity limit; the y integral is the trapezoid
-    rule.
+    regularized quotient Q = Mg conj(MH) / (|MH|^2 + lam).  Lines (Ny,) give
+    f_l (Nr,), stacks (K, Ny) give (K, Nr), and each row has its own rules:
+    lam None means (1e-6 max|MH_l|)^2, and the division is ill-posed when
+    |MH_l| stays below 1e-6 max|MH_l| on more than half the band.  The
+    finite band realizes the exact formula's T -> infinity limit; the y
+    integral is the trapezoid rule, one e^{-i y ln r} matrix for all rows.
     """
     if t <= 1.0:
         raise ValidationError("contour abscissa must satisfy t > 1")
     if abs(Mg.t - t) > 1e-12 or abs(MH.t - t) > 1e-12:
         raise ValidationError("input lines must be sampled at abscissa t")
-    if not np.allclose(Mg.y, MH.y):
-        raise ValidationError("lines must share the y grid")
+    if np.shape(Mg.values) != np.shape(MH.values) or not np.allclose(Mg.y, MH.y):
+        raise ValidationError("lines must hold the same harmonics on one y grid")
     absH = np.abs(MH.values)
-    hmax = absH.max()
-    if hmax == 0 or np.mean(absH < 1e-6 * hmax) > 0.5:
+    hmax = absH.max(axis=-1, keepdims=True)
+    if np.any(hmax == 0) or np.any(np.mean(absH < 1e-6 * hmax, axis=-1) > 0.5):
         raise NumericalError(
             "kernel spectrum too small; inversion ill-posed on this band"
         )
     lam = lam if lam is not None else (1e-6 * hmax) ** 2
     Q = Mg.values * np.conj(MH.values) / (absH**2 + lam)
-    y = Mg.y
-    wy = trapezoid_weights(y)
+    wy = trapezoid_weights(Mg.y)
     r = np.asarray(r_grid, dtype=float)
-    lnr = np.log(r)
-    phase = np.exp(-1j * np.multiply.outer(lnr, y))
-    return r ** (-t) * (phase @ (wy * Q)) / (2.0 * np.pi)
+    E = np.multiply.outer(-1j * Mg.y, np.log(r))  # (Ny, Nr), exponentiated in place
+    np.exp(E, out=E)
+    return r ** (-t) * ((wy * Q) @ E) / (2.0 * np.pi)
 
 
 def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
@@ -291,24 +295,20 @@ def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
     if grid.n != 2:
         raise ValidationError("harmonic-series inversion is n = 2 only")
     series = circular_decompose(g, L)
-    y = params.y_grid()
-    t = params.t
+    y, t = params.y_grid(), params.t
     # recovery radii: log grid spanning the output's radial range
     X = grid.points()
     rad = np.hypot(X[:, 0], X[:, 1])
     r_hi = max(rad.max(), g.rho.max())
     r_lo = max(1e-3 * r_hi, g.rho.min())
     r_grid = np.geomspace(r_lo, r_hi, 256)
-    f_ls = {}
-    for l in range(0, L + 1):
-        Mg = mellin_transform(series.rho, series.coefficient(l), t, y)
-        f_ls[l] = recover_fl(Mg, mellin_kernel_line(w, l, t, y), t, r_grid, params.lam)
+    Mg = mellin_transform(series.rho, series.coefficients[L:], t, y)
+    MH = mellin_kernel_line(w, np.arange(L + 1), t, y)
+    f_ls = recover_fl(Mg, MH, t, r_grid, params.lam)
     phi = np.arctan2(X[:, 1], X[:, 0])
-    lr = np.log(np.maximum(rad, r_lo))
-    lgrid = np.log(r_grid)
+    lr, lgrid = np.log(np.maximum(rad, r_lo)), np.log(r_grid)
     acc = np.zeros(X.shape[0])
-    for l in range(0, L + 1):
-        fl = f_ls[l]
+    for l, fl in enumerate(f_ls):  # rows l = 0..L
         flr = np.interp(lr, lgrid, fl.real) + 1j * np.interp(lr, lgrid, fl.imag)
         term = (flr * np.exp(1j * l * phi)).real
         acc += term if l == 0 else 2.0 * term

@@ -214,6 +214,7 @@ def test_non_finite_window_parameter_exit_1(tmp_path, capsys, window):
     ["--vmode", "v1-line", "--vprime", "nan"],
     ["--extent", "nan"],
     ["--center", "inf"],
+    ["--vmode", "perp", "--rho-min", "1", "--rho-max", "1", "--nrho", "4"],
 ])
 def test_reversed_forward_ranges_exit_1(tmp_path, capsys, argv):
     spec = _phantom_file(tmp_path)
@@ -376,9 +377,10 @@ def _edit_meta(path, edit):
     (_gf1, lambda d: (d / "data.bin").unlink()),
     (_polar_wrt1, lambda d: _edit_meta(d, lambda m: m.update(window="gaussian"))),
     (_perp_wrt1, lambda d: _edit_meta(d, lambda m: m["vset"].update(theta=["x"] * 8))),
+    (_perp_wrt1, lambda d: _edit_meta(d, lambda m: m["vset"].update(rho=[1.0] * 8))),
 ], ids=["truncated-wrt1", "truncated-perp", "wrt1-without-window", "gf1-without-kind",
         "meta-not-json", "meta-not-object", "no-data-bin", "window-not-object",
-        "perp-theta-not-a-number"])
+        "perp-theta-not-a-number", "perp-equal-radii"])
 def test_malformed_dataset_exit_1(tmp_path, capsys, write, damage):
     d = tmp_path / "d"
     write(str(d))

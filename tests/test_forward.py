@@ -277,6 +277,7 @@ _BROKEN_GRIDS = {
         _perp(_RHO[::-1], _THETA), bump_window(2.0), 1, _OUT),
     "non-unit-directions": lambda: polar_vset(2.0 * uniform_circle(8)[0], _RADII),
     "non-uniform-theta": lambda: _perp(_RHO, _THETA + np.linspace(0.0, 0.1, 8)),
+    "constant-rho": lambda: _perp(np.ones(64), _THETA),
     "t2-3d-polar-data": lambda: _t2(_polar(_RADII, np.eye(3))),
 }
 

@@ -249,3 +249,118 @@ def test_negative_harmonic_cut_off_rejected():
     g = PolarWRT(np.geomspace(0.5, 2.0, 4), theta, WINDOW, np.ones((4, 8)))
     with pytest.raises(ValidationError, match="L = -1"):
         circular_decompose(g, -1)
+
+
+def _row_dev(stacked, single):
+    """max |stacked row - single-row result| / max |single-row result|."""
+    return np.max(np.abs(stacked - single)) / np.max(np.abs(single))
+
+
+def test_stacked_stages_match_single_rows(perp_data):
+    L = 6
+    series = circular_decompose(perp_data, L)
+    rho, t = perp_data.rho, 2.0
+    y = MellinParams(t=t, T=40.0).y_grid()
+    r_test = np.geomspace(0.1, 1.8, 160)
+    ls = np.arange(L + 1)
+    Mg = mellin_transform(rho, series.coefficients[L:], t, y)
+    MH = mellin_kernel_line(WINDOW, ls, t, y)
+    fl = recover_fl(Mg, MH, t, r_test)
+    assert Mg.values.shape == MH.values.shape == (L + 1, y.size)
+    assert fl.shape == (L + 1, r_test.size)
+    for l in ls:
+        Mg_l = mellin_transform(rho, series.coefficient(l), t, y)
+        MH_l = mellin_kernel_line(WINDOW, l, t, y)
+        assert Mg_l.values.shape == MH_l.values.shape == y.shape
+        assert _row_dev(Mg.values[l], Mg_l.values) <= 1e-12
+        assert _row_dev(MH.values[l], MH_l.values) <= 1e-12
+        # the same rows fed one at a time: the division sees identical inputs
+        one = recover_fl(MellinLine(t, y, Mg.values[l]), MellinLine(t, y, MH.values[l]),
+                         t, r_test)
+        assert _row_dev(fl[l], one) <= 1e-12
+    # a one-row stack is the K = 1 case of the same path
+    assert mellin_kernel_line(WINDOW, [3], t, y).values.shape == (1, y.size)
+
+
+def test_reconstruct_matches_a_per_harmonic_loop(perp_data):
+    L, params = 16, MellinParams(t=2.0, T=40.0)
+    grid = make_grid(2, 48, 4.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = reconstruct_mellin(perp_data, WINDOW, L, grid, params)
+        series = circular_decompose(perp_data, L)
+    # the synthesis of reconstruct_mellin, fed by single-l calls
+    X = grid.points()
+    rad, phi = np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
+    r_hi = max(rad.max(), perp_data.rho.max())
+    r_lo = max(1e-3 * r_hi, perp_data.rho.min())
+    r_grid = np.geomspace(r_lo, r_hi, 256)
+    lr, lgrid = np.log(np.maximum(rad, r_lo)), np.log(r_grid)
+    y, t = params.y_grid(), params.t
+    ref = np.zeros(X.shape[0])
+    for l in range(L + 1):
+        Mg = mellin_transform(perp_data.rho, series.coefficient(l), t, y)
+        fl = recover_fl(Mg, mellin_kernel_line(WINDOW, l, t, y), t, r_grid)
+        flr = np.interp(lr, lgrid, fl.real) + 1j * np.interp(lr, lgrid, fl.imag)
+        ref += (1.0 if l == 0 else 2.0) * (flr * np.exp(1j * l * phi)).real
+    assert np.linalg.norm(rec.values.ravel() - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_per_harmonic_checks_do_not_pool():
+    # a row that has not decayed at the r-grid end fails beside a large row
+    # that has: pooled over the stack its end would be 1e-12 of the max
+    r = np.geomspace(1e-6, 1.0, 64)
+    y = np.linspace(-1.0, 1.0, 5)
+    decayed = 1e16 * np.exp(-4.0 * (np.log(r) + 7.0) ** 2)
+    mellin_transform(r, decayed, 1.5, y)
+    with pytest.raises(ValidationError, match="not decayed"):
+        mellin_transform(r, np.stack([decayed, np.ones(64)]), 1.5, y)
+    # a kernel row below 1e-6 of its max on most of the band fails beside a
+    # flat row: pooled over both rows the small share would be under half
+    y = np.linspace(-10.0, 10.0, 41)
+    small = np.full(41, 1e-30, dtype=complex)
+    small[20] = 1.0
+    MH = MellinLine(2.0, y, np.stack([np.ones(41, dtype=complex), small]))
+    Mg = MellinLine(2.0, y, np.ones((2, 41), dtype=complex))
+    with pytest.raises(NumericalError, match="ill-posed"):
+        recover_fl(Mg, MH, 2.0, np.array([0.5, 1.0]))
+
+
+def test_convolution_residual_is_the_worst_row():
+    # pooled over the stack the second row's 10 % would read 1e-7
+    y = np.linspace(-1.0, 1.0, 5)
+    Mg = MellinLine(2.0, y, np.array([np.full(5, 1e6), np.ones(5)], dtype=complex))
+    Mf = MellinLine(2.0, y, np.array([np.full(5, 1e6), np.full(5, 0.9)], dtype=complex))
+    MH = MellinLine(2.0, y, np.ones((2, 5), dtype=complex))
+    assert mellin_convolution_residual(Mg, Mf, MH) == pytest.approx(0.1)
+    zero = MellinLine(2.0, y, np.zeros(5, dtype=complex))
+    assert mellin_convolution_residual(zero, zero, zero) == 0.0
+
+
+def test_default_lambda_is_per_harmonic(perp_data):
+    # rows scaled over eight decades: each row's lam is (1e-6 max|MH_l|)^2
+    y = np.linspace(-40.0, 40.0, 1601)
+    r_test = np.geomspace(0.1, 1.8, 40)
+    series = circular_decompose(perp_data, 2)
+    scale = np.array([[1.0], [1e4], [1e-4]])
+    Mg = mellin_transform(perp_data.rho, series.coefficients[2:], 2.0, y)
+    MH = mellin_kernel_line(WINDOW, np.arange(3), 2.0, y)
+    Mg, MH = MellinLine(2.0, y, scale * Mg.values), MellinLine(2.0, y, scale * MH.values)
+    fl = recover_fl(Mg, MH, 2.0, r_test)
+    pooled = (1e-6 * np.max(np.abs(MH.values))) ** 2
+    for k in range(3):
+        row = (MellinLine(2.0, y, Mg.values[k]), MellinLine(2.0, y, MH.values[k]), 2.0, r_test)
+        own = recover_fl(*row, lam=(1e-6 * np.max(np.abs(MH.values[k]))) ** 2)
+        assert _row_dev(fl[k], own) <= 1e-12
+        if k != 1:  # the pooled lam would have changed every row but the largest
+            assert _row_dev(recover_fl(*row, lam=pooled), own) > 1e-6
+
+
+def test_recover_fl_needs_matching_lines():
+    y = np.linspace(-1.0, 1.0, 5)
+    one = MellinLine(2.0, y, np.ones(5, dtype=complex))
+    two = MellinLine(2.0, y, np.ones((2, 5), dtype=complex))
+    with pytest.raises(ValidationError, match="same harmonics"):
+        recover_fl(two, one, 2.0, np.array([0.5]))
+    with pytest.raises(ValidationError, match="shape"):
+        MellinLine(2.0, y, np.ones(4, dtype=complex))

@@ -96,6 +96,19 @@ def test_wrt1_roundtrip_perp(tmp_path):
     assert np.array_equal(back.values, g.values)
 
 
+def test_read_wrt1_rejects_perp_data_on_equal_radii(tmp_path):
+    theta = 2.0 * np.pi * np.arange(8) / 8
+    p = tmp_path / "perp"
+    wio.write_wrt1(str(p), wrt_polar_perp(gaussian_phantom((0.1, 0.3), 0.6),
+                                          gaussian_window(1.0), np.geomspace(0.2, 2.0, 8),
+                                          theta, QuadratureParams(panels=4)))
+    meta = json.loads((p / "meta.json").read_text())
+    meta["vset"]["rho"] = [1.0] * 8  # a zero log step
+    (p / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match="positive step"):
+        wio.read_wrt1(str(p))
+
+
 def test_pss1_roundtrip(tmp_path):
     spec = gaussian_phantom((0.0, 0.0), 0.8)
     w = gaussian_window(1.0)
