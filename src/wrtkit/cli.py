@@ -3,9 +3,10 @@
 Subcommands: phantom, forward, invert, compare, calibrate, selftest.
 Exit codes: 0 success, 1 usage or validation problem, 2 numerical failure
 or violated method hypothesis.  ``--threads`` (or the WRTKIT_THREADS
-environment variable) caps the BLAS thread pool when the optional
-``threadpoolctl`` package is available, and does nothing otherwise;
-0 means auto.  numpy.fft is single-threaded either way.
+environment variable) sets the number of threads that share the t1
+backprojection and the closed-form oracle; 0 means one per usable core,
+and 1 starts no thread.  It also caps the BLAS thread pool when the
+optional ``threadpoolctl`` package is available.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
+from . import _pool
 from . import io as wio
 from .calibrate import calibrate_constant, default_calibration_phantoms
 from .errors import HypothesisError, NumericalError, ValidationError, WrtError
@@ -84,24 +85,15 @@ def parse_window(text):
 
 
 def _resolve_threads(args):
-    n = args.threads
-    if n is None:
-        env = os.environ.get("WRTKIT_THREADS", "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise ValidationError(f"WRTKIT_THREADS={env!r} is not an integer")
-    if n in (None, 0):
-        return None
-    if n < 0:
-        raise ValidationError("thread count must be >= 0")
-    try:
-        import threadpoolctl
+    """The command's thread count (``--threads``, else WRTKIT_THREADS; 0: auto)."""
+    n = _pool.requested(args.threads)
+    if n:
+        try:
+            import threadpoolctl
 
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
+            threadpoolctl.threadpool_limits(limits=n)
+        except ImportError:
+            pass
     return n
 
 
@@ -478,7 +470,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _resolve_threads(args)
+        _pool.limit = _resolve_threads(args)
         return args.fn(args)
     except (HypothesisError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -486,6 +478,8 @@ def main(argv=None):
     except WrtError as exc:  # ValidationError and the rest: usage or validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        _pool.limit = None  # an in-process caller's next command reads its own setting
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from . import _pool
 from .errors import NumericalError, ValidationError
 from .fields import Grid, PhantomSpec, ScalarField, continuous_ft
 from .quad import QuadratureParams, gauss_legendre_panels
@@ -338,17 +339,26 @@ def analytic_wrt_gaussian(f, w, u, v):
     u and v are paired points, broadcast against each other over their
     leading axes.  v = 0 is legal here (value f(u) integral h).
     """
-    if not _has_closed_form(f, w):
-        raise ValidationError("the closed form needs gaussian phantom(s) and a gaussian window")
+    _check_closed_form(f, w)
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    sw = w.sigma
     out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]))
+    _add_closed_form(f, w, u, v, out)
+    return out if out.size > 1 else float(out.reshape(-1)[0])
+
+
+def _check_closed_form(f, w):
+    if not _has_closed_form(f, w):
+        raise ValidationError("the closed form needs gaussian phantom(s) and a gaussian window")
+
+
+def _add_closed_form(f, w, u, v, out):
+    """out += the closed form at float arrays u and v (see analytic_wrt_gaussian)."""
     v2 = np.sum(v * v, axis=-1)
     for c in f.components:
         s, amp = c["sigma"], c["amplitude"]
         du = u - np.asarray(c["center"])
-        alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * sw**2)
+        alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * w.sigma**2)
         # the exponent is built in place in B, the largest temporary
         B = np.einsum("...i,...i->...", du, v)
         B *= B
@@ -357,22 +367,30 @@ def analytic_wrt_gaussian(f, w, u, v):
         np.exp(B, out=B)
         B *= amp * np.sqrt(np.pi / alpha)
         out += B
-    return out if out.size > 1 else float(out.reshape(-1)[0])
 
 
 def analytic_wrt_data(f, w, u_grid, vset):
     """WRTData filled from the closed-form gaussian/gaussian result.
 
-    Crosses every grid point with blocks of v columns, sized so that the
-    temporaries stay near 8 MB in all.  Useful wherever exact transform
-    data is needed without quadrature cost (calibration, geometry
-    studies); same restrictions as :func:`analytic_wrt_gaussian`.
+    Crosses every grid point with blocks of v columns.  Each pool worker
+    fills one contiguous range of the columns, so the values do not depend
+    on the worker count.  The blocks' temporaries, about 4 MB, are shared
+    by all workers.  Useful wherever exact transform data is needed without
+    quadrature cost (calibration, geometry studies); same restrictions as
+    :func:`analytic_wrt_gaussian`, checked before any column is computed.
     """
+    _check_closed_form(f, w)
     U = u_grid.points()[:, None, :]
-    vals = np.empty((U.shape[0], len(vset)))
-    block = max(1, 2**19 // U.shape[0])
-    for lo in range(0, len(vset), block):
-        vals[:, lo:lo + block] = analytic_wrt_gaussian(f, w, U, vset.vectors[lo:lo + block])
+    vals = np.zeros((U.shape[0], len(vset)))
+    parts = min(_pool.workers(), len(vset))
+    block = max(1, 2**19 // (U.shape[0] * parts))
+
+    def fill(part):  # part: a range of columns
+        for lo in range(part.start, part.stop, block):
+            hi = min(lo + block, part.stop)
+            _add_closed_form(f, w, U, vset.vectors[lo:hi], vals[:, lo:hi])
+
+    _pool.map(fill, range(len(vset)))
     return WRTData(u_grid, vset, w, vals)
 
 

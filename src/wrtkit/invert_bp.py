@@ -21,16 +21,18 @@ for n = 2 (uniform direction weights on S^1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, special
 
+from . import _pool
 from .errors import HypothesisError, ValidationError
 from .fields import ScalarField
 from .forward import WRTData
 from .quad import trapezoid_weights
-from .windows import _resolve_constant, window_constants, window_ft
+from .windows import _resolve_constant, _window_ft, window_constants, window_ft
 
 __all__ = [
     "BPParams",
@@ -108,9 +110,13 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
 def _backproject(data, cols, weights, w, pad):
     """sum_j weights_j Q_j, Q(u, v) = int P(u - v t, v) I^-1 h(-t) dt.
 
-    Slices are zero-padded by ``pad`` and real-FFT'd in blocks of about
-    8 MB of spectra; FT(P) |xi.v| conj(hhat(-xi.v)) is summed and inverted
-    once.
+    Slices are zero-padded by ``pad`` and real-FFT'd in blocks;
+    FT(P) |xi.v| conj(hhat(-xi.v)) is summed and inverted once.  Each pool
+    worker sums one contiguous range of the slices into its own spectrum,
+    and the spectra are added in range order, so the result repeats bit for
+    bit at a given worker count.  The blocks hold about 2 MB of spectra
+    summed over the workers: memory a thread frees stays reserved for that
+    thread, so larger blocks raise the peak memory of the process.
     The Nyquist bin of an even-length axis is filtered at one sign of xi.
     """
     u_grid = data.u_grid
@@ -119,15 +125,22 @@ def _backproject(data, cols, weights, w, pad):
     freqs = [2.0 * np.pi * np.fft.fftfreq(N, d) for N, d in zip(shape[:-1], u_grid.spacing)]
     freqs.append(2.0 * np.pi * np.fft.rfftfreq(shape[-1], u_grid.spacing[-1]))
     mesh = np.meshgrid(*freqs, indexing="ij", sparse=True)
-    acc = np.zeros(tuple(f.size for f in freqs), dtype=complex)
-    block = max(1, 2**19 // acc.size)
-    for lo in range(0, cols.size, block):
-        blk = cols[lo:lo + block]
-        slices = data.values[:, blk].T.reshape(blk.size, *u_grid.shape)
-        F = np.fft.rfftn(slices, s=shape, axes=axes)
-        for Fj, col, wt in zip(F, blk, weights[lo:lo + block]):
-            xi_dot_v = sum(m * vi for m, vi in zip(mesh, data.vset.vectors[col]))
-            acc += Fj * (wt * np.abs(xi_dot_v) * np.conj(window_ft(w, -xi_dot_v)))
+    spectrum = tuple(f.size for f in freqs)
+    parts = min(_pool.workers(), cols.size)
+    block = max(1, 2**17 // (math.prod(spectrum) * parts))
+
+    def filtered_sum(part):  # part: a range of cols; calls no traced name (window_ft)
+        acc = np.zeros(spectrum, dtype=complex)
+        for lo in range(part.start, part.stop, block):
+            blk = cols[lo:min(lo + block, part.stop)]
+            slices = data.values[:, blk].T.reshape(blk.size, *u_grid.shape)
+            F = np.fft.rfftn(slices, s=shape, axes=axes)
+            for Fj, col, wt in zip(F, blk, weights[lo:lo + blk.size]):
+                xi_dot_v = sum(m * vi for m, vi in zip(mesh, data.vset.vectors[col]))
+                acc += Fj * (wt * np.abs(xi_dot_v) * np.conj(_window_ft(w, -xi_dot_v)))
+        return acc
+
+    acc = sum(_pool.map(filtered_sum, range(cols.size)))
     Q = np.fft.irfftn(acc, s=shape, axes=tuple(range(u_grid.n)))
     return Q[tuple(slice(0, N) for N in u_grid.shape)]
 

@@ -122,6 +122,12 @@ def window_ft(w, eta):
 
     Closed form for gaussian and hermite1, quadrature for bump.
     """
+    return _window_ft(w, eta)
+
+
+def _window_ft(w, eta):
+    # window_ft under a name perfbench's layer tracer does not wrap: the
+    # tracer keeps one span stack, so code on pool threads must call this
     eta = np.asarray(eta, dtype=float)
     if w.kind == "gaussian":
         s = w.sigma

@@ -10,6 +10,7 @@ argument fails here instead of in a benchmark run.
 
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 
@@ -59,3 +60,33 @@ def test_tracer_records_the_counted_routes():
     for name in ("invert_slice.make_slice_dataset", "invert_slice.slice_extract",
                  "invert_bp.reconstruct_t1"):
         assert tracer.calls[name] == 1
+
+
+def test_pool_threads_call_no_traced_name(monkeypatch):
+    # The tracer keeps one span stack for all threads, so a traced call on a
+    # pool thread would nest under whatever the caller has open.  Two
+    # workers with a short switch interval interleave the threads often.
+    monkeypatch.setenv("WRTKIT_THREADS", "2")
+    interval = sys.getswitchinterval()
+    tracer = _load_layers().Tracer()
+    restore = tracer.install()
+    try:
+        sys.setswitchinterval(1e-6)
+        tracer.enabled = True
+        spec = wrtkit.gaussian_phantom((0.2, -0.1), 0.8)
+        w = wrtkit.gaussian_window(1.0)
+        grid = wrtkit.make_grid(2, 96, 24.0)
+        vset = wrtkit.polar_vset(wrtkit.uniform_circle(16)[0], np.geomspace(0.1, 4.0, 8))
+        data = wrtkit.analytic_wrt_data(spec, w, grid, vset)
+        wrtkit.reconstruct_t1(data, w, grid, BPParams(r_min=0.1, r_max=4.0))
+    finally:
+        sys.setswitchinterval(interval)
+        tracer.enabled = False
+        restore()
+    spans = tracer.spans
+    # neither route calls a traced name, on the caller or on a pool thread
+    assert [s[0] for s in spans] == ["forward.analytic_wrt_data", "invert_bp.reconstruct_t1"]
+    assert not any(parent is not None and spans[parent][0] == name
+                   for name, _, _, parent, _ in spans)
+    assert tracer._stack == []
+    assert tracer.calls["invert_bp.reconstruct_t1"] == 1

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wrtkit import _pool
 from wrtkit import io as wio
 from wrtkit.calibrate import calibrate_constant
 from wrtkit.cli import build_parser, main, parse_window
@@ -182,6 +183,45 @@ def test_calibrate_fast_json(tmp_path, capsys):
 def test_threads_env_validation(monkeypatch):
     monkeypatch.setenv("WRTKIT_THREADS", "notanumber")
     assert main(["compare", "nope-a", "nope-b"]) == 1
+
+
+@pytest.mark.parametrize("env, argv", [("-1", []), ("2.5", []), ("", ["--threads", "-1"])])
+def test_bad_thread_count_exit_1(tmp_path, monkeypatch, capsys, env, argv):
+    monkeypatch.setenv("WRTKIT_THREADS", env)
+    assert main(["phantom", "--spec", _phantom_file(tmp_path), "--shape", "8",
+                 "--out", str(tmp_path / "f"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "thread" in err.lower() and err.count("\n") == 1
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("env, argv", [("", ["--threads", "1"]), ("1", [])])
+def test_one_thread_starts_no_worker(tmp_path, monkeypatch, env, argv):
+    # the oracle forward and t1 are the pooled routes; with one thread the
+    # pool's executor is never asked for
+    monkeypatch.setenv("WRTKIT_THREADS", env)
+    monkeypatch.setattr(_pool, "_pool", None)  # calling it would raise TypeError
+    data = str(tmp_path / "data")
+    assert main(["forward", "--phantom", _phantom_file(tmp_path), "--window", "gaussian:1.0",
+                 "--ndirs", "8", "--nr", "6", "--shape", "32", "--out", data, "--oracle",
+                 *argv]) == 0
+    assert main(["invert", "--method", "t1", "--in", data, "--rmin", "0.05", "--rmax", "4",
+                 "--shape", "32", "--out", str(tmp_path / "rec"), *argv]) == 0
+
+
+def test_threads_flag_sets_the_pool_for_one_command(tmp_path, monkeypatch):
+    seen = []
+
+    def serial_map(fn, items):  # records the worker count the command set
+        seen.append(_pool.workers())
+        return [fn(items)]
+
+    monkeypatch.setattr(_pool, "map", serial_map)
+    monkeypatch.setenv("WRTKIT_THREADS", "1")
+    assert main(["forward", "--phantom", _phantom_file(tmp_path), "--window", "gaussian:1.0",
+                 "--ndirs", "8", "--nr", "6", "--shape", "32", "--out", str(tmp_path / "d"),
+                 "--oracle", "--threads", "3"]) == 0
+    assert seen == [3] and _pool.limit is None and _pool.workers() == 1
 
 
 @pytest.mark.parametrize("window", ["gaussian:nan", "hermite1:inf", "bump:inf", "bump:-1"])

@@ -27,6 +27,7 @@ from wrtkit import (
     wrt_columns,
     wrt_polar_perp,
 )
+from wrtkit import _pool
 from wrtkit.forward import PolarWRT, VSet, WRTData, _ray_source, _time_nodes
 from wrtkit.invert_bp import reconstruct_t1
 from wrtkit.invert_fourier import extract_polar_spectrum, reconstruct_t2
@@ -113,6 +114,18 @@ def test_analytic_wrt_data_matches_per_v_closed_form():
             want[:, j] += amp * np.sqrt(np.pi / alpha) * np.exp(
                 -0.5 * A / s**2 + B**2 / (4.0 * alpha * s**4))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_analytic_wrt_data_does_not_depend_on_the_worker_count(monkeypatch):
+    # 35 columns of 160^2 points: two workers fill 17 and 18 columns in blocks of 10
+    spec = gaussian_mixture_phantom([((0.3, -0.1), 0.9, 1.0), ((-0.7, 0.5), 0.6, 0.4)])
+    w = gaussian_window(1.1)
+    grid = make_grid(2, 160, 12.0)
+    vset = polar_vset(uniform_circle(5)[0], np.geomspace(0.1, 3.0, 7))
+    monkeypatch.setenv("WRTKIT_THREADS", "1")
+    one = analytic_wrt_data(spec, w, grid, vset).values
+    monkeypatch.setenv("WRTKIT_THREADS", "2")
+    assert np.array_equal(analytic_wrt_data(spec, w, grid, vset).values, one)
 
 
 def test_oracle_continuous_at_v_zero():
@@ -202,7 +215,8 @@ def test_forward_matches_gaussian_oracle_in_3d():
     _assert_close(data.values, want, rtol=1e-12)
 
 
-def test_closed_form_needs_gaussian_phantom_and_window():
+def test_closed_form_needs_gaussian_phantom_and_window(monkeypatch):
+    monkeypatch.setattr(_pool, "map", None)  # a dispatch would raise TypeError
     grid = make_grid(2, 8, 4.0)
     u, v = grid.points(), np.array([[1.0, 0.5]])
     spec = gaussian_phantom((0.2, 0.1), 0.8)
@@ -211,6 +225,8 @@ def test_closed_form_needs_gaussian_phantom_and_window():
                  (spec, bump_window(2.0)), (spec, analytic_signal_window())):
         with pytest.raises(ValidationError):
             analytic_wrt_gaussian(f, w, u, v)
+        with pytest.raises(ValidationError):  # before any block is dispatched
+            analytic_wrt_data(f, w, grid, polar_vset(uniform_circle(4)[0], [0.5, 1.0]))
 
 
 def _containers():

@@ -130,6 +130,56 @@ def test_summed_spectrum_matches_per_slice_filter(shape, pad, tol):
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
+def _t1_worker_case():
+    # 48 slices on a 64^2 grid: with two workers each sums 24 slices in blocks of 7
+    spec = gaussian_phantom((0.4, -0.2), 0.8)
+    w = gaussian_window(1.0)
+    grid = make_grid(2, 64, 24.0)
+    radii = np.geomspace(0.1, 4.0, 6)
+    data = analytic_wrt_data(spec, w, grid, polar_vset(uniform_circle(8)[0], radii))
+    return data, w, BPParams(r_min=radii[0], r_max=radii[-1], constant_mode="theory")
+
+
+def _serial_t1(data, w, pad=2):
+    """Reference: one filtered real spectrum per slice, summed slice by slice
+    in v order, then one inverse real FFT (theory constant, output on the data grid)."""
+    u_grid, vset = data.u_grid, data.vset
+    shape = tuple(int(N * pad) for N in u_grid.shape)
+    mesh = np.meshgrid(2.0 * np.pi * np.fft.fftfreq(shape[0], u_grid.spacing[0]),
+                       2.0 * np.pi * np.fft.rfftfreq(shape[1], u_grid.spacing[1]),
+                       indexing="ij", sparse=True)
+    logr = np.log(vset.radii)
+    wr = np.gradient(logr)
+    wr[[0, -1]] *= 0.5
+    wtheta = 2.0 * np.pi / vset.directions.shape[0]
+    acc = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    for col, v in enumerate(vset.vectors):
+        xi_dot_v = mesh[0] * v[0] + mesh[1] * v[1]
+        F = np.fft.rfft2(data.slice_values(col), s=shape)
+        acc += wtheta * wr[col % logr.size] * F * np.abs(xi_dot_v) * np.conj(window_ft(w, -xi_dot_v))
+    Q = np.fft.irfft2(acc, s=shape)[:u_grid.shape[0], :u_grid.shape[1]]
+    return theory_constant_t1(w, 2) * Q
+
+
+def test_t1_repeats_at_two_workers_and_matches_one_worker(monkeypatch):
+    data, w, params = _t1_worker_case()
+    monkeypatch.setenv("WRTKIT_THREADS", "2")
+    two = reconstruct_t1(data, w, data.u_grid, params).values
+    assert np.array_equal(reconstruct_t1(data, w, data.u_grid, params).values, two)
+    monkeypatch.setenv("WRTKIT_THREADS", "1")
+    one = reconstruct_t1(data, w, data.u_grid, params).values
+    assert np.linalg.norm(two - one) <= 1e-13 * np.linalg.norm(one)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_t1_matches_a_serial_per_slice_loop(monkeypatch, threads):
+    data, w, params = _t1_worker_case()
+    monkeypatch.setenv("WRTKIT_THREADS", threads)
+    got = reconstruct_t1(data, w, data.u_grid, params).values
+    want = _serial_t1(data, w)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_radius_subrange_is_respected():
     spec = gaussian_phantom((0.0, 0.0), 0.8)
     w = gaussian_window(1.0)
