@@ -4,9 +4,9 @@ Subcommands: phantom, forward, invert, compare, calibrate, selftest.
 Exit codes: 0 success, 1 usage or validation problem, 2 numerical failure
 or violated method hypothesis.  ``--threads`` (or the WRTKIT_THREADS
 environment variable) sets the number of threads that share the t1
-backprojection and the closed-form oracle; 0 means one per usable core,
-and 1 starts no thread.  It also caps the BLAS thread pool when the
-optional ``threadpoolctl`` package is available.
+backprojection, the closed-form oracle and the quadrature forward (rows of
+the base points, blocks of perp rho rows); 0 means one per usable core,
+and 1 starts no thread.
 """
 
 from __future__ import annotations
@@ -82,19 +82,6 @@ def parse_window(text):
     if kind == "bump":
         return WindowSpec(kind, radius=value)
     return WindowSpec(kind, sigma=value)
-
-
-def _resolve_threads(args):
-    """The command's thread count (``--threads``, else WRTKIT_THREADS; 0: auto)."""
-    n = _pool.requested(args.threads)
-    if n:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=n)
-        except ImportError:
-            pass
-    return n
 
 
 def _parse_center(text, n=2):
@@ -470,7 +457,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _pool.limit = _resolve_threads(args)
+        _pool.limit = _pool.requested(args.threads)  # --threads, else WRTKIT_THREADS; 0: auto
         return args.fn(args)
     except (HypothesisError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ polar configuration g(rho, theta) = P_h f(rho e(theta), rho e(theta)^perp).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,10 +15,11 @@ from scipy import ndimage
 
 from . import _pool
 from .errors import NumericalError, ValidationError
-from .fields import Grid, PhantomSpec, ScalarField, continuous_ft
+from .fields import Grid, PhantomSpec, ScalarField, _evaluate_along_rays, continuous_ft
 from .quad import QuadratureParams, gauss_legendre_panels
 from .windows import (
     WindowSpec,
+    _window_eval,
     window_eval,
     window_ft,
     window_support_radius,
@@ -169,20 +171,37 @@ def _perp_axes(rho, theta):
     return rho, theta
 
 
-def _time_nodes(w, quad, v_norm, feature):
-    """Nodes and weights of a real window: Gauss-Legendre panels on its
-    support [-T, T].  ``feature`` is the narrowest spatial length scale of
-    the source; a long v squeezes it into a t-interval of width
-    feature / |v|, and the panel count is refined (up to
-    ``quad.max_panels``) to resolve it.
+def _panel_count(quad, T, v_norm, feature):
+    """Panels of a real window's rule on its support [-T, T] for a ray of
+    length |v|.  ``feature`` is the narrowest spatial length scale of the
+    source; a long v squeezes it into a t-interval of width feature / |v|,
+    and the panel count is refined (up to ``quad.max_panels``) to resolve it.
     """
-    T = window_support_radius(w, tol=1e-14)
     panels = quad.panels
     if quad.max_panels is not None and v_norm:
         delta = feature / v_norm  # 0 when |v| overflows: refine up to the cap
         needed = np.inf if delta == 0 else np.ceil(4.0 * T / (quad.nodes * delta))
         panels = int(min(quad.max_panels, max(panels, needed)))
-    return gauss_legendre_panels(-T, T, panels, quad.nodes)
+    return panels
+
+
+def _time_nodes(w, quad, T, panels):
+    """The rule (t, h(t) wt) of a real window: ``panels`` Gauss-Legendre
+    panels of ``quad.nodes`` nodes on [-T, T]."""
+    t, wt = gauss_legendre_panels(-T, T, panels, quad.nodes)
+    return t, window_eval(w, t) * wt
+
+
+def _node_rules(w, quad, norms, feature):
+    """The node rule of each ray length |v| in ``norms``, built on the caller
+    once per distinct panel count, so pool threads share it.  The
+    analytic-signal kernel has one rule (s, ws) on [0, 1] for all rays."""
+    if not w.is_real:
+        return [gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)] * len(norms)
+    T = window_support_radius(w, tol=1e-14)
+    counts = [_panel_count(quad, T, float(r), feature) for r in norms]
+    rules = {p: _time_nodes(w, quad, T, p) for p in set(counts)}
+    return [rules[p] for p in counts]
 
 
 _EPS = 1e-17  # sources are treated as zero below this share of their peak
@@ -205,7 +224,7 @@ def _ray_source(f):
             lo, hi = zip(*(_ball_interval(U - c, V, r) for c, r in balls))
             return np.min(lo, axis=0), np.max(hi, axis=0)
 
-        return f.evaluate_along_rays, interval, feature
+        return functools.partial(_evaluate_along_rays, f), interval, feature
     if not isinstance(f, ScalarField):
         raise ValidationError("source must be a PhantomSpec or ScalarField")
     g = f.grid
@@ -220,8 +239,14 @@ def _ray_source(f):
     mid, half = 0.5 * (box[0] + box[1]), 0.5 * (box[1] - box[0])
 
     def values(U, V, t):
-        idx = g.coord_to_index(U[:, None, :] + t[None, :, None] * V[:, None, :]).reshape(-1, g.n)
-        return ndimage.map_coordinates(coef, idx.T, order=3, mode="constant",
+        # the sample indices (u + t v - origin) / spacing, built in place one axis at a time
+        idx = np.empty((g.n, U.shape[0], t.size))
+        for i, x in enumerate(idx):
+            np.multiply(V[:, i, None], t, out=x)
+            x += U[:, i, None]
+            x -= g.origin[i]
+            x /= g.spacing[i]
+        return ndimage.map_coordinates(coef, idx.reshape(g.n, -1), order=3, mode="constant",
                                        prefilter=False).reshape(U.shape[0], t.size)
 
     def interval(U, V):  # Siddon's slabs: each axis is a 1-d ball, intersected
@@ -244,20 +269,21 @@ def _ball_interval(du, V, rad):
     return np.where(hit, (-b - root) / safe, np.inf), np.where(hit, (-b + root) / safe, -np.inf)
 
 
-def _ray_sum(src, w, quad, U, V):
-    """P_h f(u_m, v_m) for paired rays (U, V), src from _ray_source.
+def _ray_sum(src, w, quad, rule, U, V):
+    """P_h f(u_m, v_m) for paired rays (U, V), src from _ray_source and rule
+    from _node_rules.
 
-    A real window takes the nodes of _time_nodes for the longest v; per ray,
-    the panels (quad.nodes consecutive nodes) outside the clip interval are
-    skipped, and rays that keep the same panel range form one dense block.
+    A real window's rule covers its support; per ray, the panels (quad.nodes
+    consecutive nodes) outside the clip interval are skipped, and rays that
+    keep the same panel range form one dense block.  Runs on pool threads, so
+    it calls no name perfbench's layer tracer wraps.
     """
-    values, interval, feature = src
+    values, interval, _ = src
     lo, hi = interval(U, V)
     if not w.is_real:
-        return _analytic_sum(values, w, quad, U, V, lo, hi)
+        return _analytic_sum(values, w, rule, U, V, lo, hi)
     k = quad.nodes
-    t, wt = _time_nodes(w, quad, float(np.max(np.linalg.norm(V, axis=1))), feature)
-    hw = window_eval(w, t) * wt
+    t, hw = rule
     npan = t.size // k
     p_lo = np.searchsorted(t[k - 1::k], lo, side="left")
     p_hi = np.maximum(np.searchsorted(t[::k], hi, side="right"), p_lo)
@@ -271,30 +297,31 @@ def _ray_sum(src, w, quad, U, V):
     return out
 
 
-def _analytic_sum(values, w, quad, U, V, lo, hi):
+def _analytic_sum(values, w, rule, U, V, lo, hi):
     """P_h f for h(t) = 1 / (2 pi i (t - i)) on the clip intervals [lo, hi].
 
     Each interval is cut at t = 0, below the kernel's pole, so the pole sits
-    over a panel edge; a piece [a, b] gets max(panels, 64) panels, evaluated
-    as values(U + a V, (b - a) V, s) on nodes s in [0, 1] shared by all
-    pieces.  A ray with an unbounded interval (|v|^2 underflowed inside the
+    over a panel edge; a piece [a, b] gets the panels of ``rule`` (s, ws),
+    max(panels, 64) of them on [0, 1], evaluated as values(U + a V, (b - a) V,
+    s).  A ray with an unbounded interval (|v|^2 underflowed inside the
     support) is the point u and gets f(u) hhat(0) = f(u) / 2.  The panels
     resolve the pole only for |v| >= 1e-2: against the Faddeeva closed form
     (gaussian sigma 0.5, u = (0.25, 0), v perpendicular to u) the error is
     5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6.
     """
-    s, ws = gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)
+    s, ws = rule
     M = U.shape[0]
     a = np.concatenate([lo, np.maximum(lo, 0.0)])
     b = np.concatenate([np.minimum(hi, 0.0), hi])
     length = b - a
     sums = np.zeros(2 * M, dtype=complex)
     live = np.flatnonzero((length > 0.0) & (length < np.inf))
-    step = max(1, 2**20 // s.size)  # pieces per block: temporaries near 16 MB
+    # pieces per block: temporaries near 16 MB over all pool workers
+    step = max(1, 2**20 // (s.size * _pool.workers()))
     for j in range(0, live.size, step):
         rows = live[j:j + step]
         m, L = rows % M, length[rows, None]
-        h = window_eval(w, a[rows, None] + L * s)
+        h = _window_eval(w, a[rows, None] + L * s)
         sums[rows] = (values(U[m] + a[rows, None] * V[m], L * V[m], s) * h) @ ws * L[:, 0]
     out = sums[:M] + sums[M:]
     point = np.flatnonzero((lo < hi) & ~(hi - lo < np.inf))
@@ -304,16 +331,27 @@ def _analytic_sum(values, w, quad, U, V, lo, hi):
 
 def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     """P_h f(u_m, v_j), (M, Nv), for base points U (M, n) crossed with
-    vectors (Nv, n); the quadrature of :func:`windowed_ray_transform`."""
+    vectors (Nv, n); the quadrature of :func:`windowed_ray_transform`.
+
+    Each pool worker runs every column on one contiguous share of the base
+    points, so a worker's temporaries are its share of the serial ones; the
+    values repeat bit for bit at a given worker count."""
     U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
     src = _ray_source(f)  # rejects anything but a phantom or a sampled field
     if (f.grid if isinstance(f, ScalarField) else f).n != U.shape[1]:
         raise ValidationError("source/grid dimension mismatch")
     if vectors.shape[1] != U.shape[1]:
         raise ValidationError("vset/grid dimension mismatch")
+    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src[2])
     out = np.zeros((U.shape[0], vectors.shape[0]), dtype=float if w.is_real else complex)
-    for j, v in enumerate(vectors):
-        out[:, j] = _ray_sum(src, w, quad, U, np.broadcast_to(v, U.shape))
+
+    def fill(share):  # a range of base points
+        rows = slice(share.start, share.stop)  # numpy would convert a range element by element
+        Us = U[rows]
+        for j, v in enumerate(vectors):
+            out[rows, j] = _ray_sum(src, w, quad, rules[j], Us, np.broadcast_to(v, Us.shape))
+
+    _pool.map(fill, range(U.shape[0]))
     return out
 
 
@@ -396,8 +434,10 @@ def analytic_wrt_data(f, w, u_grid, vset):
 
 def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     """g(rho, theta) = P_h f(u, u^perp) with u = rho (cos t, sin t), by the
-    rule of :func:`windowed_ray_transform` on blocks of 8,192 rays (a memory
-    bound; a real window refines its panels for the longest v in a block)."""
+    rule of :func:`windowed_ray_transform`: a real window refines its panels
+    for each rho = |v| on its own.  Blocks of whole rho rows, about 2^19 ray
+    nodes each (a memory bound that does not depend on the worker count), are
+    shared out over the pool workers."""
     rho, theta = _perp_axes(rho, theta)
     src = _ray_source(f)
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:
@@ -406,8 +446,24 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     # paired (rho, theta) points: u = rho e(theta), v = rho e(theta)^perp
     U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
     V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
-    vals = np.concatenate([_ray_sum(src, w, quad, U[lo:lo + 8192], V[lo:lo + 8192])
-                           for lo in range(0, U.shape[0], 8192)])
+    rules = _node_rules(w, quad, rho, src[2])
+    nt = theta.size
+    blocks, start, size = [], 0, 0  # runs of rho rows: one rule, <= 2^19 nodes unless one row
+    for i, rule in enumerate(rules):
+        nodes = nt * rule[0].size
+        if i and (rule is not rules[start] or size + nodes > 2**19):
+            blocks.append(range(start, i))
+            start, size = i, 0
+        size += nodes
+    blocks.append(range(start, rho.size))
+    vals = np.zeros(U.shape[0], dtype=float if w.is_real else complex)
+
+    def fill(share):  # a run of blocks
+        for rows in share:
+            rays = slice(rows.start * nt, rows.stop * nt)
+            vals[rays] = _ray_sum(src, w, quad, rules[rows.start], U[rays], V[rays])
+
+    _pool.map(fill, blocks)
     return PolarWRT(rho, theta, w, vals.reshape(rho.size, theta.size))
 
 

@@ -16,10 +16,11 @@ class QuadratureParams:
     """Composite Gauss-Legendre rule: ``panels`` equal panels with
     ``nodes`` points each, placed by the forward transforms in one of two
     ways.  A real window gets ``panels`` panels on its support [-T, T],
-    refined up to ``max_panels`` (None or ``panels``: no refinement) when
-    long v vectors sweep the source's narrowest feature through the
-    support in a tiny t-interval; per ray, the panels where the source is
-    below 1e-17 of its peak are skipped.  The analytic-signal kernel gets
+    refined up to ``max_panels`` (None or ``panels``: no refinement) when a
+    long v sweeps the source's narrowest feature through the support in a
+    tiny t-interval; each v column, and each rho of perp data, is refined
+    for its own |v|.  Per ray, the panels where the source is below 1e-17
+    of its peak are skipped.  The analytic-signal kernel gets
     max(``panels``, 64) panels on each ray's clip interval (where the
     source is above that level), cut at t = 0 below its pole; they resolve
     the pole only for |v| >= 1e-2 (off by 0.9 % at |v| = 1e-3, 99 % at 1e-6).

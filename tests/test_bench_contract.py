@@ -11,6 +11,7 @@ argument fails here instead of in a benchmark run.
 import importlib.util
 import pathlib
 import sys
+import threading
 
 import numpy as np
 
@@ -69,23 +70,39 @@ def test_pool_threads_call_no_traced_name(monkeypatch):
     monkeypatch.setenv("WRTKIT_THREADS", "2")
     interval = sys.getswitchinterval()
     tracer = _load_layers().Tracer()
+    opened_on = []  # the thread that opened each span
+    open_span = tracer._open
+    monkeypatch.setattr(tracer, "_open",
+                        lambda name: (opened_on.append(threading.get_ident()), open_span(name)))
+    spec = wrtkit.gaussian_phantom((0.2, -0.1), 0.8)
+    field = wrtkit.sample_phantom(spec, wrtkit.make_grid(2, 32, 10.0))
     restore = tracer.install()
     try:
         sys.setswitchinterval(1e-6)
         tracer.enabled = True
-        spec = wrtkit.gaussian_phantom((0.2, -0.1), 0.8)
         w = wrtkit.gaussian_window(1.0)
         grid = wrtkit.make_grid(2, 96, 24.0)
         vset = wrtkit.polar_vset(wrtkit.uniform_circle(16)[0], np.geomspace(0.1, 4.0, 8))
         data = wrtkit.analytic_wrt_data(spec, w, grid, vset)
         wrtkit.reconstruct_t1(data, w, grid, BPParams(r_min=0.1, r_max=4.0))
+        # the quadrature forward: rows of wrt_columns, blocks of wrt_polar_perp
+        small = wrtkit.make_grid(2, 16, 12.0)
+        few = wrtkit.polar_vset(wrtkit.uniform_circle(4)[0], np.array([0.5, 2.0]))
+        for f, h in ((spec, w), (field, w), (spec, wrtkit.analytic_signal_window())):
+            wrtkit.windowed_ray_transform(f, h, small, few, QuadratureParams(panels=8))
+        wrtkit.wrt_polar_perp(spec, w, np.geomspace(0.05, 4.0, 48),
+                              2.0 * np.pi * np.arange(64) / 64, QuadratureParams(panels=16))
     finally:
         sys.setswitchinterval(interval)
         tracer.enabled = False
         restore()
     spans = tracer.spans
-    # neither route calls a traced name, on the caller or on a pool thread
-    assert [s[0] for s in spans] == ["forward.analytic_wrt_data", "invert_bp.reconstruct_t1"]
+    # neither route calls a traced name on a pool thread: every span was
+    # opened on the caller, and only the forward's node rules call window_eval
+    assert set(opened_on) == {threading.get_ident()} and len(opened_on) == len(spans)
+    assert [s[0] for s in spans if s[0] != "windows.window_eval"] == [
+        "forward.analytic_wrt_data", "invert_bp.reconstruct_t1",
+        *["forward.windowed_ray_transform"] * 3, "forward.wrt_polar_perp"]
     assert not any(parent is not None and spans[parent][0] == name
                    for name, _, _, parent, _ in spans)
     assert tracer._stack == []

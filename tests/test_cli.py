@@ -197,14 +197,17 @@ def test_bad_thread_count_exit_1(tmp_path, monkeypatch, capsys, env, argv):
 
 @pytest.mark.parametrize("env, argv", [("", ["--threads", "1"]), ("1", [])])
 def test_one_thread_starts_no_worker(tmp_path, monkeypatch, env, argv):
-    # the oracle forward and t1 are the pooled routes; with one thread the
-    # pool's executor is never asked for
+    # the oracle and quadrature forwards, the perp forward and t1 are the
+    # pooled routes; with one thread the pool's executor is never asked for
     monkeypatch.setenv("WRTKIT_THREADS", env)
     monkeypatch.setattr(_pool, "_pool", None)  # calling it would raise TypeError
     data = str(tmp_path / "data")
     assert main(["forward", "--phantom", _phantom_file(tmp_path), "--window", "gaussian:1.0",
                  "--ndirs", "8", "--nr", "6", "--shape", "32", "--out", data, "--oracle",
                  *argv]) == 0
+    assert main(["forward", "--phantom", _phantom_file(tmp_path), "--window", "gaussian:1.0",
+                 "--vmode", "perp", "--nrho", "48", "--ntheta", "64", "--rho-max", "4",
+                 "--quad-panels", "16", "--out", str(tmp_path / "perp"), *argv]) == 0
     assert main(["invert", "--method", "t1", "--in", data, "--rmin", "0.05", "--rmax", "4",
                  "--shape", "32", "--out", str(tmp_path / "rec"), *argv]) == 0
 
@@ -221,7 +224,8 @@ def test_threads_flag_sets_the_pool_for_one_command(tmp_path, monkeypatch):
     assert main(["forward", "--phantom", _phantom_file(tmp_path), "--window", "gaussian:1.0",
                  "--ndirs", "8", "--nr", "6", "--shape", "32", "--out", str(tmp_path / "d"),
                  "--oracle", "--threads", "3"]) == 0
-    assert seen == [3] and _pool.limit is None and _pool.workers() == 1
+    # two pooled routes: the closed form, then the quadrature
+    assert seen == [3, 3] and _pool.limit is None and _pool.workers() == 1
 
 
 @pytest.mark.parametrize("window", ["gaussian:nan", "hermite1:inf", "bump:inf", "bump:-1"])

@@ -22,18 +22,18 @@ from wrtkit import (
     smoothed_disk_phantom,
     uniform_circle,
     v1_line_vset,
-    window_eval,
     windowed_ray_transform,
     wrt_columns,
     wrt_polar_perp,
 )
 from wrtkit import _pool
-from wrtkit.forward import PolarWRT, VSet, WRTData, _ray_source, _time_nodes
+from wrtkit.forward import PolarWRT, VSet, WRTData, _panel_count, _ray_source, _time_nodes
 from wrtkit.invert_bp import reconstruct_t1
 from wrtkit.invert_fourier import extract_polar_spectrum, reconstruct_t2
 from wrtkit.invert_mellin import circular_decompose, reconstruct_mellin
 from wrtkit.invert_slice import SliceParams, slice_extract, symmetric_offset_grid
 from wrtkit.quad import QuadratureParams, trapezoid_weights
+from wrtkit.windows import window_support_radius
 
 
 def test_vset_rejects_zero_vector():
@@ -356,14 +356,19 @@ def _dense_source(f, u, v, t):
     return vals.reshape(u.shape[0], t.size)
 
 
+def _dense_rule(f, w, quad, v_norm):
+    """The unclipped rule (t, h w) of a real window for a ray of length |v|:
+    every node of _time_nodes."""
+    T = window_support_radius(w, tol=1e-14)
+    return _time_nodes(w, quad, T, _panel_count(quad, T, v_norm, _ray_source(f)[2]))
+
+
 def _dense_wrt(f, w, U, vectors, quad):
     """The unclipped rule of a real window: every node of _time_nodes."""
-    feature = _ray_source(f)[2]
     out = np.zeros((U.shape[0], len(vectors)))
     for j, v in enumerate(vectors):
-        t, wt = _time_nodes(w, quad, float(np.linalg.norm(v)), feature)
-        h = window_eval(w, t)
-        out[:, j] = _dense_source(f, U, np.broadcast_to(v, U.shape), t) @ (h * wt)
+        t, hw = _dense_rule(f, w, quad, float(np.linalg.norm(v)))
+        out[:, j] = _dense_source(f, U, np.broadcast_to(v, U.shape), t) @ hw
     return out
 
 
@@ -442,19 +447,55 @@ def test_clipped_forward_field_touching_grid_edge():
                   rtol=1e-8)
 
 
+_TWO_BUMP = gaussian_mixture_phantom([((1.4, 0.0), 0.23, 1.0), ((-1.4, 0.0), 0.23, 1.0)])
+
+
 def test_clipped_perp_matches_dense_rule():
-    spec = gaussian_mixture_phantom([((1.4, 0.0), 0.23, 1.0), ((-1.4, 0.0), 0.23, 1.0)])
-    w = bump_window(2.0)
-    rho = np.geomspace(1e-10, 4.0, 256)
     theta = 2.0 * np.pi * np.arange(32) / 32
-    quad = QuadratureParams(panels=16)
-    got = wrt_polar_perp(spec, w, rho, theta, quad).values.ravel()
-    # the dense rule, with the per-chunk nodes of wrt_polar_perp (one chunk here)
-    ct, st = np.cos(theta), np.sin(theta)
-    U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
-    V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
-    t, wt = _time_nodes(w, quad, float(np.max(np.linalg.norm(V, axis=1))), _ray_source(spec)[2])
-    _assert_close(got, _dense_source(spec, U, V, t) @ (window_eval(w, t) * wt))
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    field = sample_phantom(gaussian_phantom((0.4, -0.2), 0.7), make_grid(2, 64, 20.0))
+    for f, w, rho, quad in [
+        # no rho refines: one rule for every ray
+        (_TWO_BUMP, bump_window(2.0), np.geomspace(1e-10, 4.0, 256), QuadratureParams(panels=16)),
+        # the grid spacing 0.3125 refines rho > 1.25, up to 52 panels
+        (field, gaussian_window(1.0), np.geomspace(1e-3, 8.0, 96), QuadratureParams(panels=8)),
+    ]:
+        got = wrt_polar_perp(f, w, rho, theta, quad).values
+        # the dense rule of each rho, with that rho's own nodes
+        want = np.zeros_like(got)
+        for i, r in enumerate(rho):
+            t, hw = _dense_rule(f, w, quad, r)
+            want[i] = _dense_source(f, r * e, r * e[:, ::-1] * [-1.0, 1.0], t) @ hw
+        _assert_close(got, want)
+
+
+_GAUSS = gaussian_phantom((0.4, -0.2), 0.7)
+
+
+def _columns(f, w):  # 576 base points, split in two shares of rows
+    return wrt_columns(f, w, make_grid(2, 24, 12.0).points(), _VSET.vectors[::3],
+                       QuadratureParams(panels=8))
+
+
+def _perp(f, w):  # more than 2^19 nominal ray nodes: at least two blocks of rho rows
+    return wrt_polar_perp(f, w, np.geomspace(0.05, 4.0, 48), 2.0 * np.pi * np.arange(64) / 64,
+                          QuadratureParams(panels=16)).values
+
+
+@pytest.mark.parametrize("route", [_columns, _perp], ids=["columns", "perp"])
+@pytest.mark.parametrize("f, w", [
+    (_GAUSS, gaussian_window(1.0)),
+    (smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3), gaussian_window(1.0)),
+    (sample_phantom(_GAUSS, make_grid(2, 32, 10.0)), hermite1_window(0.8)),
+    (_GAUSS, analytic_signal_window()),
+], ids=["gaussian", "disk", "field", "analytic-signal"])
+def test_quadrature_forward_does_not_depend_on_the_worker_count(monkeypatch, route, f, w):
+    monkeypatch.setenv("WRTKIT_THREADS", "1")
+    one = route(f, w)
+    monkeypatch.setenv("WRTKIT_THREADS", "2")
+    two = route(f, w)
+    assert np.array_equal(route(f, w), two)
+    _assert_close(two, one, rtol=1e-13)
 
 
 def test_ray_missing_the_source_is_exactly_zero():
