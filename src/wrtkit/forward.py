@@ -8,6 +8,8 @@ polar configuration g(rho, theta) = P_h f(rho e(theta), rho e(theta)^perp).
 from __future__ import annotations
 
 import functools
+import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +17,18 @@ from scipy import ndimage
 
 from . import _pool
 from .errors import NumericalError, ValidationError
-from .fields import Grid, PhantomSpec, ScalarField, _evaluate_along_rays, continuous_ft
+from .fields import (
+    _EPS,
+    _TAIL,
+    Grid,
+    PhantomSpec,
+    ScalarField,
+    _boundary_max,
+    _disk_clip_radius,
+    _DiskProfile,
+    _evaluate_along_rays,
+    continuous_ft,
+)
 from .quad import QuadratureParams, gauss_legendre_panels
 from .windows import (
     WindowSpec,
@@ -204,27 +217,41 @@ def _node_rules(w, quad, norms, feature):
     return [rules[p] for p in counts]
 
 
-_EPS = 1e-17  # sources are treated as zero below this share of their peak
+_Source = namedtuple("_Source", "values interval feature factored")  # see _ray_source
 
 
 def _ray_source(f):
-    """(values, interval, feature) of a phantom or a sampled field: values(U,
-    V, t) is f(u_m + t_q v_m) as (M, Q), interval(U, V) the per-ray [lo, hi]
-    in t outside which |f| <= _EPS times the peak (lo > hi: the ray misses),
-    feature the narrowest length scale (smallest sigma or smoothing of a
-    phantom, smallest grid spacing of a field)."""
+    """The _Source of a phantom or a sampled field, built once per call on
+    the caller (a smoothed disk's profile table among it):
+
+    - values(U, V, t): f(u_m + t_q v_m) as (M, Q);
+    - interval(U, V): the per-ray [lo, hi] in t outside which |f| <= _EPS
+      times the peak (lo > hi: the ray misses);
+    - feature: the narrowest length scale (smallest sigma or smoothing of a
+      phantom, smallest grid spacing of a field);
+    - factored(axes, v, t, hw): sum_q hw_q f(u + t_q v) over every u of the
+      grid with these axes, raveled in C order, summed from per-axis factor
+      matrices over the nodes where the shifted grid meets the source's box
+      (the interval's box or ball) on every axis; None for the smoothed disk,
+      which does not factor per axis.
+    """
     if isinstance(f, PhantomSpec):
-        tail = np.sqrt(2.0 * np.log(1.0 / _EPS))
         disk = f.kind == "smoothed-disk"
-        balls = [(np.asarray(c["center"]), c["radius"] + c["smoothing"] * (tail + 1.0)
-                  if disk else c["sigma"] * tail) for c in f.components]
+        balls = [(np.asarray(c["center"]), _disk_clip_radius(c) if disk else c["sigma"] * _TAIL)
+                 for c in f.components]
         feature = min(c["smoothing"] if disk else c["sigma"] for c in f.components)
 
         def interval(U, V):  # hull of the component balls
             lo, hi = zip(*(_ball_interval(U - c, V, r) for c, r in balls))
             return np.min(lo, axis=0), np.max(hi, axis=0)
 
-        return functools.partial(_evaluate_along_rays, f), interval, feature
+        if disk:
+            values = functools.partial(_evaluate_along_rays, f,
+                                       profiles=[_DiskProfile(c) for c in f.components])
+            return _Source(values, interval, feature, None)
+        comps = [(c, s["sigma"], s["amplitude"], r) for (c, r), s in zip(balls, f.components)]
+        return _Source(functools.partial(_evaluate_along_rays, f), interval, feature,
+                       functools.partial(_gaussian_column, comps))
     if not isinstance(f, ScalarField):
         raise ValidationError("source must be a PhantomSpec or ScalarField")
     g = f.grid
@@ -234,8 +261,9 @@ def _ray_source(f):
     # sample range [0, N - 1] mode "constant" reads 0, so the box ends there
     # and a field that does not vanish at the edge jumps at the interval end
     big = np.nonzero(np.abs(coef) >= _EPS * np.max(np.abs(coef)))
-    box = g.index_to_coord(np.array([np.clip([ix.min() - 2, ix.max() + 2], 0, N - 1)
-                                     for ix, N in zip(big, g.shape)]).T)
+    ibox = np.array([np.clip([ix.min() - 2, ix.max() + 2], 0, N - 1)
+                     for ix, N in zip(big, g.shape)]).T
+    box = g.index_to_coord(ibox)
     mid, half = 0.5 * (box[0] + box[1]), 0.5 * (box[1] - box[0])
 
     def values(U, V, t):
@@ -254,7 +282,12 @@ def _ray_source(f):
                        for i in range(g.n)))
         return np.max(lo, axis=0), np.min(hi, axis=0)
 
-    return values, interval, float(min(g.spacing))
+    # inside the sample range, map_coordinates(order=3, mode="constant") is
+    # sum_k c[k] prod_i B3(x_i - k_i) with the coefficients c mirrored at the
+    # edges; the box's stencils need c on [lo - 1, hi + 2] of each axis
+    mirrored = np.pad(coef, 2, mode="reflect")[tuple(slice(a + 1, b + 5) for a, b in ibox.T)]
+    return _Source(values, interval, float(min(g.spacing)),
+                   functools.partial(_spline_column, mirrored, ibox, g))
 
 
 def _ball_interval(du, V, rad):
@@ -278,10 +311,9 @@ def _ray_sum(src, w, quad, rule, U, V):
     keep the same panel range form one dense block.  Runs on pool threads, so
     it calls no name perfbench's layer tracer wraps.
     """
-    values, interval, _ = src
-    lo, hi = interval(U, V)
+    lo, hi = src.interval(U, V)
     if not w.is_real:
-        return _analytic_sum(values, w, rule, U, V, lo, hi)
+        return _analytic_sum(src.values, w, rule, U, V, lo, hi)
     k = quad.nodes
     t, hw = rule
     npan = t.size // k
@@ -293,7 +325,7 @@ def _ray_sum(src, w, quad, rule, U, V):
     for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         a, z = divmod(int(key[rows[0]]), npan + 1)
         if z > a:
-            out[rows] = values(U[rows], V[rows], t[a * k:z * k]) @ hw[a * k:z * k]
+            out[rows] = src.values(U[rows], V[rows], t[a * k:z * k]) @ hw[a * k:z * k]
     return out
 
 
@@ -329,20 +361,95 @@ def _analytic_sum(values, w, rule, U, V, lo, hi):
     return out
 
 
-def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
-    """P_h f(u_m, v_j), (M, Nv), for base points U (M, n) crossed with
-    vectors (Nv, n); the quadrature of :func:`windowed_ray_transform`.
+def _gaussian_column(comps, axes, v, t, hw):
+    """factored() of gaussian components (centre, sigma, amplitude, clip
+    radius): a component at the nodes where the shifted grid meets its clip
+    box is sum_q amp hw_q prod_i G_i[m_i, q] with the per-axis factors
+    G_i[m, q] = exp(-(u_i[m] - c_i + t_q v_i)^2 / 2 sigma^2), summed by GEMMs
+    over runs of nodes small enough (m n k <= 2^19) that OpenBLAS runs each on
+    one thread, so the pool workers do not contend for its threads."""
+    out = np.zeros((int(np.prod([x.size for x in axes[:-1]])), axes[-1].size))
+    for c, s, amp, r in comps:
+        d = [x[:, None] - ci + t * vi for x, ci, vi in zip(axes, c, v)]
+        live = np.logical_and.reduce([np.any(np.abs(di) <= r, axis=0) for di in d])
+        if not live.any():
+            continue
+        *first, last = (np.exp(-0.5 * (di[:, live] / s) ** 2) for di in d)
+        head = amp * hw[live]  # times the Khatri-Rao product of all factors but the last
+        for g in first:
+            head = (head[..., None, :] * g).reshape(-1, g.shape[1])
+        step = max(1, 2**19 // out.size)
+        for j in range(0, last.shape[1], step):
+            out += head[..., j:j + step] @ last[:, j:j + step].T
+    return out.ravel()
 
-    Each pool worker runs every column on one contiguous share of the base
-    points, so a worker's temporaries are its share of the serial ones; the
-    values repeat bit for bit at a given worker count."""
-    U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
+
+def _spline_column(coef, ibox, g, axes, v, t, hw):
+    """factored() of a sampled field on grid g: coef holds the mirrored spline
+    coefficients of the index box ibox (lo, hi per axis), and each node q
+    gives per-axis matrices B_i,q of cubic B-spline weights, 4 a row, zero
+    where the sample index is outside the box.  The column is
+    sum_q hw_q coef x_0 B_0,q ... x_n-1 B_n-1,q, contracted one axis at a time
+    as a batch of per-node GEMMs, each cut to m n k <= 2^19 so that OpenBLAS
+    runs it on one thread and the pool workers do not contend for its
+    threads, in blocks of nodes whose temporaries stay near 4 MB."""
+    x = [(xa[:, None] + t * vi - o) / d for xa, vi, o, d in zip(axes, v, g.origin, g.spacing)]
+    inside = [(xi >= lo) & (xi <= hi) for xi, lo, hi in zip(x, *ibox)]
+    live = np.flatnonzero(np.logical_and.reduce([i.any(axis=0) for i in inside]))
+    M, K = [xa.size for xa in axes], coef.shape
+    out = np.zeros(M)
+    per_node = sum(m * k for m, k in zip(M, K)) + 2 * int(np.prod(np.maximum(M, K)))
+    step = max(1, 2**19 // per_node)
+    for j in range(0, live.size, step):
+        q = live[j:j + step]
+        T, rows = coef[None], []  # T: (nodes, k_i ... k_n-1, m_0 ... m_i-1) before axis i
+        for i, (xi, ins) in enumerate(zip(x, inside)):
+            hit = np.flatnonzero(ins[:, q].any(axis=1))  # the rows some node of the block meets
+            rows.append(slice(hit[0], hit[-1] + 1))
+            Bi = _spline_weights(xi[rows[i], q].T, ins[rows[i], q].T, ibox[0][i], K[i])
+            if i == 0:
+                Bi *= hw[q, None, None]
+            A = T.reshape(T.shape[0], K[i], -1).transpose(0, 2, 1)
+            T = np.empty((q.size, A.shape[1], Bi.shape[1]))
+            c = max(1, 2**19 // (K[i] * Bi.shape[1]))  # rows of A per per-node GEMM
+            for r in range(0, A.shape[1], c):
+                np.matmul(A[:, r:r + c], Bi.transpose(0, 2, 1), out=T[:, r:r + c])
+        part = out[tuple(rows)]
+        part += T.sum(axis=0).reshape(part.shape)
+    return out.ravel()
+
+
+def _spline_weights(x, inside, lo, k):
+    """(Q, M, k) cubic B-spline weights of sample indices x (Q, M) on the
+    coefficients lo - 1, ..., lo + k - 2; entries where ``inside`` is false are 0."""
+    j = np.floor(x.ravel())
+    s = x.ravel() - j
+    r = 1.0 - s
+    ends = inside.ravel() / 6.0
+    first = np.clip(j - lo, 0, k - 4).astype(np.intp)
+    first += k * np.arange(first.size)
+    B = np.zeros(x.shape + (k,))
+    flat = B.reshape(-1)
+    flat[first] = r**3 * ends
+    flat[first + 1] = ((3.0 * s - 6.0) * s * s + 4.0) * ends
+    flat[first + 2] = ((3.0 * r - 6.0) * r * r + 4.0) * ends
+    flat[first + 3] = s**3 * ends
+    return B
+
+
+def _grid_source(f, n, vectors):
+    """_ray_source(f) for base points of dimension n crossed with ``vectors``."""
     src = _ray_source(f)  # rejects anything but a phantom or a sampled field
-    if (f.grid if isinstance(f, ScalarField) else f).n != U.shape[1]:
+    if (f.grid if isinstance(f, ScalarField) else f).n != n:
         raise ValidationError("source/grid dimension mismatch")
-    if vectors.shape[1] != U.shape[1]:
+    if vectors.shape[1] != n:
         raise ValidationError("vset/grid dimension mismatch")
-    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src[2])
+    return src
+
+
+def _columns(src, w, U, vectors, quad):
+    """wrt_columns on a checked source."""
+    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src.feature)
     out = np.zeros((U.shape[0], vectors.shape[0]), dtype=float if w.is_real else complex)
 
     def fill(share):  # a range of base points
@@ -355,10 +462,66 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     return out
 
 
+def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
+    """P_h f(u_m, v_j), (M, Nv), for base points U (M, n) crossed with
+    vectors (Nv, n), ray by ray: the rule of :func:`windowed_ray_transform`
+    with the panels outside each ray's clip interval skipped.
+
+    Each pool worker runs every column on one contiguous share of the base
+    points, so a worker's temporaries are its share of the serial ones; the
+    values repeat bit for bit at a given worker count."""
+    U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
+    src = _grid_source(f, U.shape[1], vectors)
+    _warn_cut_field(f, w)
+    return _columns(src, w, U, vectors, quad)
+
+
+def _warn_cut_field(f, w):
+    """Warn when a real window meets a sampled field that does not vanish at
+    its grid edge: the field jumps to 0 there, inside a panel, and the rule
+    loses its accuracy (7e-3 of max at the default rule, measured)."""
+    if w.is_real and isinstance(f, ScalarField):
+        edge = _boundary_max(f.values)
+        if edge > 1e-6 * np.max(np.abs(f.values)):
+            warnings.warn(f"field does not decay at the grid boundary (edge max {edge:.2e}); "
+                          "the forward quadrature degrades across the jump to 0 there",
+                          stacklevel=3)
+
+
 def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
     """P_h f on u_grid x vset by composite Gauss-Legendre quadrature in t,
-    with the node rules of :class:`~wrtkit.quad.QuadratureParams`."""
-    return WRTData(u_grid, vset, w, wrt_columns(f, w, u_grid.points(), vset.vectors, quad))
+    with the node rules of :class:`~wrtkit.quad.QuadratureParams`.
+
+    A real window with a gaussian (or gaussian-mixture) phantom or a sampled
+    field takes the factored route: every ray of a v column shares the nodes,
+    and the source factors per axis, so each column is a sum of per-axis
+    factor matrix products over the nodes where the shifted grid meets the
+    source's box; pool workers take contiguous ranges of the columns.  It
+    does not clip per ray, so a ray that misses the source gets its tiny true
+    value, not 0.  Anything else (the smoothed disk, the analytic-signal
+    kernel) runs :func:`wrt_columns` ray by ray."""
+    src = _grid_source(f, u_grid.n, vset.vectors)
+    _warn_cut_field(f, w)
+    if w.is_real and src.factored is not None:
+        values = _factored_columns(src, w, u_grid, vset.vectors, quad)
+    else:
+        values = _columns(src, w, u_grid.points(), vset.vectors, quad)
+    return WRTData(u_grid, vset, w, values)
+
+
+def _factored_columns(src, w, u_grid, vectors, quad):
+    """The factored route of windowed_ray_transform: one v column per call of
+    src.factored, contiguous ranges of columns per pool worker."""
+    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src.feature)
+    axes = [u_grid.axis_coords(i) for i in range(u_grid.n)]
+    out = np.zeros((u_grid.size, vectors.shape[0]))
+
+    def fill(part):  # a range of columns
+        for j in part:
+            out[:, j] = src.factored(axes, vectors[j], *rules[j])
+
+    _pool.map(fill, range(vectors.shape[0]))
+    return out
 
 
 def _has_closed_form(f, w):
@@ -442,11 +605,12 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     src = _ray_source(f)
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:
         raise ValidationError("perpendicular polar transform is n=2 only")
+    _warn_cut_field(f, w)
     ct, st = np.cos(theta), np.sin(theta)
     # paired (rho, theta) points: u = rho e(theta), v = rho e(theta)^perp
     U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
     V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
-    rules = _node_rules(w, quad, rho, src[2])
+    rules = _node_rules(w, quad, rho, src.feature)
     nt = theta.size
     blocks, start, size = [], 0, 0  # runs of rho rows: one rule, <= 2^19 nodes unless one row
     for i, rule in enumerate(rules):

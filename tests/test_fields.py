@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from wrtkit import (
     ValidationError,
@@ -14,7 +14,7 @@ from wrtkit import (
     smoothed_disk_phantom,
 )
 from wrtkit.errors import ZeroReferenceError
-from wrtkit.fields import Grid, PhantomSpec, ScalarField
+from wrtkit.fields import Grid, PhantomSpec, ScalarField, _disk_clip_radius, _DiskProfile
 
 
 def test_grid_roundtrip():
@@ -48,14 +48,39 @@ def test_gaussian_phantom_pointwise():
 
 
 def test_evaluate_along_rays_matches_pointwise():
-    spec = gaussian_mixture_phantom([((0.0, 0.0), 1.0, 1.0), ((1.0, 0.5), 0.5, -0.3)])
     u = np.array([[0.0, 1.0], [2.0, -1.0]])
     v = np.array([[1.0, 0.0], [0.3, 0.7]])
     t = np.linspace(-2.0, 2.0, 9)
-    got = spec.evaluate_along_rays(u, v, t)
-    for i in range(2):
-        pts = u[i][None, :] + t[:, None] * v[i][None, :]
-        assert np.allclose(got[i], spec.evaluate(pts), rtol=1e-12)
+    for spec in (gaussian_mixture_phantom([((0.0, 0.0), 1.0, 1.0), ((1.0, 0.5), 0.5, -0.3)]),
+                 smoothed_disk_phantom((0.2, -0.1), 1.2, 0.3, 0.8)):
+        got = spec.evaluate_along_rays(u, v, t)
+        for i in range(2):
+            pts = u[i][None, :] + t[:, None] * v[i][None, :]
+            assert np.allclose(got[i], spec.evaluate(pts), rtol=1e-12)
+
+
+@pytest.mark.parametrize("radius, smoothing, amplitude", [
+    (1.5, 0.3, 1.0), (1.0, 0.05, -0.7), (0.2, 1.0, 2.5)])
+def test_smoothed_disk_table_matches_the_ncx2_cdf(radius, smoothing, amplitude):
+    c = smoothed_disk_phantom((0.0, 0.0), radius, smoothing, amplitude).components[0]
+    profile = _DiskProfile(c)
+    end = _disk_clip_radius(c)
+    r = np.concatenate([np.linspace(0.0, end, 50_001), [0.0, radius, profile.start, end]])
+    want = amplitude * stats.ncx2.cdf((radius / smoothing) ** 2, 2, (r / smoothing) ** 2)
+    assert np.max(np.abs(profile(r * r) - want)) <= 1e-13 * abs(amplitude)
+    beyond = end * np.array([1.0 + 1e-12, 1.01, 2.0, 1e3])
+    assert np.all(profile(beyond**2) == 0.0)
+    # r^2 = a + 2 b t + |v|^2 t^2 rounds below 0 on rays through the centre
+    assert profile(np.array([-1e-17])) == profile(np.array([0.0]))
+
+
+def test_smoothed_disk_on_rays_through_its_centre():
+    disk = smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3)
+    rng = np.random.default_rng(0)
+    v = 3.0 * rng.normal(size=(500, 2))
+    t = rng.uniform(-2.0, 2.0, 500)
+    got = np.diag(disk.evaluate_along_rays(np.array([0.3, 0.1]) - t[:, None] * v, v, t))
+    assert np.allclose(got, disk.evaluate(np.array([0.3, 0.1])), rtol=1e-12)
 
 
 def test_smoothed_disk_profile():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage, special
@@ -26,7 +28,7 @@ from wrtkit import (
     wrt_columns,
     wrt_polar_perp,
 )
-from wrtkit import _pool
+from wrtkit import _pool, forward
 from wrtkit.forward import PolarWRT, VSet, WRTData, _panel_count, _ray_source, _time_nodes
 from wrtkit.invert_bp import reconstruct_t1
 from wrtkit.invert_fourier import extract_polar_spectrum, reconstruct_t2
@@ -482,7 +484,12 @@ def _perp(f, w):  # more than 2^19 nominal ray nodes: at least two blocks of rho
                           QuadratureParams(panels=16)).values
 
 
-@pytest.mark.parametrize("route", [_columns, _perp], ids=["columns", "perp"])
+def _grid(f, w):  # the factored route, columns shared out, where it applies; else wrt_columns
+    vset = VSet("full-grid", _VSET.vectors[::3])
+    return windowed_ray_transform(f, w, make_grid(2, 24, 12.0), vset, QuadratureParams(panels=8)).values
+
+
+@pytest.mark.parametrize("route", [_columns, _perp, _grid], ids=["columns", "perp", "grid"])
 @pytest.mark.parametrize("f, w", [
     (_GAUSS, gaussian_window(1.0)),
     (smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3), gaussian_window(1.0)),
@@ -496,6 +503,66 @@ def test_quadrature_forward_does_not_depend_on_the_worker_count(monkeypatch, rou
     two = route(f, w)
     assert np.array_equal(route(f, w), two)
     _assert_close(two, one, rtol=1e-13)
+
+
+_FIELD = sample_phantom(_GAUSS, make_grid(2, 32, 10.0))
+_EDGE_FIELD = sample_phantom(gaussian_phantom((4.2, 0.5), 0.6), make_grid(2, 32, 10.0))
+_MIXTURE_3D = gaussian_mixture_phantom([((0.3, -0.1, 0.2), 0.9, 1.0), ((-0.7, 0.5, -0.4), 0.6, 0.4)])
+_VSET_3D = VSet("full-grid", [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [-0.3, 1.2, 0.4],
+                              [2.0, -1.0, 0.7], [0.05, 0.02, -0.1]])
+
+
+@pytest.mark.filterwarnings("ignore:field does not decay")  # the edge-touching field
+@pytest.mark.parametrize("f, w, grid, vset", [
+    *[(f, w, make_grid(2, 20, 16.0), _VSET)
+      for f in (_GAUSS, _FAR_MIXTURE)
+      for w in (gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0))],
+    (_FIELD, gaussian_window(1.0), _FIELD.grid, _VSET),
+    (_FIELD, hermite1_window(0.8), make_grid(2, (20, 17), (14.0, 11.0), center=(0.3, -0.45)), _VSET),
+    (_EDGE_FIELD, gaussian_window(1.0), make_grid(2, 20, 14.0), _VSET),
+    (_MIXTURE_3D, gaussian_window(1.1), make_grid(3, 8, 6.0), _VSET_3D),
+    (sample_phantom(_MIXTURE_3D, make_grid(3, 12, 8.0)), bump_window(2.0),
+     make_grid(3, (8, 7, 6), (6.0, 5.0, 7.0)), _VSET_3D),
+], ids=["gaussian-gaussian", "gaussian-hermite1", "gaussian-bump", "mixture-gaussian",
+        "mixture-hermite1", "mixture-bump", "field-own-grid", "field-other-grid", "field-edge",
+        "gaussian-3d", "field-3d"])
+def test_factored_forward_matches_ray_by_ray(f, w, grid, vset):
+    quad = QuadratureParams(panels=8)
+    got = windowed_ray_transform(f, w, grid, vset, quad).values
+    _assert_close(got, wrt_columns(f, w, grid.points(), vset.vectors, quad))
+
+
+def test_only_the_disk_and_the_complex_kernel_go_ray_by_ray(monkeypatch):
+    def ray_by_ray(*args):
+        raise RuntimeError("ray by ray")
+
+    monkeypatch.setattr(forward, "_ray_sum", ray_by_ray)
+    grid, quad = make_grid(2, 12, 10.0), QuadratureParams(panels=8)
+    for f in (_GAUSS, _FAR_MIXTURE, _FIELD):
+        for w in (gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0)):
+            assert np.all(np.isfinite(windowed_ray_transform(f, w, grid, _VSET, quad).values))
+    for f, w in ((smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3), gaussian_window(1.0)),
+                 (_GAUSS, analytic_signal_window()), (_FIELD, analytic_signal_window())):
+        with pytest.raises(RuntimeError, match="ray by ray"):
+            windowed_ray_transform(f, w, grid, _VSET, quad)
+
+
+def test_field_cut_at_its_edge_warns_once():
+    grid, quad = make_grid(2, 12, 14.0), QuadratureParams(panels=8)
+    with pytest.warns(UserWarning, match="does not decay at the grid boundary") as record:
+        windowed_ray_transform(_EDGE_FIELD, gaussian_window(1.0), grid, _VSET, quad)
+    assert len(record) == 1
+    # fields that decay: the benchmark's (centre shifted by up to 2 cells) and
+    # the pool-thread test's; and the complex kernel, whose clip interval ends
+    # at the jump
+    decaying = [sample_phantom(gaussian_phantom((0.4 + 0.625, -0.2 - 0.625), 0.7),
+                               make_grid(2, 64, 20.0)),
+                sample_phantom(gaussian_phantom((0.2, -0.1), 0.8), make_grid(2, 32, 10.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in decaying:
+            windowed_ray_transform(f, gaussian_window(1.0), grid, _VSET, quad)
+        windowed_ray_transform(_EDGE_FIELD, analytic_signal_window(), grid, _VSET, quad)
 
 
 def test_ray_missing_the_source_is_exactly_zero():
