@@ -108,6 +108,15 @@ def _out_grid(args, n=2):
     return make_grid(n, args.shape, args.extent, _parse_center(args.center, n))
 
 
+def _write(writer, path, value):
+    """writer(path, value); an OSError (a path under a regular file, a missing
+    or read-only directory, a full disk) becomes one error line naming the path."""
+    try:
+        writer(path, value)
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _report(args, payload, text_lines):
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -124,7 +133,7 @@ def cmd_phantom(args):
     spec = _load_phantom(args.spec)
     grid = _out_grid(args, spec.n)
     field = sample_phantom(spec, grid)
-    wio.write_gf1(args.out, field)
+    _write(wio.write_gf1, args.out, field)
     _report(
         args,
         {"out": args.out, "shape": list(grid.shape), "spacing": list(grid.spacing)},
@@ -153,7 +162,7 @@ def cmd_forward(args):
         rho = np.geomspace(args.rho_min, args.rho_max, args.nrho)
         theta = 2.0 * np.pi * np.arange(args.ntheta) / args.ntheta
         data = wrt_polar_perp(src, w, rho, theta, quad)
-        wio.write_wrt1(args.out, data)
+        _write(wio.write_wrt1, args.out, data)
         _report(args, {"out": args.out, "shape": list(data.values.shape)},
                 [f"wrote {args.out}: perp data {data.values.shape}"])
         return EXIT_OK
@@ -173,7 +182,7 @@ def cmd_forward(args):
     # the closed form first: a source or window it does not cover writes nothing
     want = analytic_wrt_data(src, w, grid, vset).values if args.oracle else None
     data = windowed_ray_transform(src, w, grid, vset, quad)
-    wio.write_wrt1(args.out, data)
+    _write(wio.write_wrt1, args.out, data)
     lines = [f"wrote {args.out}: {data.values.shape[0]}x{data.values.shape[1]} values"]
     payload = {"out": args.out, "shape": list(data.values.shape)}
     if args.oracle:
@@ -202,7 +211,7 @@ def cmd_invert(args):
         sigma = np.linspace(0.0, min(args.sigma_max, 0.95 * data.u_grid.nyquist), args.nsigma)
         samples = extract_polar_spectrum(data, sigma)
         if args.dump_pss:
-            wio.write_pss1(args.dump_pss, samples)
+            _write(wio.write_pss1, args.dump_pss, samples)
         rec = reconstruct_t2(samples, w, grid, constant_mode=args.constant_mode,
                              alpha=args.alpha)
         extra = [f"constant mode: {args.constant_mode}"]
@@ -216,7 +225,7 @@ def cmd_invert(args):
         params = MellinParams(t=args.mellin_t, T=args.mellin_T, lam=args.reg_lambda)
         rec = reconstruct_mellin(data, w, args.lmax, grid, params)
         extra = [f"L = {args.lmax}, t = {args.mellin_t}, T = {args.mellin_T}"]
-    wio.write_gf1(args.out, rec)
+    _write(wio.write_gf1, args.out, rec)
     _report(args, {"out": args.out, "method": args.method},
             [f"wrote {args.out} ({args.method})"] + extra)
     return EXIT_OK
@@ -230,7 +239,7 @@ def cmd_compare(args):
     err = rel_l2_error(a, b)
     maxabs = float(np.max(np.abs(a.values - b.values)))
     if args.pgm:
-        wio.write_pgm(args.pgm, ScalarField(a.grid, np.abs(a.values - b.values)))
+        _write(wio.write_pgm, args.pgm, ScalarField(a.grid, np.abs(a.values - b.values)))
     _report(args, {"rel_l2": err, "max_abs": maxabs},
             [f"rel-L2: {err:.6e}", f"max-abs: {maxabs:.6e}"])
     return EXIT_OK

@@ -29,7 +29,7 @@ from .fields import (
     _evaluate_along_rays,
     continuous_ft,
 )
-from .quad import QuadratureParams, gauss_legendre_panels
+from .quad import QuadratureParams, _exp_flushed, gauss_legendre_panels
 from .windows import (
     WindowSpec,
     _window_eval,
@@ -126,7 +126,10 @@ class WRTData:
     u_grid: Grid
     vset: VSet
     window: WindowSpec
-    values: np.ndarray  # (u_grid.size, len(vset)); complex iff window complex
+    # (u_grid.size, len(vset)) whatever the memory layout: C order from the
+    # quadrature and io, v-major (the transpose of a C-order (len(vset),
+    # u_grid.size) array) from analytic_wrt_data; complex iff window complex
+    values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -440,11 +443,16 @@ def _spline_weights(x, inside, lo, k):
 def _grid_source(f, n, vectors):
     """_ray_source(f) for base points of dimension n crossed with ``vectors``."""
     src = _ray_source(f)  # rejects anything but a phantom or a sampled field
-    if (f.grid if isinstance(f, ScalarField) else f).n != n:
-        raise ValidationError("source/grid dimension mismatch")
-    if vectors.shape[1] != n:
-        raise ValidationError("vset/grid dimension mismatch")
+    _check_dimensions((f.grid if isinstance(f, ScalarField) else f).n, n, vectors)
     return src
+
+
+def _check_dimensions(source_n, n, vectors):
+    """ValidationError unless the source and the vectors (last axis) have dimension n."""
+    if source_n != n:
+        raise ValidationError("source/grid dimension mismatch")
+    if vectors.shape[-1] != n:
+        raise ValidationError("vset/grid dimension mismatch")
 
 
 def _columns(src, w, U, vectors, quad):
@@ -543,18 +551,8 @@ def analytic_wrt_gaussian(f, w, u, v):
     _check_closed_form(f, w)
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
+    _check_dimensions(f.n, u.shape[-1], v)
     out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]))
-    _add_closed_form(f, w, u, v, out)
-    return out if out.size > 1 else float(out.reshape(-1)[0])
-
-
-def _check_closed_form(f, w):
-    if not _has_closed_form(f, w):
-        raise ValidationError("the closed form needs gaussian phantom(s) and a gaussian window")
-
-
-def _add_closed_form(f, w, u, v, out):
-    """out += the closed form at float arrays u and v (see analytic_wrt_gaussian)."""
     v2 = np.sum(v * v, axis=-1)
     for c in f.components:
         s, amp = c["sigma"], c["amplitude"]
@@ -565,34 +563,63 @@ def _add_closed_form(f, w, u, v, out):
         B *= B
         B /= 4.0 * alpha * s**4
         B -= 0.5 * np.sum(du * du, axis=-1) / s**2
-        np.exp(B, out=B)
+        _exp_flushed(B, out=B)
         B *= amp * np.sqrt(np.pi / alpha)
         out += B
+    return out if out.size > 1 else float(out.reshape(-1)[0])
+
+
+def _check_closed_form(f, w):
+    if not _has_closed_form(f, w):
+        raise ValidationError("the closed form needs gaussian phantom(s) and a gaussian window")
 
 
 def analytic_wrt_data(f, w, u_grid, vset):
     """WRTData filled from the closed-form gaussian/gaussian result.
 
-    Crosses every grid point with blocks of v columns.  Each pool worker
-    fills one contiguous range of the columns, so the values do not depend
-    on the worker count.  The blocks' temporaries, about 4 MB, are shared
-    by all workers.  Useful wherever exact transform data is needed without
-    quadrature cost (calibration, geometry studies); same restrictions as
-    :func:`analytic_wrt_gaussian`, checked before any column is computed.
+    Each v column is one grid-shaped slice: per component, the exponent
+    B^2 / (4 alpha s^4) - A / (2 s^2) of :func:`analytic_wrt_gaussian` takes
+    A / (2 s^2) computed once per call and B = (u - c).v built per axis, as
+    an outer sum of (x_i - c_i) v_i, so no (points x columns) temporary is
+    formed.  The values are stored v-major, as an (Nv, M) array whose
+    transpose is ``values``, so every ``values[:, j]`` is contiguous.  Each
+    pool worker fills one contiguous range of the columns, so the values do
+    not depend on the worker count.  Useful wherever exact transform data is
+    needed without quadrature cost (calibration, geometry studies); same
+    restrictions as :func:`analytic_wrt_gaussian`, checked, with the
+    dimensions, before any column is computed.
     """
     _check_closed_form(f, w)
-    U = u_grid.points()[:, None, :]
-    vals = np.zeros((U.shape[0], len(vset)))
-    parts = min(_pool.workers(), len(vset))
-    block = max(1, 2**19 // (U.shape[0] * parts))
+    _check_dimensions(f.n, u_grid.n, vset.vectors)
+    shape = u_grid.shape
+    axes = [u_grid.axis_coords(i) for i in range(u_grid.n)]
+    comps = []  # per component: the open mesh of x_i - c_i, A / (2 s^2), s, amp
+    for c in f.components:
+        s = c["sigma"]
+        d = np.ix_(*(x - ci for x, ci in zip(axes, c["center"])))
+        comps.append((d, sum(di * di for di in d) / (2.0 * s**2), s, c["amplitude"]))
+    v2s = np.sum(vset.vectors * vset.vectors, axis=-1)
+    vals = np.zeros((len(vset), u_grid.size))
 
     def fill(part):  # part: a range of columns
-        for lo in range(part.start, part.stop, block):
-            hi = min(lo + block, part.stop)
-            _add_closed_form(f, w, U, vset.vectors[lo:hi], vals[:, lo:hi])
+        e = np.empty(shape)
+        for j in part:
+            v, v2 = vset.vectors[j], v2s[j]
+            row = vals[j].reshape(shape)
+            for d, a, s, amp in comps:
+                alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * w.sigma**2)
+                np.copyto(e, d[0] * v[0])
+                for di, vi in zip(d[1:], v[1:]):
+                    e += di * vi
+                e *= e
+                e /= 4.0 * alpha * s**4
+                e -= a
+                _exp_flushed(e, out=e)
+                e *= amp * np.sqrt(np.pi / alpha)
+                row += e
 
     _pool.map(fill, range(len(vset)))
-    return WRTData(u_grid, vset, w, vals)
+    return WRTData(u_grid, vset, w, vals.T)
 
 
 def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):

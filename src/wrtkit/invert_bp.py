@@ -21,7 +21,6 @@ for n = 2 (uniform direction weights on S^1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import HypothesisError, ValidationError
 from .fields import ScalarField
 from .forward import WRTData
 from .quad import trapezoid_weights
-from .windows import _resolve_constant, _window_ft, window_constants, window_ft
+from .windows import _even_window_ft, _resolve_constant, _window_ft, window_constants, window_ft
 
 __all__ = [
     "BPParams",
@@ -110,38 +109,61 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
 def _backproject(data, cols, weights, w, pad):
     """sum_j weights_j Q_j, Q(u, v) = int P(u - v t, v) I^-1 h(-t) dt.
 
-    Slices are zero-padded by ``pad`` and real-FFT'd in blocks;
-    FT(P) |xi.v| conj(hhat(-xi.v)) is summed and inverted once.  Each pool
-    worker sums one contiguous range of the slices into its own spectrum,
-    and the spectra are added in range order, so the result repeats bit for
-    bit at a given worker count.  The blocks hold about 2 MB of spectra
-    summed over the workers: memory a thread frees stays reserved for that
-    thread, so larger blocks raise the peak memory of the process.
+    One slice at a time: each is zero-padded by ``pad`` and real-FFT'd, and
+    FT(P) |xi.v| conj(hhat(-xi.v)) is summed; the sum is inverted once.
+    The columns are polar (direction-major), so xi.theta and |xi.theta| are
+    formed once per direction and each radius only rescales them.  An even
+    window has a real hhat, so its multiplier is real and scales the real
+    and imaginary parts of the spectrum; that is exactly the complex product
+    with (m + 0i).  A slice is read contiguously from v-major data
+    (:func:`~wrtkit.forward.analytic_wrt_data`) and gathered from any other
+    layout.  Each pool worker sums one contiguous range of the slices into
+    its own spectrum, and the spectra are added in range order, so the
+    result repeats bit for bit at a given worker count.
     The Nyquist bin of an even-length axis is filtered at one sign of xi.
     """
-    u_grid = data.u_grid
+    u_grid, vset = data.u_grid, data.vset
     shape = tuple(int(N * pad) for N in u_grid.shape)
-    axes = tuple(range(1, u_grid.n + 1))
+    axes = tuple(range(u_grid.n))
     freqs = [2.0 * np.pi * np.fft.fftfreq(N, d) for N, d in zip(shape[:-1], u_grid.spacing)]
     freqs.append(2.0 * np.pi * np.fft.rfftfreq(shape[-1], u_grid.spacing[-1]))
     mesh = np.meshgrid(*freqs, indexing="ij", sparse=True)
     spectrum = tuple(f.size for f in freqs)
-    parts = min(_pool.workers(), cols.size)
-    block = max(1, 2**17 // (math.prod(spectrum) * parts))
+    even = w.parity == "even"
+    nr = vset.radii.size
 
     def filtered_sum(part):  # part: a range of cols; calls no traced name (window_ft)
         acc = np.zeros(spectrum, dtype=complex)
-        for lo in range(part.start, part.stop, block):
-            blk = cols[lo:min(lo + block, part.stop)]
-            slices = data.values[:, blk].T.reshape(blk.size, *u_grid.shape)
-            F = np.fft.rfftn(slices, s=shape, axes=axes)
-            for Fj, col, wt in zip(F, blk, weights[lo:lo + blk.size]):
-                xi_dot_v = sum(m * vi for m, vi in zip(mesh, data.vset.vectors[col]))
-                acc += Fj * (wt * np.abs(xi_dot_v) * np.conj(_window_ft(w, -xi_dot_v)))
+        F = np.empty(spectrum, dtype=complex)  # this worker's padded slice spectrum
+        head = F[tuple(slice(0, N) for N in u_grid.shape[:-1])]
+        direction = None
+        share = slice(part.start, part.stop)
+        for col, wt in zip(cols[share], weights[share]):
+            k, j = divmod(int(col), nr)
+            if k != direction:  # xi.theta, |xi.theta| of this direction
+                direction = k
+                xt = sum(m * ti for m, ti in zip(mesh, vset.directions[k]))
+                axt = np.abs(xt)
+            r = vset.radii[j]
+            # the padded real FFT: the last axis of the slice into the head,
+            # zeros beyond it, then the other axes in place
+            for i, N in enumerate(u_grid.shape[:-1]):
+                F[(slice(None),) * i + (slice(N, None),)] = 0.0
+            np.fft.rfft(data.values[:, col].reshape(u_grid.shape), shape[-1], axis=-1, out=head)
+            for i in reversed(axes[:-1]):
+                np.fft.fft(F, axis=i, out=F)
+            if even:  # hhat(-xi.v) = hhat(xi.v), real: F times (m + 0i)
+                m = _even_window_ft(w, r * xt)
+            else:
+                m = np.conj(_window_ft(w, -r * xt))
+            m *= axt
+            m *= wt * r
+            F *= m
+            acc += F
         return acc
 
     acc = sum(_pool.map(filtered_sum, range(cols.size)))
-    Q = np.fft.irfftn(acc, s=shape, axes=tuple(range(u_grid.n)))
+    Q = np.fft.irfftn(acc, s=shape, axes=axes)
     return Q[tuple(slice(0, N) for N in u_grid.shape)]
 
 

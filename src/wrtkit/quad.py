@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,32 @@ def gauss_legendre_panels(a, b, panels, nodes):
     t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     wt = (half[:, None] * w[None, :]).ravel()
     return t, wt
+
+
+# exp(x) is a normal double exactly when x >= ln of the smallest one (or it overflows)
+_LOG_TINY = math.log(np.finfo(float).tiny)  # -708.396...
+
+
+def _exp_flushed(x, out=None):
+    """np.exp(x), bit for bit, where that is a normal double, and exactly 0
+    where it is not (x < ln 2.2250738585072014e-308); NaN stays NaN.
+
+    numpy's SIMD exp takes a slow path on every lane whose result is
+    subnormal or 0, and gaussian exponents often fall there: the closed form
+    far from the centre and the gaussian and hermite1 hhat beyond the band.
+    Those lanes are masked instead (numpy 2.4 on a 2-core x86-64 box: 16
+    against 2.7 ns a value on a 128^2 closed-form slice where 58 % of the
+    results underflow).  Quadrature nodes are clipped to the source's 1e-17
+    support, so their exponents never get this low and they keep np.exp."""
+    x = np.asarray(x, dtype=float)
+    low = x < _LOG_TINY
+    if not low.any():
+        return np.exp(x, out=out)
+    if out is None:
+        out = np.empty_like(x)
+    np.exp(x, out=out, where=~low)
+    np.copyto(out, 0.0, where=low)
+    return out
 
 
 def trapezoid_weights(x):

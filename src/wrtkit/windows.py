@@ -22,7 +22,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import HypothesisError, ValidationError
-from .quad import gauss_legendre_panels
+from .quad import _exp_flushed, gauss_legendre_panels
 
 __all__ = [
     "WindowSpec",
@@ -133,26 +133,34 @@ def window_ft(w, eta):
 
 def _window_ft(w, eta):
     # window_ft under a name perfbench's layer tracer does not wrap: the
-    # tracer keeps one span stack, so code on pool threads must call this
+    # tracer keeps one span stack, so code on pool threads must call this.
+    # The gaussian factor exp(-(s eta)^2 / 2) is exactly 0 wherever it would
+    # be below the smallest normal double (|s eta| > 37.64), see _exp_flushed.
+    if w.parity == "even":
+        return np.asarray(_even_window_ft(w, eta), dtype=complex)[()]
+    eta = np.asarray(eta, dtype=float)
+    if w.kind == "hermite1":
+        s = w.sigma
+        return -1j * np.sqrt(2.0 * np.pi) * s**3 * eta * _exp_flushed(-0.5 * (s * eta) ** 2)
+    raise ValidationError("analytic-signal window has no transform in this catalog")
+
+
+def _even_window_ft(w, eta):
+    """hhat of an even window (gaussian, bump), which is real and even, as floats."""
     eta = np.asarray(eta, dtype=float)
     if w.kind == "gaussian":
         s = w.sigma
-        return (s * np.sqrt(2.0 * np.pi) * np.exp(-0.5 * (s * eta) ** 2)).astype(complex)
-    if w.kind == "hermite1":
-        s = w.sigma
-        return -1j * np.sqrt(2.0 * np.pi) * s**3 * eta * np.exp(-0.5 * (s * eta) ** 2)
-    if w.kind == "bump":
-        t, wh = _bump_ft_nodes(w.radius)
-        # even window: hhat(eta) = 2 integral_0^R h(t) cos(eta t) dt (0 for
-        # |eta| R >= 1200), in blocks of eta that keep the cosine matrix near 8 MB
-        flat, step = eta.reshape(-1), max(1, 2**20 // t.size)
-        band = np.nonzero(np.abs(flat) * w.radius < 1200.0)[0]
-        vals = np.zeros(flat.size, dtype=complex)
-        for lo in range(0, band.size, step):
-            idx = band[lo:lo + step]
-            vals[idx] = 2.0 * np.cos(np.multiply.outer(flat[idx], t)) @ wh
-        return vals.reshape(eta.shape)[()]
-    raise ValidationError("analytic-signal window has no transform in this catalog")
+        return s * np.sqrt(2.0 * np.pi) * _exp_flushed(-0.5 * (s * eta) ** 2)
+    t, wh = _bump_ft_nodes(w.radius)
+    # hhat(eta) = 2 integral_0^R h(t) cos(eta t) dt (0 for |eta| R >= 1200),
+    # in blocks of eta that keep the cosine matrix near 8 MB
+    flat, step = eta.reshape(-1), max(1, 2**20 // t.size)
+    band = np.nonzero(np.abs(flat) * w.radius < 1200.0)[0]
+    vals = np.zeros(flat.size)
+    for lo in range(0, band.size, step):
+        idx = band[lo:lo + step]
+        vals[idx] = 2.0 * np.cos(np.multiply.outer(flat[idx], t)) @ wh
+    return vals.reshape(eta.shape)[()]
 
 
 def window_support_radius(w, tol=1e-14):

@@ -303,6 +303,72 @@ def test_forward_argv_property(vmode, counts, values):
             assert min(wio.read_wrt1(out).values.shape) > 0
 
 
+def _targets(tmp):
+    """Output paths of three kinds: in a good directory, under a regular file,
+    and in a directory that does not exist."""
+    blocker = os.path.join(tmp, "file")
+    if not os.path.exists(blocker):
+        open(blocker, "w").close()
+    return {"good": lambda name: os.path.join(tmp, name),
+            "under-a-file": lambda name: os.path.join(blocker, name),
+            "missing-dir": lambda name: os.path.join(tmp, "missing", "dir", name)}
+
+
+def _run(argv):
+    """(exit code, stderr lines) of one in-process CLI command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("phantom", "under-a-file"), ("forward", "under-a-file"),
+    ("compare", "under-a-file"), ("compare", "missing-dir")])
+def test_unwritable_output_exit_1(tmp_path, command, target):
+    spec, field = _phantom_file(tmp_path), str(tmp_path / "field")
+    grid = ["--shape", "8", "--extent", "4"]
+    assert _run(["phantom", "--spec", spec, *grid, "--out", field])[0] == 0
+    bad = _targets(str(tmp_path))[target]("x")
+    rc, err = _run({
+        "phantom": ["phantom", "--spec", spec, *grid, "--out", bad],
+        "forward": ["forward", "--phantom", spec, "--window", "gaussian:1.0", *grid,
+                    "--ndirs", "2", "--nr", "2", "--out", bad],
+        "compare": ["compare", field, field, "--pgm", bad]}[command])
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+    assert not os.path.exists(bad)
+
+
+_SHAPE = st.one_of(st.integers(-2, 3), st.integers(4, 64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shapes=st.tuples(_SHAPE, _SHAPE), extent=_VALUE,
+       center=st.lists(_VALUE, min_size=1, max_size=3).map(lambda c: ",".join(map(str, c))),
+       targets=st.tuples(*[st.sampled_from(["good", "under-a-file", "missing-dir"])] * 2))
+def test_phantom_and_compare_argv_property(shapes, extent, center, targets):
+    # phantom on two drawn grids, then compare of the two with a PGM: each
+    # command exits 0, or 1 or 2 with one error line; never an exception
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, paths = _phantom_file(pathlib.Path(tmp)), _targets(tmp)
+        fields = [paths[targets[0]]("a"), paths["good"]("b")]
+        codes = []
+        for out, shape in zip(fields, shapes):
+            rc, err = _run(["phantom", "--spec", spec, "--shape", str(shape),
+                            f"--extent={extent}", f"--center={center}", "--out", out])
+            assert rc in (0, 1, 2)
+            assert not rc or (len(err) == 1 and err[0].startswith("error: "))
+            assert bool(rc) != os.path.isdir(out)
+            codes.append(rc)
+        if codes == [0, 0]:
+            pgm = paths[targets[1]]("d.pgm")
+            rc, err = _run(["compare", *fields, "--pgm", pgm])
+            assert rc in (0, 1, 2)
+            assert not rc or (len(err) == 1 and err[0].startswith("error: "))
+            assert bool(rc) != os.path.isfile(pgm)
+
+
 @pytest.fixture(scope="module")
 def invert_inputs(tmp_path_factory):
     """Tiny valid datasets, one per inversion method."""

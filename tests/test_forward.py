@@ -34,7 +34,7 @@ from wrtkit.invert_bp import reconstruct_t1
 from wrtkit.invert_fourier import extract_polar_spectrum, reconstruct_t2
 from wrtkit.invert_mellin import circular_decompose, reconstruct_mellin
 from wrtkit.invert_slice import SliceParams, slice_extract, symmetric_offset_grid
-from wrtkit.quad import QuadratureParams, trapezoid_weights
+from wrtkit.quad import _LOG_TINY, QuadratureParams, _exp_flushed, trapezoid_weights
 from wrtkit.windows import window_support_radius
 
 
@@ -97,8 +97,7 @@ def test_analytic_wrt_data_equals_quadrature():
 
 
 def test_analytic_wrt_data_matches_per_v_closed_form():
-    # reference: the closed form evaluated one v column at a time; the grid
-    # is large enough that the batched oracle splits the v set into blocks
+    # reference: the closed form written out per v column and component
     spec = gaussian_mixture_phantom([((0.3, -0.1), 0.9, 1.0), ((-0.7, 0.5), 0.6, 0.4)])
     w = gaussian_window(1.1)
     grid = make_grid(2, 160, 12.0)
@@ -119,7 +118,7 @@ def test_analytic_wrt_data_matches_per_v_closed_form():
 
 
 def test_analytic_wrt_data_does_not_depend_on_the_worker_count(monkeypatch):
-    # 35 columns of 160^2 points: two workers fill 17 and 18 columns in blocks of 10
+    # 35 columns of 160^2 points: two workers fill 17 and 18 columns
     spec = gaussian_mixture_phantom([((0.3, -0.1), 0.9, 1.0), ((-0.7, 0.5), 0.6, 0.4)])
     w = gaussian_window(1.1)
     grid = make_grid(2, 160, 12.0)
@@ -312,6 +311,59 @@ def test_routes_reject_grids_their_quadrature_does_not_fit(case):
 def test_trapezoid_weights_need_finite_increasing_nodes(nodes):
     with pytest.raises(ValidationError, match="strictly increasing"):
         trapezoid_weights(nodes)
+
+
+def test_flushed_exp_is_np_exp_on_every_normal_result():
+    ulps = _LOG_TINY + np.arange(-4, 5) * np.spacing(_LOG_TINY)  # both sides of -708.396
+    x = np.concatenate([[0.0, -0.0, 1e-300, 1.0, 700.0, 709.78, 710.0, np.inf, -np.inf, -1e300],
+                        ulps, np.linspace(-760.0, 40.0, 20001)])
+    with np.errstate(over="ignore"):
+        want = np.exp(x)
+        normal = want >= np.finfo(float).tiny
+        assert normal.any() and np.any((want > 0) & ~normal)  # subnormal results are in the sweep
+        y = x.copy()  # in place, as the closed form calls it
+        for got in (_exp_flushed(x), _exp_flushed(x, out=np.full_like(x, np.nan)),
+                    _exp_flushed(y, out=y)):
+            assert np.array_equal(got[normal], want[normal])
+            assert np.all(got[~normal] == 0.0) and not np.any(np.signbit(got))
+        assert _exp_flushed(y, out=y) is y
+    assert np.isnan(_exp_flushed(np.array([np.nan, -1e4]))).tolist() == [True, False]
+    assert _exp_flushed(-800.0) == 0.0 and _exp_flushed(-1.0) == np.exp(-1.0)
+
+
+_MIXTURE_2D = [((0.3, -0.1), 0.9, 1.0), ((-0.7, 0.5), 0.6, 0.4)]
+_MIXTURE_3D = [((0.3, -0.1, 0.2), 0.9, 1.0), ((-0.7, 0.5, -0.4), 0.6, 0.4)]
+_VSET_3D = VSet("full-grid", [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [-0.3, 1.2, 0.4],
+                              [2.0, -1.0, 0.7], [0.05, 0.02, -0.1]])
+
+
+@pytest.mark.parametrize("components, grid, vset", [
+    (_MIXTURE_2D, make_grid(2, (40, 33), 12.0),
+     polar_vset(uniform_circle(5)[0], np.geomspace(0.1, 30.0, 7))),
+    (_MIXTURE_3D, make_grid(3, 8, 6.0), _VSET_3D)], ids=["2d", "3d"])
+def test_closed_form_slices_are_contiguous_and_match_paired_points(components, grid, vset):
+    spec = gaussian_mixture_phantom(components)
+    w = gaussian_window(1.1)
+    values = analytic_wrt_data(spec, w, grid, vset).values
+    U = grid.points()
+    for j, v in enumerate(vset.vectors):
+        assert values[:, j].flags.c_contiguous
+        want = analytic_wrt_gaussian(spec, w, U, v[None, :])
+        assert np.max(np.abs(values[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_closed_form_checks_dimensions():
+    spec = gaussian_phantom((0.0, 0.0), 0.8)
+    w = gaussian_window(1.0)
+    with pytest.raises(ValidationError, match="source/grid"):
+        analytic_wrt_data(spec, w, make_grid(3, 4, 4.0), _VSET_3D)
+    with pytest.raises(ValidationError, match="vset/grid"):
+        analytic_wrt_data(spec, w, make_grid(2, 4, 4.0), _VSET_3D)
+    # paired points: a 1-D point used to broadcast against the 2-D centre
+    with pytest.raises(ValidationError, match="source/grid"):
+        analytic_wrt_gaussian(spec, w, np.zeros((4, 1)), np.ones((1, 1)))
+    with pytest.raises(ValidationError, match="vset/grid"):
+        analytic_wrt_gaussian(spec, w, np.zeros((4, 2)), np.ones((1, 3)))
 
 
 def test_perp_forward_checks_theta_before_integrating():

@@ -8,6 +8,7 @@ from wrtkit import (
     WRTData,
     analytic_signal_window,
     analytic_wrt_data,
+    bump_window,
     gaussian_phantom,
     gaussian_window,
     hermite1_window,
@@ -130,13 +131,19 @@ def test_summed_spectrum_matches_per_slice_filter(shape, pad, tol):
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
-def _t1_worker_case():
-    # 48 slices on a 64^2 grid: with two workers each sums 24 slices in blocks of 7
+def _t1_worker_case(w=gaussian_window(1.0), n=64):
+    # 42 slices: with two workers each sums 21, so the second share starts
+    # inside a direction; hermite1 gets its own closed form, the others
+    # the gaussian one
     spec = gaussian_phantom((0.4, -0.2), 0.8)
-    w = gaussian_window(1.0)
-    grid = make_grid(2, 64, 24.0)
+    grid = make_grid(2, n, 24.0)
     radii = np.geomspace(0.1, 4.0, 6)
-    data = analytic_wrt_data(spec, w, grid, polar_vset(uniform_circle(8)[0], radii))
+    vset = polar_vset(uniform_circle(7)[0], radii)
+    if w.kind == "hermite1":
+        values = _hermite1_wrt(spec, w.sigma, grid.points()[:, None], vset.vectors)
+        data = WRTData(grid, vset, w, values)
+    else:
+        data = analytic_wrt_data(spec, gaussian_window(1.0), grid, vset)
     return data, w, BPParams(r_min=radii[0], r_max=radii[-1], constant_mode="theory")
 
 
@@ -171,9 +178,14 @@ def test_t1_repeats_at_two_workers_and_matches_one_worker(monkeypatch):
     assert np.linalg.norm(two - one) <= 1e-13 * np.linalg.norm(one)
 
 
+@pytest.mark.parametrize("window, n", [
+    (gaussian_window(1.0), 64), (bump_window(1.5), 16), (hermite1_window(1.0), 64)],
+    ids=["gaussian", "bump", "hermite1"])
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_t1_matches_a_serial_per_slice_loop(monkeypatch, threads):
-    data, w, params = _t1_worker_case()
+def test_t1_matches_a_serial_per_slice_loop(monkeypatch, threads, window, n):
+    # the even windows take the real multiplier, hermite1 the complex one;
+    # the bump's hhat is a 1,024-node sum per point, so its grid is smaller
+    data, w, params = _t1_worker_case(window, n)
     monkeypatch.setenv("WRTKIT_THREADS", threads)
     got = reconstruct_t1(data, w, data.u_grid, params).values
     want = _serial_t1(data, w)
