@@ -18,7 +18,6 @@ from .fields import (
     Grid,
     PhantomSpec,
     ScalarField,
-    SpectralField,
     continuous_ft,
     continuous_ift,
     gaussian_mixture_phantom,

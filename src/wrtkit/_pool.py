@@ -2,15 +2,17 @@
 
 The t1 backprojection shares out its slices, the closed-form oracle and
 the factored route of ``windowed_ray_transform`` their v columns,
-``wrt_columns`` its base points and ``wrt_polar_perp`` its blocks of rho
-rows.  That work spends its time in numpy ufuncs, pocketfft, BLAS and
+``wrt_columns`` its base points and ``wrt_polar_perp`` its rho rows.  That
+work spends its time in numpy ufuncs, pocketfft, BLAS and
 ``ndimage.map_coordinates``, which release the interpreter lock, so threads
 run it on separate cores.  The factored route's GEMMs run on the pool
 threads; where it can, it keeps each small enough that OpenBLAS runs it on
 one thread, so the workers do not contend for OpenBLAS's own threads.  The
 worker count comes from the CLI's ``--threads`` or the WRTKIT_THREADS
 environment variable; unset or 0 means one worker per core this process
-may run on.  With one worker nothing is threaded.
+may run on.  With one worker nothing is threaded.  No forward value
+depends on the count; t1 sums its workers' spectra in share order, so it
+repeats bit for bit at a given count.
 """
 
 from __future__ import annotations

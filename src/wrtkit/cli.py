@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage or validation problem, 2 numerical failure
 or violated method hypothesis.  ``--threads`` (or the WRTKIT_THREADS
 environment variable) sets the number of threads that share the t1
 backprojection, the closed-form oracle and the quadrature forward (rows of
-the base points, blocks of perp rho rows); 0 means one per usable core,
-and 1 starts no thread.
+the base points, perp rho rows); 0 means one per usable core, and 1
+starts no thread.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _write(writer, path, value):
 
 
 def _report(args, payload, text_lines):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -377,23 +377,25 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+# flags several subcommands read; each subcommand gets only those it reads
+_SHARED = {"--out": dict(default="out"), "--seed": dict(type=int, default=0),
+           "--json": dict(action="store_true"), "--shape": dict(type=int, default=64),
+           "--extent": dict(type=float, default=20.0), "--center": dict(default="0")}
+_GRID = ("--shape", "--extent", "--center")
+
+
 def build_parser():
     p = _Parser(prog="wrtkit", description="windowed ray transform toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def shared(sp, grid=True):
-        sp.add_argument("--out", default="out")
-        sp.add_argument("--seed", type=int, default=0)
+    def shared(sp, *names):  # --threads, which main reads for every command, and ``names``
         sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--json", action="store_true")
-        if grid:
-            sp.add_argument("--shape", type=int, default=64)
-            sp.add_argument("--extent", type=float, default=20.0)
-            sp.add_argument("--center", default="0")
+        for name in names:
+            sp.add_argument(name, **_SHARED[name])
 
     sp = sub.add_parser("phantom", help="sample a phantom spec onto a grid")
     sp.add_argument("--spec", required=True)
-    shared(sp)
+    shared(sp, "--out", "--json", *_GRID)
     sp.set_defaults(fn=cmd_phantom)
 
     sp = sub.add_parser("forward", help="simulate the windowed ray transform")
@@ -415,7 +417,7 @@ def build_parser():
     sp.add_argument("--ntheta", type=int, default=64)
     sp.add_argument("--quad-panels", type=int, default=16)
     sp.add_argument("--oracle", action="store_true")
-    shared(sp)
+    shared(sp, "--out", "--seed", "--json", *_GRID)
     sp.set_defaults(fn=cmd_forward)
 
     sp = sub.add_parser("invert", help="reconstruct a field from transform data")
@@ -435,14 +437,14 @@ def build_parser():
     sp.add_argument("--mellin-t", type=float, default=2.0)
     sp.add_argument("--mellin-T", type=float, default=40.0)
     sp.add_argument("--reg-lambda", type=float, default=None)
-    shared(sp)
+    shared(sp, "--out", "--json", *_GRID)
     sp.set_defaults(fn=cmd_invert)
 
     sp = sub.add_parser("compare", help="compare two gf1 fields")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--pgm", default=None)
-    shared(sp, grid=False)
+    shared(sp, "--json")
     sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("calibrate", help="fit the inversion constant empirically")
@@ -450,13 +452,13 @@ def build_parser():
     sp.add_argument("--window", required=True)
     sp.add_argument("--phantoms", nargs="*", default=None)
     sp.add_argument("--fast", action="store_true")
-    shared(sp, grid=False)
+    shared(sp, "--json")
     sp.set_defaults(fn=cmd_calibrate)
 
     sp = sub.add_parser("selftest", help="run the reduced property suite")
     sp.add_argument("--inject-fault", action="store_true",
                     help="corrupt an internal constant to exercise failure paths")
-    shared(sp, grid=False)
+    shared(sp)
     sp.set_defaults(fn=cmd_selftest)
 
     return p

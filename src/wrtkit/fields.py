@@ -1,4 +1,4 @@
-"""Uniform grids, scalar/spectral fields and the fixed Fourier convention.
+"""Uniform grids, sampled fields, phantoms and the fixed Fourier convention.
 
 Every module in the library uses the same continuous Fourier transform
 convention:
@@ -13,6 +13,7 @@ samples really approximate the integral above, not the bare DFT.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .errors import ValidationError, ZeroReferenceError
 __all__ = [
     "Grid",
     "ScalarField",
-    "SpectralField",
     "PhantomSpec",
     "gaussian_phantom",
     "gaussian_mixture_phantom",
@@ -105,27 +105,19 @@ class Grid:
 
 @dataclass(frozen=True)
 class ScalarField:
+    """Finite samples on a grid, the one container for sampled fields, real
+    (float64) or complex (complex128), e.g. a spectrum of continuous_ft.
+    Consumers that need real samples reject complex ones (ValidationError)."""
+
     grid: Grid
-    values: np.ndarray  # shape == grid.shape, real
+    values: np.ndarray  # shape == grid.shape
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
+        values = np.asarray(self.values)
+        values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
+        values = values.reshape(self.grid.shape)
         if not np.all(np.isfinite(values)):
             raise ValidationError("scalar field contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex frequency-domain samples; grid coordinates are angular
-    frequencies (radians per unit length), fftshift order, under the
-    e^{-i xi.x} forward kernel."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex).reshape(self.grid.shape)
         object.__setattr__(self, "values", values)
 
 
@@ -142,8 +134,8 @@ class PhantomSpec:
     smoothed disk carries (center, radius, smoothing, amplitude) and is the
     indicator of a disk convolved with an isotropic Gaussian (C^inf; its
     radial profile, the noncentral-chi-square CDF, is read from a table built
-    once per evaluation, see _DiskProfile).  Centres share one
-    dimension, numbers are finite, lengths positive; amplitude defaults to 1.
+    once per spec, see _DiskProfile).  Centres share one dimension, numbers
+    are finite, lengths positive; amplitude defaults to 1.
     """
 
     kind: str
@@ -163,18 +155,24 @@ class PhantomSpec:
     def n(self):
         return len(self.components[0]["center"])
 
+    @functools.cached_property
+    def _profiles(self):
+        """Per component, its value as a function of r^2, the squared distance
+        from its centre (which the function may overwrite): a smoothed disk's
+        _DiskProfile table, built on first use and kept with the spec."""
+        if self.kind == "smoothed-disk":
+            return [_DiskProfile(c) for c in self.components]
+        return [functools.partial(_gaussian_profile, c["sigma"] ** 2, c["amplitude"])
+                for c in self.components]
+
     # -- direct evaluation ---------------------------------------------------
 
     def evaluate(self, points):
         """Pointwise values at an (..., n) array of coordinates."""
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1])
-        for c in self.components:
-            r2 = np.sum((points - np.asarray(c["center"])) ** 2, axis=-1)
-            if self.kind == "smoothed-disk":
-                out += _DiskProfile(c)(r2)
-            else:
-                out += c["amplitude"] * np.exp(-0.5 * r2 / c["sigma"] ** 2)
+        for c, profile in zip(self.components, self._profiles):
+            out += profile(np.asarray(np.sum((points - np.asarray(c["center"])) ** 2, axis=-1)))
         return out
 
     def evaluate_along_rays(self, u, v, t):
@@ -223,34 +221,33 @@ def _component(kind, c):
     return {"center": center, "amplitude": amp, **lengths}
 
 
-def _evaluate_along_rays(spec, u, v, t, profiles=None):
+def _evaluate_along_rays(spec, u, v, t):
     # PhantomSpec.evaluate_along_rays under a name perfbench's layer tracer
     # does not wrap: the forward's pool threads evaluate the source through
-    # this, with a smoothed disk's ``profiles`` (one _DiskProfile per
-    # component) built once on the caller.  r^2 = a + 2 b t + |v|^2 t^2 and
-    # a gaussian's exponent are built in place in one (M, Q) buffer
-    if spec.kind == "smoothed-disk" and profiles is None:
-        profiles = [_DiskProfile(c) for c in spec.components]
+    # this.  r^2 = a + 2 b t + |v|^2 t^2 is built in place in one (M, Q)
+    # buffer, and a gaussian's profile overwrites it
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     t = np.asarray(t, dtype=float)
     out = np.zeros((u.shape[0], t.size))
     vt2 = np.sum(v * v, axis=1)[:, None] * (t * t)
     r2 = np.empty_like(out)
-    for i, c in enumerate(spec.components):
+    for c, profile in zip(spec.components, spec._profiles):
         du = u - np.asarray(c["center"])
         np.multiply(2.0 * np.sum(du * v, axis=1)[:, None], t, out=r2)
         r2 += np.sum(du * du, axis=1)[:, None]
         r2 += vt2
-        if spec.kind == "smoothed-disk":
-            out += profiles[i](r2)
-            continue
-        r2 *= -0.5
-        r2 /= c["sigma"] ** 2
-        np.exp(r2, out=r2)
-        r2 *= c["amplitude"]
-        out += r2
+        out += profile(r2)
     return out
+
+
+def _gaussian_profile(sigma2, amp, r2):
+    """amp exp(-r^2 / 2 sigma^2) of one gaussian component, in place in r^2."""
+    r2 *= -0.5
+    r2 /= sigma2
+    np.exp(r2, out=r2)
+    r2 *= amp
+    return r2
 
 
 _EPS = 1e-17  # sources are treated as zero below this share of their peak
@@ -264,7 +261,8 @@ def _disk_clip_radius(c):
 
 
 class _DiskProfile:
-    """r^2 -> one smoothed-disk component at distance r from its centre.
+    """r^2 -> one smoothed-disk component at distance r from its centre,
+    built once per spec (:attr:`PhantomSpec._profiles`).
 
     The profile P(r) = amp P(|x + s g| <= R), g a standard normal, is the
     noncentral chi-square CDF amp chndtr((R / s)^2, 2, (r / s)^2) (what
@@ -360,27 +358,22 @@ def _phased(values, fgrid, origin, s):
 
 
 def continuous_ft(field, warn_boundary=True):
-    """Continuous-FT approximation of a real or complex field on its own
-    grid; returns a SpectralField on ``field.grid.frequency_grid()``.
-    Zero-pad the field first for a finer frequency grid.
+    """Continuous-FT approximation of a real or complex ScalarField on its
+    own grid; returns a complex ScalarField on ``field.grid.frequency_grid()``
+    (angular frequencies, fftshift order).  Zero-pad the field first for a
+    finer frequency grid.
     """
-    grid, values = field.grid, np.asarray(field.values)
+    grid, values = field.grid, field.values
     if warn_boundary:
-        vmax = np.max(np.abs(values)) or 1.0
-        edge = _boundary_max(values)
-        if edge > 1e-6 * vmax:
-            warnings.warn(
-                f"field does not decay at the grid boundary (edge max {edge:.2e}); "
-                "the continuous-FT approximation degrades",
-                stacklevel=2,
-            )
+        _warn_undecayed(values, "the continuous-FT approximation degrades")
     F = np.fft.fftshift(np.fft.fftn(values)) * grid.cell_volume
     fgrid = grid.frequency_grid()
-    return SpectralField(fgrid, _phased(F, fgrid, grid.origin, -1j))
+    return ScalarField(fgrid, _phased(F, fgrid, grid.origin, -1j))
 
 
 def continuous_ift(spec, out_grid):
-    """Inverse of :func:`continuous_ft`; returns the real part as a ScalarField.
+    """Inverse of :func:`continuous_ft`: ``spec`` is a ScalarField on a
+    frequency grid; returns the real part as a ScalarField on ``out_grid``.
 
     ``out_grid`` must match the DFT-compatible spatial grid (same shape,
     spacing 2 pi / (N * dxi)); its origin is free.
@@ -392,7 +385,7 @@ def continuous_ift(spec, out_grid):
     if not np.allclose(out_grid.spacing, dx, rtol=1e-12):
         raise ValidationError("output grid spacing incompatible with the spectral grid")
     # strip exp(-i xi.x0) then inverse DFT, cf. the forward construction
-    G = _phased(np.asarray(spec.values, dtype=complex), fgrid, out_grid.origin, 1j)
+    G = _phased(spec.values, fgrid, out_grid.origin, 1j)
     vals = np.fft.ifftn(np.fft.ifftshift(G)) / np.prod(dx)
     # undo the fftshift ordering mismatch of the spatial index phase:
     # after ifftshift the k-index runs in DFT order, matching ifftn.
@@ -407,15 +400,14 @@ def continuous_ift(spec, out_grid):
     return ScalarField(out_grid, vals.real)
 
 
-def _boundary_max(values):
-    m = 0.0
-    for ax in range(values.ndim):
-        sl0 = [slice(None)] * values.ndim
-        sl1 = [slice(None)] * values.ndim
-        sl0[ax] = 0
-        sl1[ax] = -1
-        m = max(m, np.max(np.abs(values[tuple(sl0)])), np.max(np.abs(values[tuple(sl1)])))
-    return m
+def _warn_undecayed(values, consequence, stacklevel=3):
+    """Warn, naming the ``consequence``, when sampled values on a grid do not
+    decay at its boundary: the edge max is above 1e-6 of the peak."""
+    edge = max(np.max(np.abs(np.take(values, i, axis=a)))
+               for a in range(values.ndim) for i in (0, -1))
+    if edge > 1e-6 * np.max(np.abs(values)):
+        warnings.warn(f"field does not decay at the grid boundary (edge max {edge:.2e}); "
+                      f"{consequence}", stacklevel=stacklevel)
 
 
 def rel_l2_error(a, b):

@@ -8,7 +8,7 @@ polar configuration g(rho, theta) = P_h f(rho e(theta), rho e(theta)^perp).
 from __future__ import annotations
 
 import functools
-import warnings
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -23,10 +23,9 @@ from .fields import (
     Grid,
     PhantomSpec,
     ScalarField,
-    _boundary_max,
     _disk_clip_radius,
-    _DiskProfile,
     _evaluate_along_rays,
+    _warn_undecayed,
     continuous_ft,
 )
 from .quad import QuadratureParams, _exp_flushed, gauss_legendre_panels
@@ -224,8 +223,9 @@ _Source = namedtuple("_Source", "values interval feature factored")  # see _ray_
 
 
 def _ray_source(f):
-    """The _Source of a phantom or a sampled field, built once per call on
-    the caller (a smoothed disk's profile table among it):
+    """The _Source of a phantom or a real sampled field, built once per call
+    on the caller (which also builds a smoothed disk's profile tables, once
+    per spec):
 
     - values(U, V, t): f(u_m + t_q v_m) as (M, Q);
     - interval(U, V): the per-ray [lo, hi] in t outside which |f| <= _EPS
@@ -248,15 +248,16 @@ def _ray_source(f):
             lo, hi = zip(*(_ball_interval(U - c, V, r) for c, r in balls))
             return np.min(lo, axis=0), np.max(hi, axis=0)
 
+        f._profiles  # noqa: B018  (built here, so the pool threads only read them)
+        values = functools.partial(_evaluate_along_rays, f)
         if disk:
-            values = functools.partial(_evaluate_along_rays, f,
-                                       profiles=[_DiskProfile(c) for c in f.components])
             return _Source(values, interval, feature, None)
         comps = [(c, s["sigma"], s["amplitude"], r) for (c, r), s in zip(balls, f.components)]
-        return _Source(functools.partial(_evaluate_along_rays, f), interval, feature,
-                       functools.partial(_gaussian_column, comps))
+        return _Source(values, interval, feature, functools.partial(_gaussian_column, comps))
     if not isinstance(f, ScalarField):
         raise ValidationError("source must be a PhantomSpec or ScalarField")
+    if np.iscomplexobj(f.values):
+        raise ValidationError("the forward's source field must be real, not complex")
     g = f.grid
     coef = ndimage.spline_filter(f.values, 3, mode="constant")  # map_coordinates' prefilter
     # B-spline weights are >= 0 and sum to 1, so beyond the 2-cell stencil of
@@ -305,14 +306,26 @@ def _ball_interval(du, V, rad):
     return np.where(hit, (-b - root) / safe, np.inf), np.where(hit, (-b + root) / safe, -np.inf)
 
 
+_NODES = 2**19  # ray nodes per source evaluation: the ray-by-ray route's one memory bound
+
+
+def _runs(rows, nodes):
+    """``rows`` cut into runs of at most _NODES nodes (one ray at least) of ``nodes`` each."""
+    step = max(1, _NODES // nodes)
+    return (rows[j:j + step] for j in range(0, rows.size, step))
+
+
 def _ray_sum(src, w, quad, rule, U, V):
     """P_h f(u_m, v_m) for paired rays (U, V), src from _ray_source and rule
     from _node_rules.
 
     A real window's rule covers its support; per ray, the panels (quad.nodes
     consecutive nodes) outside the clip interval are skipped, and rays that
-    keep the same panel range form one dense block.  Runs on pool threads, so
-    it calls no name perfbench's layer tracer wraps.
+    keep the same panel range share source evaluations of at most _NODES ray
+    nodes.  Each ray's nodes are reduced by themselves (np.vecdot), so its
+    value depends on its own inputs only, not on the rays that share its
+    group, run or pool worker.  Runs on pool threads, so it calls no name
+    perfbench's layer tracer wraps.
     """
     lo, hi = src.interval(U, V)
     if not w.is_real:
@@ -325,15 +338,18 @@ def _ray_sum(src, w, quad, rule, U, V):
     key = p_lo * (npan + 1) + p_hi
     out = np.zeros(U.shape[0])
     order = np.argsort(key, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        a, z = divmod(int(key[rows[0]]), npan + 1)
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        a, z = divmod(int(key[group[0]]), npan + 1)
         if z > a:
-            out[rows] = src.values(U[rows], V[rows], t[a * k:z * k]) @ hw[a * k:z * k]
+            nodes = slice(a * k, z * k)
+            for rows in _runs(group, (z - a) * k):
+                out[rows] = np.vecdot(src.values(U[rows], V[rows], t[nodes]), hw[nodes])
     return out
 
 
 def _analytic_sum(values, w, rule, U, V, lo, hi):
-    """P_h f for h(t) = 1 / (2 pi i (t - i)) on the clip intervals [lo, hi].
+    """P_h f for h(t) = 1 / (2 pi i (t - i)) on the clip intervals [lo, hi],
+    evaluated and reduced as in :func:`_ray_sum`.
 
     Each interval is cut at t = 0, below the kernel's pole, so the pole sits
     over a panel edge; a piece [a, b] gets the panels of ``rule`` (s, ws),
@@ -351,13 +367,10 @@ def _analytic_sum(values, w, rule, U, V, lo, hi):
     length = b - a
     sums = np.zeros(2 * M, dtype=complex)
     live = np.flatnonzero((length > 0.0) & (length < np.inf))
-    # pieces per block: temporaries near 16 MB over all pool workers
-    step = max(1, 2**20 // (s.size * _pool.workers()))
-    for j in range(0, live.size, step):
-        rows = live[j:j + step]
+    for rows in _runs(live, s.size):
         m, L = rows % M, length[rows, None]
         h = _window_eval(w, a[rows, None] + L * s)
-        sums[rows] = (values(U[m] + a[rows, None] * V[m], L * V[m], s) * h) @ ws * L[:, 0]
+        sums[rows] = np.vecdot(ws, values(U[m] + a[rows, None] * V[m], L * V[m], s) * h) * L[:, 0]
     out = sums[:M] + sums[M:]
     point = np.flatnonzero((lo < hi) & ~(hi - lo < np.inf))
     out[point] = 0.5 * values(U[point], V[point], np.zeros(1))[:, 0]
@@ -476,8 +489,7 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     with the panels outside each ray's clip interval skipped.
 
     Each pool worker runs every column on one contiguous share of the base
-    points, so a worker's temporaries are its share of the serial ones; the
-    values repeat bit for bit at a given worker count."""
+    points; the values do not depend on the worker count."""
     U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
     src = _grid_source(f, U.shape[1], vectors)
     _warn_cut_field(f, w)
@@ -489,11 +501,7 @@ def _warn_cut_field(f, w):
     its grid edge: the field jumps to 0 there, inside a panel, and the rule
     loses its accuracy (7e-3 of max at the default rule, measured)."""
     if w.is_real and isinstance(f, ScalarField):
-        edge = _boundary_max(f.values)
-        if edge > 1e-6 * np.max(np.abs(f.values)):
-            warnings.warn(f"field does not decay at the grid boundary (edge max {edge:.2e}); "
-                          "the forward quadrature degrades across the jump to 0 there",
-                          stacklevel=3)
+        _warn_undecayed(f.values, "the forward quadrature degrades across the jump to 0 there", 4)
 
 
 def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
@@ -555,18 +563,25 @@ def analytic_wrt_gaussian(f, w, u, v):
     out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]))
     v2 = np.sum(v * v, axis=-1)
     for c in f.components:
-        s, amp = c["sigma"], c["amplitude"]
         du = u - np.asarray(c["center"])
-        alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * w.sigma**2)
-        # the exponent is built in place in B, the largest temporary
         B = np.einsum("...i,...i->...", du, v)
-        B *= B
-        B /= 4.0 * alpha * s**4
-        B -= 0.5 * np.sum(du * du, axis=-1) / s**2
-        _exp_flushed(B, out=B)
-        B *= amp * np.sqrt(np.pi / alpha)
-        out += B
+        out += _closed_form_term(B, 0.5 * np.sum(du * du, axis=-1) / c["sigma"]**2, v2, c, w)
     return out if out.size > 1 else float(out.reshape(-1)[0])
+
+
+def _closed_form_term(B, a, v2, c, w):
+    """One gaussian component c's term of the closed form, built in place in
+    B = (u - c).v, the largest temporary: amp sqrt(pi / alpha) times the
+    flushed exp(B^2 / (4 alpha s^4) - a), with a = |u - c|^2 / 2 s^2 and
+    alpha = |v|^2 / 2 s^2 + 1 / 2 sw^2."""
+    s = c["sigma"]
+    alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * w.sigma**2)
+    B *= B
+    B /= 4.0 * alpha * s**4
+    B -= a
+    _exp_flushed(B, out=B)
+    B *= c["amplitude"] * np.sqrt(np.pi / alpha)
+    return B
 
 
 def _check_closed_form(f, w):
@@ -593,30 +608,22 @@ def analytic_wrt_data(f, w, u_grid, vset):
     _check_dimensions(f.n, u_grid.n, vset.vectors)
     shape = u_grid.shape
     axes = [u_grid.axis_coords(i) for i in range(u_grid.n)]
-    comps = []  # per component: the open mesh of x_i - c_i, A / (2 s^2), s, amp
+    comps = []  # per component: the open mesh of x_i - c_i, A / (2 s^2), c
     for c in f.components:
-        s = c["sigma"]
         d = np.ix_(*(x - ci for x, ci in zip(axes, c["center"])))
-        comps.append((d, sum(di * di for di in d) / (2.0 * s**2), s, c["amplitude"]))
+        comps.append((d, sum(di * di for di in d) / (2.0 * c["sigma"]**2), c))
     v2s = np.sum(vset.vectors * vset.vectors, axis=-1)
     vals = np.zeros((len(vset), u_grid.size))
 
     def fill(part):  # part: a range of columns
         e = np.empty(shape)
         for j in part:
-            v, v2 = vset.vectors[j], v2s[j]
-            row = vals[j].reshape(shape)
-            for d, a, s, amp in comps:
-                alpha = v2 / (2.0 * s**2) + 1.0 / (2.0 * w.sigma**2)
+            v, row = vset.vectors[j], vals[j].reshape(shape)
+            for d, a, c in comps:
                 np.copyto(e, d[0] * v[0])
                 for di, vi in zip(d[1:], v[1:]):
                     e += di * vi
-                e *= e
-                e /= 4.0 * alpha * s**4
-                e -= a
-                _exp_flushed(e, out=e)
-                e *= amp * np.sqrt(np.pi / alpha)
-                row += e
+                row += _closed_form_term(e, a, v2s[j], c, w)
 
     _pool.map(fill, range(len(vset)))
     return WRTData(u_grid, vset, w, vals.T)
@@ -625,9 +632,9 @@ def analytic_wrt_data(f, w, u_grid, vset):
 def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     """g(rho, theta) = P_h f(u, u^perp) with u = rho (cos t, sin t), by the
     rule of :func:`windowed_ray_transform`: a real window refines its panels
-    for each rho = |v| on its own.  Blocks of whole rho rows, about 2^19 ray
-    nodes each (a memory bound that does not depend on the worker count), are
-    shared out over the pool workers."""
+    for each rho = |v| on its own.  Each pool worker takes a contiguous share
+    of the rho rows, as :func:`wrt_columns` takes base points; the values do
+    not depend on the worker count."""
     rho, theta = _perp_axes(rho, theta)
     src = _ray_source(f)
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:
@@ -639,22 +646,15 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
     rules = _node_rules(w, quad, rho, src.feature)
     nt = theta.size
-    blocks, start, size = [], 0, 0  # runs of rho rows: one rule, <= 2^19 nodes unless one row
-    for i, rule in enumerate(rules):
-        nodes = nt * rule[0].size
-        if i and (rule is not rules[start] or size + nodes > 2**19):
-            blocks.append(range(start, i))
-            start, size = i, 0
-        size += nodes
-    blocks.append(range(start, rho.size))
     vals = np.zeros(U.shape[0], dtype=float if w.is_real else complex)
 
-    def fill(share):  # a run of blocks
-        for rows in share:
-            rays = slice(rows.start * nt, rows.stop * nt)
-            vals[rays] = _ray_sum(src, w, quad, rules[rows.start], U[rays], V[rays])
+    def fill(share):  # a range of rho rows, one _ray_sum per run of rows that share a rule
+        for _, run in itertools.groupby(share, lambda i: id(rules[i])):
+            rows = list(run)
+            rays = slice(rows[0] * nt, (rows[-1] + 1) * nt)
+            vals[rays] = _ray_sum(src, w, quad, rules[rows[0]], U[rays], V[rays])
 
-    _pool.map(fill, blocks)
+    _pool.map(fill, range(rho.size))
     return PolarWRT(rho, theta, w, vals.reshape(rho.size, theta.size))
 
 

@@ -131,9 +131,7 @@ def _extract(u1, v1, blocks, w, p):
     out = np.empty((sigma.size, blocks.shape[2]), dtype=complex)
     for j in range(blocks.shape[2]):
         F = continuous_ft(ScalarField(grid, blocks[:, :, j] * apod), warn_boundary=False).values
-        # row k read at tau = a sigma_k, linear in tau
-        out[:, j] = (ndimage.map_coordinates(F.real, coords, order=1)
-                     + 1j * ndimage.map_coordinates(F.imag, coords, order=1))
+        out[:, j] = ndimage.map_coordinates(F, coords, order=1)  # row k at tau = a sigma_k
     return sigma, np.abs(sigma)[:, None] * out / (2.0 * np.pi * ha)
 
 

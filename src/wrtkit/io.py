@@ -125,9 +125,9 @@ def _grid_from_meta(m):
 
 
 def write_gf1(path, field):
-    """Write a ScalarField (the only kind gf1 stores)."""
-    if not isinstance(field, ScalarField):
-        raise ValidationError("gf1 stores a ScalarField")
+    """Write a real ScalarField (the only kind gf1 stores)."""
+    if not isinstance(field, ScalarField) or np.iscomplexobj(field.values):
+        raise ValidationError("gf1 stores a real ScalarField, not complex samples")
     meta = {"format": "gf1", "kind": "scalar", "n": field.grid.n, "dtype": "f64",
             "order": "C", **_grid_meta(field.grid)}
     _write_dir(path, meta, field.values)
@@ -257,7 +257,9 @@ def read_pss1(path):
 
 
 def write_pgm(path, field):
-    """8-bit PGM of a 2-D field, min to max; the scaling goes to ``path + '.json'``."""
+    """8-bit PGM of a real 2-D field, min to max; the scaling goes to ``path + '.json'``."""
+    if np.iscomplexobj(field.values):
+        raise ValidationError("PGM export needs real samples, not complex ones")
     vals = np.asarray(field.values, dtype=float)
     if vals.ndim != 2:
         raise ValidationError("PGM export needs a 2-D field")

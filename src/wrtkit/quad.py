@@ -21,10 +21,11 @@ class QuadratureParams:
     long v sweeps the source's narrowest feature through the support in a
     tiny t-interval; each v column, and each rho of perp data, is refined
     for its own |v|.  Ray by ray, the panels where the source is below 1e-17
-    of its peak are skipped; the factored route of ``windowed_ray_transform``
-    (a gaussian phantom or a sampled field on a u grid) skips instead the
-    nodes at which the whole shifted grid misses the region where the source
-    is above that level.  The analytic-signal kernel gets
+    of its peak are skipped, and each ray's nodes are summed by themselves,
+    so no value depends on the worker count; the factored route of
+    ``windowed_ray_transform`` (a gaussian phantom or a sampled field on a u
+    grid) skips instead the nodes at which the whole shifted grid misses the
+    region where the source is above that level.  The analytic-signal kernel gets
     max(``panels``, 64) panels on each ray's clip interval (where the
     source is above that level), cut at t = 0 below its pole; they resolve
     the pole only for |v| >= 1e-2 (off by 0.9 % at |v| = 1e-3, 99 % at 1e-6).

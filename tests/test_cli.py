@@ -670,19 +670,21 @@ def test_phantom_center_of_the_wrong_dimension_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-_SHARED = ["-h", "--help", "--out", "--seed", "--threads", "--json"]
+_SHARED = ["-h", "--help", "--threads"]
 _GRID = ["--shape", "--extent", "--center"]
-# every flag of every subcommand; a change to the command line shows here
+# every flag of every subcommand; a change to the command line shows here.
+# Each subcommand has only the flags it reads: --seed is forward's (--jitter)
 _CLI_SURFACE = {
-    "phantom": ["--spec"] + _SHARED + _GRID,
+    "phantom": ["--spec", "--out", "--json"] + _SHARED + _GRID,
     "forward": ["--phantom", "--in", "--window", "--vmode", "--ndirs", "--rmin", "--rmax", "--nr",
                 "--jitter", "--v1max", "--nv1", "--vprime", "--rho-min", "--rho-max", "--nrho",
-                "--ntheta", "--quad-panels", "--oracle"] + _SHARED + _GRID,
+                "--ntheta", "--quad-panels", "--oracle", "--out", "--seed", "--json"]
+               + _SHARED + _GRID,
     "invert": ["--method", "--in", "--window", "--constant-mode", "--alpha", "--rmin", "--rmax",
                "--sigma-max", "--nsigma", "--dump-pss", "--apodize", "--slice-a", "--lmax",
-               "--mellin-t", "--mellin-T", "--reg-lambda"] + _SHARED + _GRID,
-    "compare": ["a", "b", "--pgm"] + _SHARED,
-    "calibrate": ["--method", "--window", "--phantoms", "--fast"] + _SHARED,
+               "--mellin-t", "--mellin-T", "--reg-lambda", "--out", "--json"] + _SHARED + _GRID,
+    "compare": ["a", "b", "--pgm", "--json"] + _SHARED,
+    "calibrate": ["--method", "--window", "--phantoms", "--fast", "--json"] + _SHARED,
     "selftest": ["--inject-fault"] + _SHARED,
 }
 _CLI_CHOICES = {

@@ -40,6 +40,22 @@ def test_frequency_grid_nyquist():
     assert fg.axis_coords(0).min() == pytest.approx(-np.pi / dx)
 
 
+def test_complex_field_keeps_its_imaginary_part():
+    grid = make_grid(2, 48, 16.0)
+    re = sample_phantom(gaussian_phantom((0.3, -0.2), 1.0), grid).values
+    im = sample_phantom(gaussian_phantom((-0.5, 0.4), 0.8, amplitude=-0.6), grid).values
+    z = ScalarField(grid, re + 1j * im)
+    assert z.values.dtype == np.complex128 and np.array_equal(z.values.imag, im)
+    want = (continuous_ft(ScalarField(grid, re)).values
+            + 1j * continuous_ft(ScalarField(grid, im)).values)
+    assert np.allclose(continuous_ft(z).values, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+    # any other input becomes float64, and non-finite samples are rejected
+    assert ScalarField(grid, np.ones(grid.shape, dtype=np.int32)).values.dtype == np.float64
+    assert ScalarField(grid, np.ones(grid.shape, dtype=np.complex64)).values.dtype == np.complex128
+    with pytest.raises(ValidationError):
+        ScalarField(grid, np.full(grid.shape, complex(1.0, np.inf)))
+
+
 def test_gaussian_phantom_pointwise():
     spec = gaussian_phantom((0.5, -1.0), 0.8, amplitude=2.0)
     pts = np.array([[0.5, -1.0], [1.3, -1.0], [0.5, 0.6]])

@@ -28,7 +28,7 @@ from wrtkit import (
     wrt_columns,
     wrt_polar_perp,
 )
-from wrtkit import _pool, forward
+from wrtkit import _pool, fields, forward
 from wrtkit.forward import PolarWRT, VSet, WRTData, _panel_count, _ray_source, _time_nodes
 from wrtkit.invert_bp import reconstruct_t1
 from wrtkit.invert_fourier import extract_polar_spectrum, reconstruct_t2
@@ -531,7 +531,7 @@ def _columns(f, w):  # 576 base points, split in two shares of rows
                        QuadratureParams(panels=8))
 
 
-def _perp(f, w):  # more than 2^19 nominal ray nodes: at least two blocks of rho rows
+def _perp(f, w):  # 48 rho rows, shared out over the workers
     return wrt_polar_perp(f, w, np.geomspace(0.05, 4.0, 48), 2.0 * np.pi * np.arange(64) / 64,
                           QuadratureParams(panels=16)).values
 
@@ -551,10 +551,54 @@ def _grid(f, w):  # the factored route, columns shared out, where it applies; el
 def test_quadrature_forward_does_not_depend_on_the_worker_count(monkeypatch, route, f, w):
     monkeypatch.setenv("WRTKIT_THREADS", "1")
     one = route(f, w)
-    monkeypatch.setenv("WRTKIT_THREADS", "2")
-    two = route(f, w)
-    assert np.array_equal(route(f, w), two)
-    _assert_close(two, one, rtol=1e-13)
+    for workers in ("2", "3"):
+        monkeypatch.setenv("WRTKIT_THREADS", workers)
+        assert np.array_equal(route(f, w), one), workers
+
+
+def test_ray_by_ray_forward_does_not_depend_on_the_node_budget(monkeypatch):
+    # each ray is reduced by itself, so cutting the source evaluations into
+    # runs of 2^10 nodes (4 to 8 real-window rays; one analytic-signal
+    # piece) changes no bit
+    disk = smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3)
+    cases = [(route, f, w) for route in (_columns, _perp) for f, w in (
+        (_GAUSS, gaussian_window(1.0)), (disk, gaussian_window(1.0)),
+        (_FIELD, hermite1_window(0.8)), (_GAUSS, analytic_signal_window()))]
+    cases.append((_grid, disk, gaussian_window(1.0)))
+    want = [route(f, w) for route, f, w in cases]
+    monkeypatch.setattr(forward, "_NODES", 2**10)
+    for (route, f, w), ref in zip(cases, want):
+        assert np.array_equal(route(f, w), ref), (route.__name__, f, w)
+
+
+def test_smoothed_disk_builds_each_profile_once(monkeypatch):
+    built = []
+
+    class Counted(fields._DiskProfile):
+        def __init__(self, c):
+            built.append(c)
+            super().__init__(c)
+
+    monkeypatch.setattr(fields, "_DiskProfile", Counted)
+    disk = PhantomSpec("smoothed-disk", ({"center": (0.3, 0.1), "radius": 1.5, "smoothing": 0.3},
+                                         {"center": (-1.0, 0.5), "radius": 0.6, "smoothing": 0.2}))
+    points = make_grid(2, 16, 8.0).points()
+    first = disk.evaluate(points)
+    assert np.array_equal(disk.evaluate(points), first)
+    windowed_ray_transform(disk, gaussian_window(1.0), make_grid(2, 8, 8.0), _VSET,
+                           QuadratureParams(panels=4))
+    wrt_polar_perp(disk, gaussian_window(1.0), np.geomspace(0.1, 2.0, 4),
+                   2.0 * np.pi * np.arange(8) / 8, QuadratureParams(panels=4))
+    assert built == list(disk.components)
+
+
+def test_forward_rejects_a_complex_field():
+    grid = make_grid(2, 16, 8.0)
+    z = fields.ScalarField(grid, (1.0 + 1.0j) * _FIELD.values[::2, ::2])
+    with pytest.raises(ValidationError, match="complex"):
+        windowed_ray_transform(z, gaussian_window(1.0), grid, _VSET)
+    with pytest.raises(ValidationError, match="complex"):
+        wrt_polar_perp(z, gaussian_window(1.0), [0.5, 1.0], [0.0])
 
 
 _FIELD = sample_phantom(_GAUSS, make_grid(2, 32, 10.0))

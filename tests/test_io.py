@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wrtkit import (
+    ScalarField,
     ValidationError,
     analytic_wrt_data,
     continuous_ft,
@@ -146,6 +147,16 @@ def test_pgm_output(tmp_path):
     assert raw.startswith(b"P5")
     side = json.load(open(p + ".json"))
     assert side["min"] == f.values.min() and side["max"] == f.values.max()
+
+
+def test_real_outputs_reject_complex_fields(tmp_path):
+    f = _field()
+    z = ScalarField(f.grid, f.values * (1.0 - 0.5j))
+    with pytest.raises(ValidationError, match="complex"):
+        wio.write_gf1(str(tmp_path / "z"), z)
+    with pytest.raises(ValidationError, match="complex"):
+        wio.write_pgm(str(tmp_path / "z.pgm"), z)
+    assert not any(tmp_path.iterdir())
 
 
 def test_read_gf1_rejects_wrong_format(tmp_path):
