@@ -31,6 +31,7 @@ supported window, matching the identity's hypotheses exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -83,11 +84,45 @@ class MellinLine:
         y = np.asarray(self.y, dtype=float)
         if np.ndim(self.values) not in (1, 2) or np.shape(self.values)[-1] != y.size:
             raise ValidationError("Mellin line values must have shape (Ny,) or (K, Ny)")
-        d = np.diff(y)
-        if y.size > 1 and not np.allclose(d, d[0], rtol=1e-10):
-            raise ValidationError("Mellin line needs a uniform y grid")
-        if y.size > 1 and abs(y[0] + y[-1]) > 1e-9 * (abs(d[0]) + 1):
-            raise ValidationError("Mellin line y grid must be symmetric")
+        _line_step(y)
+
+
+def _line_step(y):
+    """The step of a y line, which is uniform (steps equal to rtol 1e-10)
+    and symmetric about 0, else ValidationError; 0.0 for a single sample."""
+    if y.ndim != 1 or y.size == 0 or not np.all(np.isfinite(y)):
+        raise ValidationError("Mellin y line must be a non-empty, finite 1-D array")
+    if y.size == 1:
+        return 0.0
+    d = np.diff(y)
+    if not np.allclose(d, d[0], rtol=1e-10, atol=0.0):
+        raise ValidationError("Mellin line needs a uniform y grid")
+    if abs(y[0] + y[-1]) > 1e-9 * (abs(d[0]) + 1):
+        raise ValidationError("Mellin line y grid must be symmetric")
+    return (y[-1] - y[0]) / (y.size - 1)
+
+
+def _exp_i_outer(y, a):
+    """exp(i y_k a_j), (Ny, Na) complex, for a y line (_line_step) and 1-D a.
+
+    With blocks of B = ceil(sqrt(Ny)) samples and k = qB + m, the uniform
+    step dy gives e^{i y_k a} = e^{i y_qB a} e^{i m dy a}: a fine table over
+    one block, kept in the first block of the result, times the coarse row
+    of each block start, written as the block's own first row.  That is
+    (Ny/B + B) Na exponentials, not Ny Na, and no array beside the result.
+    """
+    dy = _line_step(y)
+    ny = y.size
+    B = math.isqrt(ny - 1) + 1
+    E = np.empty((ny, a.size), dtype=complex)
+    fine = E[:B]  # its row m = 0 is 1
+    np.multiply.outer(dy * np.arange(B), 1j * a, out=fine)
+    np.exp(fine, out=fine)
+    for k in [*range(B, ny, B), 0]:  # the first block last: it holds the fine table
+        start = np.multiply(1j * y[k], a, out=E[k])
+        np.exp(start, out=start)
+        np.multiply(fine[1:ny - k], start, out=E[k + 1:k + B])  # a last block may be short
+    return E
 
 
 _DY = 0.05  # step of the y line
@@ -176,21 +211,29 @@ def kernel_H(w, l, r_grid):
 def mellin_transform(r_grid, samples, t, y_grid):
     """Mf(t + i y) = int_0^inf f(r) r^{t + i y - 1} dr on a log-uniform grid.
 
-    samples (Nrho,) or (K, Nrho) give values (Ny,) or (K, Ny).  In u = ln r
-    the integral is int f(e^u) e^{t u} e^{i y u} du, a trapezoid rule with
-    one e^{i y u} matrix for all rows; each row's weighted integrand must
-    have decayed at both grid ends (compact support inside the grid counts).
+    samples (Nrho,) or (K, Nrho), finite, give values (Ny,) or (K, Ny) at a
+    finite t.  In u = ln r the integral is int f(e^u) e^{t u} e^{i y u} du, a
+    trapezoid rule on at least two radii; the e^{i y u} matrix, shared by
+    all rows, is built from two small tables on the uniform y line
+    (_exp_i_outer).  Each row's weighted integrand must have decayed at both
+    grid ends (compact support inside the grid counts).
     """
     r = np.asarray(r_grid, dtype=float)
     f = np.asarray(samples)
     y = np.asarray(y_grid, dtype=float)
-    if np.any(r <= 0):
-        raise ValidationError("Mellin transform needs positive radii")
+    if not np.isfinite(t):
+        raise ValidationError("Mellin abscissa t must be finite")
+    if r.ndim != 1 or np.any(r <= 0):
+        raise ValidationError("Mellin transform needs a 1-D grid of positive radii")
+    if f.ndim not in (1, 2) or f.shape[-1] != r.size:
+        raise ValidationError("Mellin samples must have shape (Nrho,) or (K, Nrho)")
+    if not np.all(np.isfinite(f)):
+        raise ValidationError("Mellin samples must be finite")
     u = np.log(r)
+    wu = trapezoid_weights(u)
     steps = np.diff(u)
     if not np.allclose(steps, steps[0], rtol=1e-8):
         raise ValidationError("Mellin transform needs a log-uniform r grid")
-    wu = trapezoid_weights(u)
     g = f * np.exp(t * u)
     mag = np.abs(np.atleast_2d(g))
     gmax, ends = mag.max(axis=1), np.maximum(mag[:, 0], mag[:, -1])
@@ -200,9 +243,7 @@ def mellin_transform(r_grid, samples, t, y_grid):
             "samples have not decayed at the r-grid ends; widen the grid "
             f"(end/max = {np.max(ends[bad] / gmax[bad]):.2e})"
         )
-    E = np.multiply.outer(1j * u, y)  # (Nrho, Ny), exponentiated in place
-    np.exp(E, out=E)
-    return MellinLine(float(t), y, (wu * g) @ E)
+    return MellinLine(float(t), y, (wu * g) @ _exp_i_outer(y, u).T)
 
 
 def mellin_kernel_line(w, l, t, y_grid):
@@ -213,21 +254,23 @@ def mellin_kernel_line(w, l, t, y_grid):
               cos^{s-2}(psi) d psi;
     the substitution removes the 1/sqrt(1 - r^2) endpoint singularity, and
     for compactly supported h the integrand vanishes beyond
-    psi = arctan(support radius).
+    psi = arctan(support radius).  The real factor cos^{t-2}(psi) goes with
+    the node weights; cos^{iy}(psi) = e^{i y ln cos psi} comes from two small
+    tables on the uniform y line (_exp_i_outer).  t must be finite.
     """
     _check_not_odd(w)
     y = np.asarray(y_grid, dtype=float)
+    if not np.isfinite(t):
+        raise ValidationError("Mellin abscissa t must be finite")
     psi_max = min(np.arctan(window_support_radius(w, tol=1e-15)), np.pi / 2 - 1e-12)
     psi, wp = gauss_legendre_panels(0.0, psi_max, 48, 16)
-    tanp = np.tan(psi)
+    tanp, lcos = np.tan(psi), np.log(np.cos(psi))
     ephase = np.exp(1j * np.multiply.outer(l, psi))  # (psi.size,) or (K, psi.size)
     amp = (
         np.asarray(window_eval(w, tanp)) * ephase
         + np.asarray(window_eval(w, -tanp)) / ephase
-    ) * wp
-    E = np.multiply.outer(np.log(np.cos(psi)), (t - 2.0) + 1j * y)  # (psi.size, Ny)
-    np.exp(E, out=E)
-    return MellinLine(float(t), y, amp @ E)
+    ) * (wp * np.exp((t - 2.0) * lcos))
+    return MellinLine(float(t), y, amp @ _exp_i_outer(y, lcos).T)
 
 
 def mellin_convolution_residual(g_line, f_line, H_line):
@@ -253,10 +296,15 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
     lam None means (1e-6 max|MH_l|)^2, and the division is ill-posed when
     |MH_l| stays below 1e-6 max|MH_l| on more than half the band.  The
     finite band realizes the exact formula's T -> infinity limit; the y
-    integral is the trapezoid rule, one e^{-i y ln r} matrix for all rows.
+    integral is the trapezoid rule, with the e^{-i y ln r} matrix of all
+    rows built from two small tables on the uniform y line (_exp_i_outer).
+    t must be finite with t > 1, and r_grid 1-D, finite and positive.
     """
-    if t <= 1.0:
-        raise ValidationError("contour abscissa must satisfy t > 1")
+    if not 1.0 < t < np.inf:
+        raise ValidationError("contour abscissa must be finite with t > 1")
+    r = np.asarray(r_grid, dtype=float)
+    if r.ndim != 1 or not np.all(np.isfinite(r) & (r > 0)):
+        raise ValidationError("recovery radii must be a 1-D array of finite, positive values")
     if abs(Mg.t - t) > 1e-12 or abs(MH.t - t) > 1e-12:
         raise ValidationError("input lines must be sampled at abscissa t")
     if np.shape(Mg.values) != np.shape(MH.values) or not np.allclose(Mg.y, MH.y):
@@ -270,10 +318,7 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
     lam = lam if lam is not None else (1e-6 * hmax) ** 2
     Q = Mg.values * np.conj(MH.values) / (absH**2 + lam)
     wy = trapezoid_weights(Mg.y)
-    r = np.asarray(r_grid, dtype=float)
-    E = np.multiply.outer(-1j * Mg.y, np.log(r))  # (Ny, Nr), exponentiated in place
-    np.exp(E, out=E)
-    return r ** (-t) * ((wy * Q) @ E) / (2.0 * np.pi)
+    return r ** (-t) * ((wy * Q) @ _exp_i_outer(Mg.y, -np.log(r))) / (2.0 * np.pi)
 
 
 def reconstruct_mellin(g, w, L, grid, params=MellinParams()):

@@ -56,6 +56,21 @@ def test_complex_field_keeps_its_imaginary_part():
         ScalarField(grid, np.full(grid.shape, complex(1.0, np.inf)))
 
 
+def test_complex_field_rejects_a_non_finite_imaginary_part_alone():
+    grid = make_grid(2, (6, 8), 4.0)
+    for bad in (complex(0.5, np.nan), complex(0.5, np.inf), complex(0.5, -np.inf)):
+        z = np.ones(grid.shape, dtype=complex)
+        z[2, 3] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            ScalarField(grid, z)
+        # a transposed view has no contiguous last axis and takes the complex check
+        zt = np.ones(grid.shape[::-1], dtype=complex).T
+        zt[4, 1] = bad
+        assert not zt.flags.c_contiguous
+        with pytest.raises(ValidationError, match="non-finite"):
+            ScalarField(grid, zt)
+
+
 def test_gaussian_phantom_pointwise():
     spec = gaussian_phantom((0.5, -1.0), 0.8, amplitude=2.0)
     pts = np.array([[0.5, -1.0], [1.3, -1.0], [0.5, 0.6]])

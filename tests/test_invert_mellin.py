@@ -23,6 +23,7 @@ from wrtkit.forward import PolarWRT
 from wrtkit.invert_mellin import (
     MellinLine,
     MellinParams,
+    _exp_i_outer,
     circular_decompose,
     kernel_H,
     mellin_convolution_residual,
@@ -31,7 +32,8 @@ from wrtkit.invert_mellin import (
     reconstruct_mellin,
     recover_fl,
 )
-from wrtkit.quad import QuadratureParams
+from wrtkit.quad import QuadratureParams, gauss_legendre_panels
+from wrtkit.windows import window_support_radius
 
 SIG, RHO0 = 0.23, 1.4
 WINDOW = bump_window(2.0)
@@ -364,3 +366,143 @@ def test_recover_fl_needs_matching_lines():
         recover_fl(two, one, 2.0, np.array([0.5]))
     with pytest.raises(ValidationError, match="shape"):
         MellinLine(2.0, y, np.ones(4, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# the two-table build of exp(i a y) on a uniform y line
+
+EPS = np.finfo(float).eps
+
+
+def _direct_exp(a, y):
+    return np.exp(1j * np.multiply.outer(a, y))
+
+
+@pytest.mark.parametrize("T", [40.0, 819.2])
+def test_exp_tables_match_the_direct_exponential(T):
+    y = MellinParams(T=T).y_grid()
+    u = np.log(np.geomspace(1e-10, 4.0, 33))  # |a| up to 23.03 = -ln 1e-10
+    for a in (u, -u, np.log(np.cos(np.linspace(0.0, np.arctan(2.0), 17)))):
+        E = _exp_i_outer(y, a).T
+        assert E.shape == (a.size, y.size)
+        bound = 8.0 * EPS * np.max(np.abs(np.multiply.outer(a, y)))
+        assert np.max(np.abs(E - _direct_exp(a, y))) <= bound
+
+
+def test_exp_tables_take_any_line_length():
+    a = np.array([-23.1, -1.0, 0.0, 0.7, 1.4])
+    # 11 samples: blocks of 4, the last one part full; 9: three whole blocks of 3
+    for ny in (11, 9, 2, 3):
+        y = np.linspace(-2.5, 2.5, ny)
+        E = _exp_i_outer(y, a).T
+        assert np.max(np.abs(E - _direct_exp(a, y))) <= 8.0 * EPS * np.max(np.abs(np.outer(a, y)))
+    for y0 in (0.0, 0.3):
+        E = _exp_i_outer(np.array([y0]), a).T
+        assert E.shape == (a.size, 1)
+        assert np.max(np.abs(E - _direct_exp(a, np.array([y0])))) <= 2.0 * EPS
+
+
+def test_exp_tables_reject_a_non_uniform_line_before_allocating(monkeypatch):
+    y = np.linspace(-1.0, 1.0, 9)
+    y[3] += 1e-6
+    a = np.linspace(-3.0, 1.0, 5)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for a rejected line")
+
+    monkeypatch.setattr(np, "exp", no_table)
+    monkeypatch.setattr(np, "empty", no_table)
+    with pytest.raises(ValidationError, match="uniform"):
+        _exp_i_outer(y, a)
+    with pytest.raises(ValidationError, match="uniform"):
+        # a step off by 1e-9 of itself, within allclose's default atol of 1e-8
+        _exp_i_outer(np.array([-0.1, 0.0, 0.1 + 1e-10]) * 1e-2, a)
+
+
+def _transform_direct(r, f, t, y):
+    u = np.log(r)
+    return (_trap(u) * f * np.exp(t * u)) @ _direct_exp(u, y)
+
+
+def _kernel_direct(w, ls, t, y):
+    psi, wp = gauss_legendre_panels(0.0, np.arctan(window_support_radius(w, tol=1e-15)), 48, 16)
+    tanp, ephase = np.tan(psi), np.exp(1j * np.multiply.outer(ls, psi))
+    amp = (window_eval(w, tanp) * ephase + window_eval(w, -tanp) / ephase) * wp
+    return amp @ np.exp(np.multiply.outer(np.log(np.cos(psi)), (t - 2.0) + 1j * y))
+
+
+def _recover_direct(Mg, MH, t, r):
+    absH = np.abs(MH)
+    Q = Mg * np.conj(MH) / (absH**2 + (1e-6 * absH.max(axis=-1, keepdims=True)) ** 2)
+    y = MellinParams(t=t).y_grid()
+    return r ** (-t) * ((_trap(y) * Q) @ _direct_exp(-y, np.log(r))) / (2.0 * np.pi)
+
+
+def _trap(x):
+    w = np.full(x.size, x[1] - x[0])
+    w[0] = w[-1] = 0.5 * (x[1] - x[0])
+    return w
+
+
+def _worst_row_dev(got, want):
+    return np.max(np.abs(got - want) / np.max(np.abs(want), axis=-1, keepdims=True))
+
+
+def test_stacked_stages_match_a_direct_exponential(perp_data):
+    L, t = 8, 2.0
+    series = circular_decompose(perp_data, L)
+    y = MellinParams(t=t).y_grid()
+    # below r = 0.1 the factor r^-t amplifies the cancelling y sum: there both
+    # builds are off by about 1e-11 of the row max from a long-double sum
+    r_test = np.geomspace(0.1, 1.8, 160)
+    Mg = mellin_transform(perp_data.rho, series.coefficients[L:], t, y)
+    MH = mellin_kernel_line(WINDOW, np.arange(L + 1), t, y)
+    assert _worst_row_dev(Mg.values, _transform_direct(
+        perp_data.rho, series.coefficients[L:], t, y)) <= 1e-12
+    assert _worst_row_dev(MH.values, _kernel_direct(WINDOW, np.arange(L + 1), t, y)) <= 1e-12
+    fl = recover_fl(Mg, MH, t, r_test)
+    assert _worst_row_dev(fl, _recover_direct(Mg.values, MH.values, t, r_test)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# malformed input is rejected before any table is built
+
+def test_mellin_transform_needs_two_radii():
+    y = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValidationError):
+        mellin_transform(np.array([1.0]), np.array([1.0]), 2.0, y)
+
+
+def test_mellin_transform_rejects_non_finite_samples():
+    r = np.geomspace(1e-6, 1e3, 64)
+    y = np.linspace(-1.0, 1.0, 5)
+    f = np.exp(-4.0 * np.log(r) ** 2)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        g = f.astype(complex)
+        g[30] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            mellin_transform(r, np.stack([f, g]), 2.0, y)
+
+
+def test_stages_reject_a_non_finite_abscissa():
+    r = np.geomspace(1e-6, 1e3, 64)
+    y = np.linspace(-1.0, 1.0, 5)
+    f = np.exp(-4.0 * np.log(r) ** 2)
+    line = MellinLine(2.0, y, np.ones(5, dtype=complex))
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            mellin_transform(r, f, t, y)
+        with pytest.raises(ValidationError, match="finite"):
+            mellin_kernel_line(WINDOW, 0, t, y)
+    with pytest.raises(ValidationError, match="finite"):
+        recover_fl(line, line, np.nan, np.array([0.5, 1.0]))
+
+
+def test_recover_fl_rejects_non_positive_radii():
+    y = np.linspace(-1.0, 1.0, 5)
+    line = MellinLine(2.0, y, np.ones(5, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        for r in ([0.0, 1.0], [-0.5, 1.0], [np.nan, 1.0], [np.inf]):
+            with pytest.raises(ValidationError, match="positive"):
+                recover_fl(line, line, 2.0, np.array(r))
