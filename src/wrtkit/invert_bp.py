@@ -15,6 +15,15 @@ linearly in |v|).
 Backprojection is linear, so the weighted filtered spectra of all slices
 are summed and a single inverse real FFT returns to u.
 
+The v integral covers both v and -v, and for a real window the multiplier
+at -v is the conjugate of the one at v: equal to it for an even window,
+its negative for an odd one.  So when the directions hold antipodal pairs
+(theta and -theta, as every uniform circle with an even count does), an
+even or odd window filters each pair as one slice, P(., r theta) +/-
+P(., -r theta), with one FFT and one filter; this holds for any data.
+Directions without a partner (an odd count, jittered directions) and
+windows of neither parity go slice by slice.
+
 No admissibility (hhat(0) = 0) is required.  The route is implemented
 for n = 2 (uniform direction weights on S^1).
 """
@@ -96,29 +105,50 @@ def reconstruct_t1(data, w, grid, params=BPParams()):
     # trapezoid in log r (dv |v|^-n in polar form is d log r d theta),
     # uniform in the direction angle
     wr = trapezoid_weights(np.log(radii[sel]))
-    wtheta = np.full(dirs.shape[0], 2.0 * np.pi / dirs.shape[0])
-    cols = np.nonzero(np.tile(sel, dirs.shape[0]))[0]  # direction-major, as in the vset
-    weights = np.multiply.outer(wtheta, wr).ravel()
-    acc = _backproject(data, cols, weights, w, params.pad)
+    acc = _backproject(data, np.nonzero(sel)[0], 2.0 * np.pi / dirs.shape[0] * wr, w, params.pad)
     raw = _resample(acc, u_grid, grid)
     const = _resolve_constant(params.constant_mode, params.alpha,
                               lambda: paper_constant_t1(w, n), lambda: theory_constant_t1(w, n))
     return ScalarField(grid, const * raw)
 
 
-def _backproject(data, cols, weights, w, pad):
-    """sum_j weights_j Q_j, Q(u, v) = int P(u - v t, v) I^-1 h(-t) dt.
+def _antipodal_groups(directions, parity):
+    """The directions as groups in index order: (k, k') where theta_k' = -theta_k
+    (max |theta_k' + theta_k| <= 1e-12, k' the first such direction not yet
+    grouped), else (k,).  Only an even or odd window pairs directions."""
+    if parity not in ("even", "odd"):
+        return [(k,) for k in range(directions.shape[0])]
+    free = np.ones(directions.shape[0], dtype=bool)
+    groups = []
+    for k in range(directions.shape[0]):
+        if not free[k]:
+            continue
+        free[k] = False
+        anti = np.flatnonzero(free & (np.max(np.abs(directions + directions[k]), axis=1) <= 1e-12))
+        groups.append((k, int(anti[0])) if anti.size else (k,))
+        free[anti[:1]] = False
+    return groups
 
-    One slice at a time: each is zero-padded by ``pad`` and real-FFT'd, and
-    FT(P) |xi.v| conj(hhat(-xi.v)) is summed; the sum is inverted once.
-    The columns are polar (direction-major), so xi.theta and |xi.theta| are
-    formed once per direction and each radius only rescales them.  An even
-    window has a real hhat, so its multiplier is real and scales the real
-    and imaginary parts of the spectrum; that is exactly the complex product
-    with (m + 0i).  A slice is read contiguously from v-major data
-    (:func:`~wrtkit.forward.analytic_wrt_data`) and gathered from any other
-    layout.  Each pool worker sums one contiguous range of the slices into
-    its own spectrum, and the spectra are added in range order, so the
+
+def _backproject(data, rows, weights, w, pad):
+    """sum_j weights_j Q_j over the radii ``rows`` of every direction,
+    Q(u, v) = int P(u - v t, v) I^-1 h(-t) dt.
+
+    One item at a time: a slice is zero-padded by ``pad`` and real-FFT'd,
+    and FT(P) m is summed, m(xi, v) = |xi.v| conj(hhat(-xi.v)); the sum is
+    inverted once.  m(xi, -v) = conj(m(xi, v)) for a real window, so an
+    even window (real m) or an odd one (imaginary m) folds each antipodal
+    pair theta_k' = -theta_k (:func:`_antipodal_groups`): at each radius
+    P(., r theta_k) + P(., r theta_k') (even) or - (odd) takes one FFT and
+    the filter of theta_k, exactly for any data, Nyquist bins included.
+    Other directions go alone.  xi.theta and |xi.theta| are formed once per
+    direction group and each radius only rescales them.  An even window's
+    real multiplier scales the real and imaginary parts of the spectrum,
+    exactly the complex product with (m + 0i).  A slice is read
+    contiguously from v-major data (:func:`~wrtkit.forward.analytic_wrt_data`)
+    and gathered from any other layout.  The items (direction group, radius)
+    are direction-major; each pool worker sums one contiguous range of them
+    into its own spectrum, and the spectra are added in range order, so the
     result repeats bit for bit at a given worker count.
     The Nyquist bin of an even-length axis is filtered at one sign of xi.
     """
@@ -130,39 +160,47 @@ def _backproject(data, cols, weights, w, pad):
     mesh = np.meshgrid(*freqs, indexing="ij", sparse=True)
     spectrum = tuple(f.size for f in freqs)
     even = w.parity == "even"
+    fold = np.add if even else np.subtract
+    groups = _antipodal_groups(vset.directions, w.parity)
     nr = vset.radii.size
 
-    def filtered_sum(part):  # part: a range of cols; calls no traced name (window_ft)
+    def folded(cols, j):  # the group's slice at radius index j: one, or a pair folded
+        P = data.values[:, cols[0] + j]
+        return P if len(cols) == 1 else fold(P, data.values[:, cols[1] + j])
+
+    def filtered_sum(part):  # part: a range of items; calls no traced name (window_ft)
         acc = np.zeros(spectrum, dtype=complex)
         F = np.empty(spectrum, dtype=complex)  # this worker's padded slice spectrum
         head = F[tuple(slice(0, N) for N in u_grid.shape[:-1])]
-        direction = None
-        share = slice(part.start, part.stop)
-        for col, wt in zip(cols[share], weights[share]):
-            k, j = divmod(int(col), nr)
-            if k != direction:  # xi.theta, |xi.theta| of this direction
-                direction = k
-                xt = sum(m * ti for m, ti in zip(mesh, vset.directions[k]))
+        current = None
+        for item in part:
+            g, i = divmod(item, rows.size)
+            if g != current:  # xi.theta, |xi.theta| of this group's first direction
+                current = g
+                cols = [k * nr for k in groups[g]]
+                xt = sum(m * ti for m, ti in zip(mesh, vset.directions[groups[g][0]]))
                 axt = np.abs(xt)
+            j = rows[i]
             r = vset.radii[j]
             # the padded real FFT: the last axis of the slice into the head,
-            # zeros beyond it, then the other axes in place
-            for i, N in enumerate(u_grid.shape[:-1]):
-                F[(slice(None),) * i + (slice(N, None),)] = 0.0
-            np.fft.rfft(data.values[:, col].reshape(u_grid.shape), shape[-1], axis=-1, out=head)
-            for i in reversed(axes[:-1]):
-                np.fft.fft(F, axis=i, out=F)
+            # zeros beyond it, then the other axes in place; a folded slice
+            # is freed before the filter is built
+            for a, N in enumerate(u_grid.shape[:-1]):
+                F[(slice(None),) * a + (slice(N, None),)] = 0.0
+            np.fft.rfft(folded(cols, j).reshape(u_grid.shape), shape[-1], axis=-1, out=head)
+            for a in reversed(axes[:-1]):
+                np.fft.fft(F, axis=a, out=F)
             if even:  # hhat(-xi.v) = hhat(xi.v), real: F times (m + 0i)
                 m = _even_window_ft(w, r * xt)
             else:
                 m = np.conj(_window_ft(w, -r * xt))
             m *= axt
-            m *= wt * r
+            m *= weights[i] * r
             F *= m
             acc += F
         return acc
 
-    acc = sum(_pool.map(filtered_sum, range(cols.size)))
+    acc = sum(_pool.map(filtered_sum, range(len(groups) * rows.size)))
     Q = np.fft.irfftn(acc, s=shape, axes=axes)
     return Q[tuple(slice(0, N) for N in u_grid.shape)]
 

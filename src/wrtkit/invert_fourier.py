@@ -2,12 +2,12 @@
 
 Uses the factorization P_hat(sigma theta, r theta) = fhat(sigma theta)
 hhat(-r sigma): the u-transform of each slice is summed exactly along
-its ray, dividing the r-integral of data times hhat(r sigma) by the
-matching window integral recovers fhat on polar rays, and a direct polar
-sum synthesizes f.  Both sums factor per axis on a tensor grid
+its ray, dividing the r-integral of data times conj(hhat(-r sigma))
+(hhat(r sigma) for a real window) by the matching window integral
+recovers fhat on polar rays, and a direct polar sum synthesizes f.  Both sums factor per axis on a tensor grid
 (exp(-i sigma theta.x) = prod_a exp(-i sigma theta_a x_a)).
 
-The per-sigma normalization uses the *same* trapezoid rule on |hhat(r
+The per-sigma normalization uses the *same* trapezoid rule on |hhat(-r
 sigma)|^2 as the data integral, so the finite r coverage cancels instead
 of acting as a high-pass; as the r grid grows this reduces to the
 analytic constant |sigma|^-1 int_0^inf |hhat|^2.
@@ -96,8 +96,8 @@ def _r_weights(radii):
 def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None):
     """Synthesize f on ``grid`` from polar spectral samples (n = 2).
 
-    inner(sigma, theta) = sum_r w_r P_hat(sigma theta, r theta) hhat(r sigma)
-    fhat(sigma theta)   = inner / N(sigma),  N = sum_r w_r |hhat(r sigma)|^2
+    inner(sigma, theta) = sum_r w_r P_hat(sigma theta, r theta) conj(hhat(-r sigma))
+    fhat(sigma theta)   = inner / N(sigma),  N = sum_r w_r |hhat(-r sigma)|^2
     f(x) = (2 pi)^-2 sum_theta sum_sigma fhat e^{i sigma theta.x} sigma dsigma dtheta
 
     constant_mode 'paper' instead applies the statement constant to the
@@ -116,7 +116,9 @@ def reconstruct_t2(samples, w, grid, constant_mode="theory", alpha=None):
     sigma = samples.sigma
     radii = samples.radii
     wr = _r_weights(radii)
-    hh = window_ft(w, np.multiply.outer(sigma, radii))  # hhat(r sigma), (Nsigma, Nr)
+    # conj(hhat(-r sigma)), (Nsigma, Nr): hhat(r sigma) for a real window,
+    # the conjugate t1 takes (P_hat = fhat(sigma theta) hhat(-r sigma))
+    hh = np.conj(window_ft(w, -np.multiply.outer(sigma, radii)))
     hmax = np.max(np.abs(hh)) or 1.0
     hh = np.where(np.abs(hh) < 1e-14 * hmax, 0.0, hh)  # drop the decayed tail
     inner = np.einsum("ksr,sr,r->ks", vals, hh, wr)      # (Ntheta, Nsigma)

@@ -462,15 +462,32 @@ def _faddeeva_wrt(f, u, v):
 @pytest.mark.parametrize("spec, rtol", [(gaussian_phantom((0.4, -0.2), 0.7), 1e-8),
                                         (_FAR_MIXTURE, 1e-6)], ids=["gaussian", "far-mixture"])
 def test_analytic_signal_forward_matches_faddeeva(spec, rtol):
+    # |v| >= 0.05 everywhere: the pole is resolved, and nothing warns
     w = analytic_signal_window()
     grid = make_grid(2, 32, 16.0)
     vset = polar_vset(uniform_circle(6)[0], np.geomspace(0.05, 30.0, 8))
-    got = windowed_ray_transform(spec, w, grid, vset).values
-    _assert_close(got, _faddeeva_wrt(spec, grid.points()[:, None, :], vset.vectors), rtol)
     rho, theta = np.geomspace(0.05, 4.0, 16), 2.0 * np.pi * np.arange(8) / 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = windowed_ray_transform(spec, w, grid, vset).values
+        g = wrt_polar_perp(spec, w, rho, theta).values
+    _assert_close(got, _faddeeva_wrt(spec, grid.points()[:, None, :], vset.vectors), rtol)
     u = rho[:, None, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    g = wrt_polar_perp(spec, w, rho, theta).values
     _assert_close(g, _faddeeva_wrt(spec, u, u[..., ::-1] * [-1.0, 1.0]), rtol)
+
+
+def test_analytic_signal_warns_once_where_its_pole_is_not_resolved():
+    # rho from 1e-6, the CLI's default --rho-min: 10 of the 16 rows have
+    # |v| = rho < 1e-2, 8 rays each
+    spec, w = gaussian_phantom((0.4, -0.2), 0.7), analytic_signal_window()
+    rho, theta = np.geomspace(1e-6, 4.0, 16), 2.0 * np.pi * np.arange(8) / 8
+    assert np.count_nonzero(rho < 1e-2) == 10
+    with pytest.warns(UserWarning, match=r"^80 analytic-signal rays have \|v\| < 1e-2") as record:
+        wrt_polar_perp(spec, w, rho, theta)
+    assert len(record) == 1 and "99 % at 1e-6" in str(record[0].message)
+    with pytest.warns(UserWarning, match=r"^3 analytic-signal rays") as record:
+        wrt_columns(spec, w, np.zeros((3, 2)), [[1e-3, 0.0], [0.0, 0.5]])
+    assert len(record) == 1
 
 
 def test_clipped_forward_smoothed_disk():

@@ -25,6 +25,7 @@ from wrtkit import (
     windowed_ray_transform,
     wrt_columns,
 )
+from wrtkit.invert_bp import _antipodal_groups
 from wrtkit.quad import QuadratureParams
 from wrtkit.windows import window_ft
 
@@ -131,25 +132,54 @@ def test_summed_spectrum_matches_per_slice_filter(shape, pad, tol):
     assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
-def _t1_worker_case(w=gaussian_window(1.0), n=64):
-    # 42 slices: with two workers each sums 21, so the second share starts
-    # inside a direction; hermite1 gets its own closed form, the others
-    # the gaussian one
+def _turned(dirs, k, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    out = dirs.copy()
+    out[k] = [c * dirs[k, 0] - s * dirs[k, 1], s * dirs[k, 0] + c * dirs[k, 1]]
+    return out
+
+
+# every direction has its antipode, none has, and all but directions 0 and 4
+# (direction 0 turned by 1e-6, so the pair is not formed)
+_DIRECTION_SETS = {"paired": uniform_circle(8)[0], "unpaired": uniform_circle(7)[0],
+                   "mixed": _turned(uniform_circle(8)[0], 0, 1e-6)}
+
+
+def test_antipodal_directions_pair_in_index_order():
+    paired, unpaired, mixed = _DIRECTION_SETS.values()
+    assert _antipodal_groups(paired, "even") == [(0, 4), (1, 5), (2, 6), (3, 7)]
+    assert _antipodal_groups(paired, "odd") == [(0, 4), (1, 5), (2, 6), (3, 7)]
+    assert _antipodal_groups(unpaired, "even") == [(k,) for k in range(7)]
+    assert _antipodal_groups(mixed, "odd") == [(0,), (1, 5), (2, 6), (3, 7), (4,)]
+    assert _antipodal_groups(paired, "none") == [(k,) for k in range(8)]
+    # each direction joins at most one pair, the first free one in index order
+    twice = np.concatenate([paired[:1], -paired[:1], -paired[:1]])
+    assert _antipodal_groups(twice, "even") == [(0, 1), (2,)]
+
+
+def _t1_worker_case(w=gaussian_window(1.0), n=64, dirs=uniform_circle(7)[0]):
+    # 6 radii: with two workers the second share starts inside a direction
+    # group for 7 (42 items) and for the mixed set (30); hermite1 gets its
+    # own closed form, the others the gaussian one.  Seeded noise of 1e-3 of
+    # max makes P(., v) differ from P(., -v), so a fold does not lean on
+    # symmetric data
     spec = gaussian_phantom((0.4, -0.2), 0.8)
     grid = make_grid(2, n, 24.0)
     radii = np.geomspace(0.1, 4.0, 6)
-    vset = polar_vset(uniform_circle(7)[0], radii)
+    vset = polar_vset(dirs, radii)
     if w.kind == "hermite1":
         values = _hermite1_wrt(spec, w.sigma, grid.points()[:, None], vset.vectors)
-        data = WRTData(grid, vset, w, values)
     else:
-        data = analytic_wrt_data(spec, gaussian_window(1.0), grid, vset)
+        values = analytic_wrt_data(spec, gaussian_window(1.0), grid, vset).values
+    values = values + 1e-3 * np.max(np.abs(values)) * np.random.default_rng(5).standard_normal(values.shape)
+    data = WRTData(grid, vset, w, values)
     return data, w, BPParams(r_min=radii[0], r_max=radii[-1], constant_mode="theory")
 
 
 def _serial_t1(data, w, pad=2):
     """Reference: one filtered real spectrum per slice, summed slice by slice
-    in v order, then one inverse real FFT (theory constant, output on the data grid)."""
+    in v order (no antipodal fold), then one inverse real FFT (theory
+    constant, output on the data grid)."""
     u_grid, vset = data.u_grid, data.vset
     shape = tuple(int(N * pad) for N in u_grid.shape)
     mesh = np.meshgrid(2.0 * np.pi * np.fft.fftfreq(shape[0], u_grid.spacing[0]),
@@ -169,13 +199,14 @@ def _serial_t1(data, w, pad=2):
 
 
 def test_t1_repeats_at_two_workers_and_matches_one_worker(monkeypatch):
-    data, w, params = _t1_worker_case()
-    monkeypatch.setenv("WRTKIT_THREADS", "2")
-    two = reconstruct_t1(data, w, data.u_grid, params).values
-    assert np.array_equal(reconstruct_t1(data, w, data.u_grid, params).values, two)
-    monkeypatch.setenv("WRTKIT_THREADS", "1")
-    one = reconstruct_t1(data, w, data.u_grid, params).values
-    assert np.linalg.norm(two - one) <= 1e-13 * np.linalg.norm(one)
+    for name, dirs in _DIRECTION_SETS.items():
+        data, w, params = _t1_worker_case(dirs=dirs)
+        monkeypatch.setenv("WRTKIT_THREADS", "2")
+        two = reconstruct_t1(data, w, data.u_grid, params).values
+        assert np.array_equal(reconstruct_t1(data, w, data.u_grid, params).values, two), name
+        monkeypatch.setenv("WRTKIT_THREADS", "1")
+        one = reconstruct_t1(data, w, data.u_grid, params).values
+        assert np.linalg.norm(two - one) <= 1e-13 * np.linalg.norm(one), name
 
 
 @pytest.mark.parametrize("window, n", [
@@ -183,13 +214,15 @@ def test_t1_repeats_at_two_workers_and_matches_one_worker(monkeypatch):
     ids=["gaussian", "bump", "hermite1"])
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_t1_matches_a_serial_per_slice_loop(monkeypatch, threads, window, n):
-    # the even windows take the real multiplier, hermite1 the complex one;
-    # the bump's hhat is a 1,024-node sum per point, so its grid is smaller
-    data, w, params = _t1_worker_case(window, n)
+    # the even windows take the real multiplier and fold P(v) + P(-v),
+    # hermite1 the complex one and P(v) - P(-v); the bump's hhat is a
+    # 1,024-node sum per point, so its grid is smaller
     monkeypatch.setenv("WRTKIT_THREADS", threads)
-    got = reconstruct_t1(data, w, data.u_grid, params).values
-    want = _serial_t1(data, w)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    for name, dirs in _DIRECTION_SETS.items():
+        data, w, params = _t1_worker_case(window, n, dirs)
+        got = reconstruct_t1(data, w, data.u_grid, params).values
+        want = _serial_t1(data, w)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
 
 
 def test_radius_subrange_is_respected():
