@@ -123,21 +123,28 @@ def v1_line_vset(v1, vprime):
 
 @dataclass(frozen=True)
 class WRTData:
+    """P_h f on u_grid x vset, complex iff the window is.
+
+    ``values`` has shape (u_grid.size, len(vset)) and one layout, v-major:
+    it is the transpose of a C-order (len(vset), u_grid.size) array, so each
+    v slice ``values[:, j]`` is contiguous.  Producers fill that array and
+    pass its transpose, which is kept as it is; values in any other layout
+    are copied into it.
+    """
+
     u_grid: Grid
     vset: VSet
     window: WindowSpec
-    # (u_grid.size, len(vset)) whatever the memory layout: C order from the
-    # quadrature and io, v-major (the transpose of a C-order (len(vset),
-    # u_grid.size) array) from analytic_wrt_data; complex iff window complex
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values)
         if vals.shape != (self.u_grid.size, len(self.vset)):
             raise ValidationError("WRT values have the wrong shape")
-        if not np.all(np.isfinite(vals)):
+        rows = np.ascontiguousarray(vals.T)  # vals.T itself when already v-major
+        if not np.all(np.isfinite(rows)):
             raise NumericalError("WRT values contain non-finite entries")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", rows.T)
 
     def slice_values(self, j):
         """Values for v index j, reshaped onto the u grid."""
@@ -182,7 +189,7 @@ def _perp_axes(rho, theta):
     if theta.ndim != 1 or not np.allclose(theta, 2.0 * np.pi * np.arange(nt) / nt, 0.0, 1e-12):
         raise ValidationError("theta grid must be 2 pi k / N, k = 0, ..., N - 1")
     steps = np.diff(np.log(rho))
-    if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-8)):
+    if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)):
         raise ValidationError("rho grid must be log-uniform with a positive step")
     return rho, theta
 
@@ -489,22 +496,23 @@ def _columns(src, w, U, vectors, quad):
     norms = np.linalg.norm(vectors, axis=1)
     _warn_unresolved_pole(w, norms, U.shape[0], 4)
     rules = _node_rules(w, quad, norms, src.feature)
-    out = np.zeros((U.shape[0], vectors.shape[0]), dtype=float if w.is_real else complex)
+    out = np.zeros((vectors.shape[0], U.shape[0]), dtype=float if w.is_real else complex)
 
     def fill(share):  # a range of base points
         rows = slice(share.start, share.stop)  # numpy would convert a range element by element
         Us = U[rows]
         for j, v in enumerate(vectors):
-            out[rows, j] = _ray_sum(src, w, quad, rules[j], Us, np.broadcast_to(v, Us.shape))
+            out[j, rows] = _ray_sum(src, w, quad, rules[j], Us, np.broadcast_to(v, Us.shape))
 
     _pool.map(fill, range(U.shape[0]))
-    return out
+    return out.T
 
 
 def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
-    """P_h f(u_m, v_j), (M, Nv), for base points U (M, n) crossed with
-    vectors (Nv, n), ray by ray: the rule of :func:`windowed_ray_transform`
-    with the panels outside each ray's clip interval skipped.
+    """P_h f(u_m, v_j), (M, Nv) in the v-major layout of :class:`WRTData`,
+    for base points U (M, n) crossed with vectors (Nv, n), ray by ray: the
+    rule of :func:`windowed_ray_transform` with the panels outside each
+    ray's clip interval skipped.
 
     Each pool worker runs every column on one contiguous share of the base
     points; the values do not depend on the worker count."""
@@ -548,14 +556,14 @@ def _factored_columns(src, w, u_grid, vectors, quad):
     src.factored, contiguous ranges of columns per pool worker."""
     rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src.feature)
     axes = [u_grid.axis_coords(i) for i in range(u_grid.n)]
-    out = np.zeros((u_grid.size, vectors.shape[0]))
+    out = np.zeros((vectors.shape[0], u_grid.size))
 
     def fill(part):  # a range of columns
         for j in part:
-            out[:, j] = src.factored(axes, vectors[j], *rules[j])
+            out[j] = src.factored(axes, vectors[j], *rules[j])
 
     _pool.map(fill, range(vectors.shape[0]))
-    return out
+    return out.T
 
 
 def _has_closed_form(f, w):
@@ -614,13 +622,11 @@ def analytic_wrt_data(f, w, u_grid, vset):
     B^2 / (4 alpha s^4) - A / (2 s^2) of :func:`analytic_wrt_gaussian` takes
     A / (2 s^2) computed once per call and B = (u - c).v built per axis, as
     an outer sum of (x_i - c_i) v_i, so no (points x columns) temporary is
-    formed.  The values are stored v-major, as an (Nv, M) array whose
-    transpose is ``values``, so every ``values[:, j]`` is contiguous.  Each
-    pool worker fills one contiguous range of the columns, so the values do
-    not depend on the worker count.  Useful wherever exact transform data is
-    needed without quadrature cost (calibration, geometry studies); same
-    restrictions as :func:`analytic_wrt_gaussian`, checked, with the
-    dimensions, before any column is computed.
+    formed.  Each pool worker fills one contiguous range of the columns, so
+    the values do not depend on the worker count.  Useful wherever exact
+    transform data is needed without quadrature cost (calibration, geometry
+    studies); same restrictions as :func:`analytic_wrt_gaussian`, checked,
+    with the dimensions, before any column is computed.
     """
     _check_closed_form(f, w)
     _check_dimensions(f.n, u_grid.n, vset.vectors)

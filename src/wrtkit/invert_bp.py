@@ -144,12 +144,11 @@ def _backproject(data, rows, weights, w, pad):
     Other directions go alone.  xi.theta and |xi.theta| are formed once per
     direction group and each radius only rescales them.  An even window's
     real multiplier scales the real and imaginary parts of the spectrum,
-    exactly the complex product with (m + 0i).  A slice is read
-    contiguously from v-major data (:func:`~wrtkit.forward.analytic_wrt_data`)
-    and gathered from any other layout.  The items (direction group, radius)
-    are direction-major; each pool worker sums one contiguous range of them
-    into its own spectrum, and the spectra are added in range order, so the
-    result repeats bit for bit at a given worker count.
+    exactly the complex product with (m + 0i).  Each slice is one
+    contiguous v-major row of the data.  The items (direction group,
+    radius) are direction-major; each pool worker sums one contiguous range
+    of them into its own spectrum, and the spectra are added in range
+    order, so the result repeats bit for bit at a given worker count.
     The Nyquist bin of an even-length axis is filtered at one sign of xi.
     """
     u_grid, vset = data.u_grid, data.vset
@@ -165,8 +164,8 @@ def _backproject(data, rows, weights, w, pad):
     nr = vset.radii.size
 
     def folded(cols, j):  # the group's slice at radius index j: one, or a pair folded
-        P = data.values[:, cols[0] + j]
-        return P if len(cols) == 1 else fold(P, data.values[:, cols[1] + j])
+        P = data.slice_values(cols[0] + j)
+        return P if len(cols) == 1 else fold(P, data.slice_values(cols[1] + j))
 
     def filtered_sum(part):  # part: a range of items; calls no traced name (window_ft)
         acc = np.zeros(spectrum, dtype=complex)
@@ -187,7 +186,7 @@ def _backproject(data, rows, weights, w, pad):
             # is freed before the filter is built
             for a, N in enumerate(u_grid.shape[:-1]):
                 F[(slice(None),) * a + (slice(N, None),)] = 0.0
-            np.fft.rfft(folded(cols, j).reshape(u_grid.shape), shape[-1], axis=-1, out=head)
+            np.fft.rfft(folded(cols, j), shape[-1], axis=-1, out=head)
             for a in reversed(axes[:-1]):
                 np.fft.fft(F, axis=a, out=F)
             if even:  # hhat(-xi.v) = hhat(xi.v), real: F times (m + 0i)

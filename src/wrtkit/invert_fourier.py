@@ -55,7 +55,8 @@ def extract_polar_spectrum(data, sigma):
 
     The continuous u-transform is the exact sum along each ray,
     cell_volume * sum_x P(x, v) exp(-i sigma theta_j.x), evaluated per
-    direction for all radii at once.  Anything but polar-vset WRTData on a
+    direction for all radii at once, on the direction's contiguous block of
+    v-major slices.  Anything but polar-vset WRTData on a
     2-D u grid, and sigma beyond ``u_grid.nyquist``, is rejected.  Returns
     PolarSpectralSamples over the data's own direction/radius sets.
     """
@@ -69,14 +70,14 @@ def extract_polar_spectrum(data, sigma):
     dirs, radii = data.vset.directions, data.vset.radii
     nt, nr = dirs.shape[0], radii.size
     x1, x2 = u_grid.axis_coords(0), u_grid.axis_coords(1)
-    # (N_1, N_2, Ntheta, Nr): the slices of direction k are [:, :, k, :]
-    vals = data.values.reshape(*u_grid.shape, nt, nr)
+    # (Ntheta, Nr, N_1, N_2): the slices of direction k are one block [k]
+    blocks = data.values.T.reshape(nt, nr, *u_grid.shape)
     out = np.empty((nt, sigma.size, nr), dtype=complex)
     for k in range(nt):
         E1 = np.exp(-1j * np.multiply.outer(sigma * dirs[k, 0], x1))
         E2 = np.exp(-1j * np.multiply.outer(sigma * dirs[k, 1], x2))
-        acc = np.tensordot(E1, vals[:, :, k, :], axes=1)  # (Nsigma, N_2, Nr)
-        out[k] = u_grid.cell_volume * np.einsum("sj,sjr->sr", E2, acc)
+        acc = E1 @ blocks[k]  # (Nr, Nsigma, N_2)
+        out[k] = u_grid.cell_volume * np.einsum("sj,rsj->sr", E2, acc)
     return PolarSpectralSamples(np.arctan2(dirs[:, 1], dirs[:, 0]), sigma, radii, out,
                                 window=data.window)
 

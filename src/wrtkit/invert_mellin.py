@@ -232,7 +232,7 @@ def mellin_transform(r_grid, samples, t, y_grid):
     u = np.log(r)
     wu = trapezoid_weights(u)
     steps = np.diff(u)
-    if not np.allclose(steps, steps[0], rtol=1e-8):
+    if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
         raise ValidationError("Mellin transform needs a log-uniform r grid")
     g = f * np.exp(t * u)
     mag = np.abs(np.atleast_2d(g))

@@ -116,7 +116,7 @@ def _extract(u1, v1, blocks, w, p):
     if abs(ha) <= 1e-12:
         raise HypothesisError(f"window vanishes at a = {p.a}")
     dv = np.diff(v1)
-    if not np.allclose(dv, dv[0], rtol=1e-10):
+    if not np.allclose(dv, dv[0], rtol=1e-10, atol=0.0):
         raise ValidationError("v1 grid must be uniform")
     if abs(v1[0] + v1[-1]) > 1e-9 * abs(dv[0]):
         raise ValidationError("v1 grid must be symmetric about 0")
@@ -170,17 +170,19 @@ def restricted_extract(u1, v1, vprimes, values, w, p):
 
 
 def reconstruct_slice(spectrum, out_grid):
-    """Inverse 1-D FT in sigma per transverse row; zeta must cover the
-    output grid's second axis."""
+    """Inverse 1-D FT in sigma per transverse row, interpolated in zeta
+    (in either order: a < 0 reverses a restricted dataset's zeta = a v');
+    zeta must cover the output grid's second axis."""
     x1 = out_grid.axis_coords(0)
     x2 = out_grid.axis_coords(1)
-    zeta = spectrum.zeta
-    if x2.min() < zeta.min() - 1e-9 or x2.max() > zeta.max() + 1e-9:
+    order = np.argsort(spectrum.zeta)  # np.interp needs increasing zeta
+    zeta = spectrum.zeta[order]
+    if x2.min() < zeta[0] - 1e-9 or x2.max() > zeta[-1] + 1e-9:
         raise ValidationError("zeta coverage does not span the output grid")
     sig = spectrum.sigma
     ws = trapezoid_weights(sig)
     E = np.exp(1j * np.multiply.outer(x1, sig))  # (Nx1, Nsigma)
-    rows = (E * ws[None, :]) @ spectrum.values / (2.0 * np.pi)  # (Nx1, Nzeta)
+    rows = (E * ws[None, :]) @ spectrum.values[:, order] / (2.0 * np.pi)  # (Nx1, Nzeta)
     imax = np.max(np.abs(rows.imag))
     rmax = np.max(np.abs(rows.real)) or 1.0
     if imax > 1e-6 * rmax:

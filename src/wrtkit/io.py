@@ -2,11 +2,14 @@
 
 Every dataset is a directory holding ``meta.json`` plus ``data.bin`` with
 raw little-endian values in C (row-major) order; complex data is stored
-as interleaved (re, im) float64 pairs.  Formats:
+as interleaved (re, im) float64 pairs.  A payload is read and written one
+block of rows at a time, so no second whole copy of it is held.  Formats:
 
 * ``gf1``  -- real scalar field on a uniform grid (kind ``scalar``, f64)
-* ``wrt1`` -- windowed-ray-transform data: u-grid x vset (u-major) or the
-  polar perpendicular configuration (``vset.mode == "perp"``)
+* ``wrt1`` -- windowed-ray-transform data: u-grid x vset, stored (M, Nv)
+  in C order (u-major), or the polar perpendicular configuration
+  (``vset.mode == "perp"``).  ``WRTData`` keeps its values v-major, so
+  reading and writing transpose them block by block of rows
 * ``pss1`` -- polar spectral samples (debugging dump)
 
 PGM export writes an 8-bit image with the linear min-max scaling recorded
@@ -41,6 +44,15 @@ __all__ = [
 ]
 
 _DTYPES = {"f64": "<f8", "c128": "<c16"}
+_BLOCK = 2**15  # values per block of rows read or written (256 KB of f64)
+
+
+def _row_blocks(array):
+    """Views of ``array`` (a 0-d one is one row) cut along its first axis
+    into blocks of at most _BLOCK values, one row at least."""
+    rows = np.atleast_1d(array)
+    step = max(1, _BLOCK // max(1, int(np.prod(rows.shape[1:]))))
+    return [rows[r:r + step] for r in range(0, len(rows), step)]
 
 
 def _write_dir(path, meta, array):
@@ -49,22 +61,27 @@ def _write_dir(path, meta, array):
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    np.ascontiguousarray(array, dtype=dtype).tofile(os.path.join(path, "data.bin"))
+    with open(os.path.join(path, "data.bin"), "wb") as fh:
+        for block in _row_blocks(array):
+            np.ascontiguousarray(block, dtype=dtype).tofile(fh)
 
 
-def _wrt1_shape(m):
+def _wrt1_layout(m):
     v = m["vset"]
     if v["mode"] == "perp":  # parsed here, so malformed numbers are a meta error
-        return np.asarray(v["rho"], dtype=float).size, np.asarray(v["theta"], dtype=float).size
-    return _grid_from_meta(m["u_grid"]).size, len(_vset_from_meta(v))
+        return (np.asarray(v["rho"], dtype=float).size,
+                np.asarray(v["theta"], dtype=float).size), "C"
+    # WRTData's v-major values: (M, Nv) in F order, the transpose of C-order (Nv, M)
+    return (_grid_from_meta(m["u_grid"]).size, len(_vset_from_meta(v))), "F"
 
 
-# the meta keys each format requires, and the payload shape its meta implies
+# the meta keys each format requires, and the payload shape (and memory
+# order of the array read) its meta implies
 _LAYOUTS = {
-    "gf1": (("kind", "shape", "origin", "spacing"), lambda m: m["shape"]),
-    "wrt1": (("vset", "window"), _wrt1_shape),
+    "gf1": (("kind", "shape", "origin", "spacing"), lambda m: (m["shape"], "C")),
+    "wrt1": (("vset", "window"), _wrt1_layout),
     "pss1": (("angles", "sigma", "radii"),
-             lambda m: (len(m["angles"]), len(m["sigma"]), len(m["radii"]))),
+             lambda m: ((len(m["angles"]), len(m["sigma"]), len(m["radii"])), "C")),
 }
 
 
@@ -89,23 +106,32 @@ def _read_dir(path, expected_format):
         raise ValidationError(f"{path}: unsupported dtype {meta.get('dtype')!r}")
     if meta.get("order", "C") != "C":
         raise ValidationError(f"{path}: only C (row-major) order is supported")
-    keys, shape_of = _LAYOUTS[expected_format]
+    keys, layout_of = _LAYOUTS[expected_format]
     missing = [k for k in keys if k not in meta]
     if missing:
         raise ValidationError(f"{path}: meta.json lacks {', '.join(map(repr, missing))}")
     try:
-        shape = tuple(int(n) for n in shape_of(meta))
+        shape, memory = layout_of(meta)
+        shape = tuple(int(n) for n in shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed meta.json ({type(exc).__name__}: {exc})")
+    dtype = np.dtype(_DTYPES[meta["dtype"]])
+    data_path = os.path.join(path, "data.bin")
     try:
-        data = np.fromfile(os.path.join(path, "data.bin"), dtype=_DTYPES[meta["dtype"]])
+        nbytes = os.path.getsize(data_path)
+        if nbytes != int(np.prod(shape)) * dtype.itemsize:
+            raise ValidationError(f"{path}: data.bin holds {nbytes} bytes, the meta implies "
+                                  f"{shape} values of {dtype.itemsize} bytes")
+        data = np.empty(shape, dtype=dtype, order=memory)
+        blocks = _row_blocks(data)
+        buf = np.empty(blocks[0].shape if blocks else 0, dtype=dtype)  # one C-order block, reused
+        with open(data_path, "rb") as fh:
+            for block in blocks:
+                fh.readinto(buf[:len(block)])
+                block[...] = buf[:len(block)]
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read data.bin ({exc})")
-    if data.size != int(np.prod(shape)):
-        raise ValidationError(
-            f"{path}: data.bin holds {data.size} values, the meta implies {shape}"
-        )
-    return meta, data.reshape(shape)
+    return meta, data
 
 
 def _grid_meta(grid):

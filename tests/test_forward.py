@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from wrtkit import (
     wrt_polar_perp,
 )
 from wrtkit import _pool, fields, forward
+from wrtkit import io as wio
 from wrtkit.forward import PolarWRT, VSet, WRTData, _panel_count, _ray_source, _time_nodes
 from wrtkit.invert_bp import reconstruct_t1
 from wrtkit.invert_fourier import extract_polar_spectrum, reconstruct_t2
@@ -350,6 +352,69 @@ def test_closed_form_slices_are_contiguous_and_match_paired_points(components, g
         assert values[:, j].flags.c_contiguous
         want = analytic_wrt_gaussian(spec, w, U, v[None, :])
         assert np.max(np.abs(values[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+_LAYOUT_SPEC = gaussian_phantom((0.3, -0.2), 0.8)
+_LAYOUT_GRID = make_grid(2, 12, 6.0)
+_LAYOUT_VSET = polar_vset(uniform_circle(4)[0], [0.5, 1.0, 2.0])
+
+
+def _oracle_data():
+    return analytic_wrt_data(_LAYOUT_SPEC, gaussian_window(1.0), _LAYOUT_GRID, _LAYOUT_VSET)
+
+
+def _read_back(tmp_path):
+    wio.write_wrt1(str(tmp_path / "d"), _oracle_data())
+    return wio.read_wrt1(str(tmp_path / "d"))
+
+
+_PRODUCERS = {  # each gives the values of WRTData, or of wrt_columns
+    "oracle": lambda tmp_path: _oracle_data().values,
+    "factored": lambda tmp_path: windowed_ray_transform(
+        _LAYOUT_SPEC, gaussian_window(1.0), _LAYOUT_GRID, _LAYOUT_VSET,
+        QuadratureParams(panels=4)).values,
+    "ray-by-ray-disk": lambda tmp_path: windowed_ray_transform(
+        smoothed_disk_phantom((0.2, 0.1), 1.5, 0.3), gaussian_window(1.0), _LAYOUT_GRID,
+        _LAYOUT_VSET, QuadratureParams(panels=4)).values,
+    "analytic-signal": lambda tmp_path: windowed_ray_transform(
+        _LAYOUT_SPEC, analytic_signal_window(), _LAYOUT_GRID, _LAYOUT_VSET).values,
+    "wrt_columns": lambda tmp_path: wrt_columns(
+        _LAYOUT_SPEC, gaussian_window(1.0), _LAYOUT_GRID.points(), _LAYOUT_VSET.vectors,
+        QuadratureParams(panels=4)),
+    "read_wrt1": lambda tmp_path: _read_back(tmp_path).values,
+    "c-order-array": lambda tmp_path: WRTData(
+        _LAYOUT_GRID, _LAYOUT_VSET, gaussian_window(1.0),
+        np.ascontiguousarray(_oracle_data().values)).values,
+    "replace": lambda tmp_path: dataclasses.replace(
+        _oracle_data(), window=hermite1_window(1.0)).values,
+}
+
+
+@pytest.mark.parametrize("producer", list(_PRODUCERS))
+def test_every_producer_gives_v_major_values(tmp_path, producer):
+    values = _PRODUCERS[producer](tmp_path)
+    assert values.shape == (_LAYOUT_GRID.size, len(_LAYOUT_VSET))
+    assert values.T.flags.c_contiguous
+    if producer in ("read_wrt1", "c-order-array", "replace"):
+        assert np.array_equal(values, _oracle_data().values)
+
+
+def test_v_major_values_are_kept_without_a_copy():
+    data = _oracle_data()
+    assert np.shares_memory(dataclasses.replace(data, window=hermite1_window(1.0)).values,
+                            data.values)
+    c_order = np.ascontiguousarray(data.values)
+    assert not np.shares_memory(WRTData(data.u_grid, data.vset, data.window, c_order).values,
+                                c_order)
+
+
+def test_perp_data_rejects_a_drifting_log_rho_step():
+    # steps of 5e-7 drifting by 1 %: within allclose's default atol of 1e-8
+    rho = np.exp(np.concatenate([[0.0], np.cumsum(5e-7 * (1.0 + 0.01 * np.linspace(0, 1, 15)))]))
+    with pytest.raises(ValidationError, match="log-uniform"):
+        PolarWRT(rho, _THETA, gaussian_window(1.0), np.zeros((rho.size, _THETA.size)))
+    PolarWRT(np.exp(5e-7 * np.arange(16)), _THETA, gaussian_window(1.0),  # the undrifted steps
+             np.zeros((16, _THETA.size)))
 
 
 def test_closed_form_checks_dimensions():

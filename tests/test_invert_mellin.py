@@ -402,6 +402,13 @@ def test_exp_tables_take_any_line_length():
         assert np.max(np.abs(E - _direct_exp(a, np.array([y0])))) <= 2.0 * EPS
 
 
+def test_mellin_transform_rejects_a_drifting_log_r_step():
+    # steps of 5e-7 drifting by 1 %: within allclose's default atol of 1e-8
+    r = np.exp(np.concatenate([[0.0], np.cumsum(5e-7 * (1.0 + 0.01 * np.linspace(0, 1, 15)))]))
+    with pytest.raises(ValidationError, match="log-uniform"):
+        mellin_transform(r, np.zeros(r.size), 0.0, np.linspace(-1.0, 1.0, 5))
+
+
 def test_exp_tables_reject_a_non_uniform_line_before_allocating(monkeypatch):
     y = np.linspace(-1.0, 1.0, 9)
     y[3] += 1e-6

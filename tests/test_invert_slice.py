@@ -157,6 +157,31 @@ def test_restricted_mode():
     assert err < 0.1
 
 
+def test_restricted_mode_reconstructs_the_same_field_for_negative_a():
+    # zeta = a v' decreases for a < 0; the reconstruction must not depend on that order
+    spec_f = gaussian_phantom(CENTER, SIG)
+    w = gaussian_window(2.0)
+    u1r, v1r, vpr, vals = make_restricted_dataset(
+        spec_f, w, np.arange(-64, 64) * 0.5, symmetric_offset_grid(8.0, 0.5),
+        np.linspace(-4.0, 4.0, 9), quad=QuadratureParams(panels=8))
+    out = make_grid(2, 16, 4.0)
+    ref = sample_phantom(spec_f, out)
+    rec = {a: reconstruct_slice(restricted_extract(u1r, v1r, vpr, vals, w, SliceParams(a=a)), out)
+           for a in (0.5, -0.5)}
+    assert rel_l2_error(rec[-0.5], rec[0.5]) <= 0.01
+    assert rel_l2_error(rec[-0.5], ref) <= 1.01 * rel_l2_error(rec[0.5], ref)
+
+
+def test_extraction_rejects_a_drifting_v1_step():
+    # steps of 5e-7 drifting by 1 %, symmetric about 0: within allclose's default atol of 1e-8
+    half = 2.5e-7 + np.concatenate([[0.0], np.cumsum(5e-7 * (1.0 + 0.01 * np.linspace(0, 1, 7)))])
+    v1 = np.concatenate([-half[::-1], half])
+    u1 = 0.25 * np.arange(-8, 8)
+    with pytest.raises(ValidationError, match="uniform"):
+        restricted_extract(u1, v1, np.array([-1.0, 1.0]), np.ones((u1.size, v1.size, 2)),
+                           gaussian_window(2.0), SliceParams(a=0.5))
+
+
 def test_restricted_dataset_complex_window_matches_forward():
     # per-ray nodes: the analytic-signal kernel is integrated on each ray's clip interval
     spec_f = gaussian_phantom(CENTER, SIG)

@@ -6,6 +6,8 @@ import pytest
 from wrtkit import (
     ScalarField,
     ValidationError,
+    WRTData,
+    analytic_signal_window,
     analytic_wrt_data,
     continuous_ft,
     extract_polar_spectrum,
@@ -83,6 +85,22 @@ def test_wrt1_roundtrip_full_grid(tmp_path):
     assert np.array_equal(back.values, data.values)
 
 
+@pytest.mark.parametrize("complex_values", [False, True], ids=["f64", "c128"])
+def test_wrt1_file_holds_values_u_major_in_c_order(tmp_path, monkeypatch, complex_values):
+    monkeypatch.setattr(wio, "_BLOCK", 40)  # blocks of 5 rows of 8 values, the last one short
+    grid = make_grid(2, 12, 6.0)
+    data = analytic_wrt_data(gaussian_phantom((0.1, 0.3), 0.8), gaussian_window(1.0), grid,
+                             polar_vset(uniform_circle(4)[0], [0.5, 1.2]))
+    if complex_values:
+        data = WRTData(grid, data.vset, analytic_signal_window(), data.values * (1.0 - 0.5j))
+    p = tmp_path / "data"
+    wio.write_wrt1(str(p), data)
+    stored = np.fromfile(p / "data.bin", dtype="<c16" if complex_values else "<f8")
+    assert np.array_equal(stored.reshape(data.values.shape), data.values)
+    back = wio.read_wrt1(str(p))
+    assert np.array_equal(back.values, data.values)
+
+
 def test_wrt1_roundtrip_perp(tmp_path):
     spec = gaussian_phantom((0.1, 0.3), 0.6)
     w = gaussian_window(1.0)
@@ -136,6 +154,15 @@ def test_gf1_holds_scalar_fields_only(tmp_path):
     (p / "meta.json").write_text(json.dumps(meta))
     (p / "data.bin").write_bytes(np.zeros(f.values.size, dtype="<c16").tobytes())
     with pytest.raises(ValidationError, match="spectral"):
+        wio.read_gf1(str(p))
+
+
+def test_read_gf1_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "field"
+    wio.write_gf1(str(p), ScalarField(make_grid(2, 8, 4.0), np.zeros((8, 8))))
+    with open(p / "data.bin", "ab") as fh:
+        fh.write(b"abc")  # not a whole value: np.fromfile would drop it
+    with pytest.raises(ValidationError, match="holds 515 bytes"):
         wio.read_gf1(str(p))
 
 
