@@ -10,9 +10,15 @@ threads; where it can, it keeps each small enough that OpenBLAS runs it on
 one thread, so the workers do not contend for OpenBLAS's own threads.  The
 worker count comes from the CLI's ``--threads`` or the WRTKIT_THREADS
 environment variable; unset or 0 means one worker per core this process
-may run on.  With one worker nothing is threaded.  No forward value
-depends on the count; t1 sums its workers' spectra in share order, so it
-repeats bit for bit at a given count.
+may run on.  With one worker nothing is threaded.
+
+Granularity: a share's numpy calls should each cover a block of work, not
+one small slice.  The interpreter lock passes between the workers around
+every call, and on a slice of a few thousand values those handoffs cost
+more than the arithmetic, so two workers can lose to one; the oracle, for
+one, fills a block of columns per call.  No forward value depends on the
+count; t1 sums its workers' spectra in share order, so it repeats bit for
+bit at a given count.
 """
 
 from __future__ import annotations

@@ -142,8 +142,12 @@ class WRTData:
         if vals.shape != (self.u_grid.size, len(self.vset)):
             raise ValidationError("WRT values have the wrong shape")
         rows = np.ascontiguousarray(vals.T)  # vals.T itself when already v-major
-        if not np.all(np.isfinite(rows)):
-            raise NumericalError("WRT values contain non-finite entries")
+        # checked a block of slices at a time, so no whole-array temporary is
+        # formed; complex rows as their float pairs, as ScalarField does
+        parts = rows.view(float) if rows.dtype == complex else rows
+        for block in _runs(parts, parts.shape[1], _BLOCK):
+            if not np.all(np.isfinite(block)):
+                raise NumericalError("WRT values contain non-finite entries")
         object.__setattr__(self, "values", rows.T)
 
     def slice_values(self, j):
@@ -315,12 +319,14 @@ def _ball_interval(du, V, rad):
 
 
 _NODES = 2**19  # ray nodes per source evaluation: the ray-by-ray route's one memory bound
+_BLOCK = 2**16  # values per numpy call where the oracle or WRTData's check walks v slices
 
 
-def _runs(rows, nodes):
-    """``rows`` cut into runs of at most _NODES nodes (one ray at least) of ``nodes`` each."""
-    step = max(1, _NODES // nodes)
-    return (rows[j:j + step] for j in range(0, rows.size, step))
+def _runs(items, size, budget):
+    """``items`` (an array, or a range) cut into runs of at most ``budget``
+    values (one item at least) of ``size`` each."""
+    step = max(1, budget // size)
+    return (items[j:j + step] for j in range(0, len(items), step))
 
 
 def _ray_sum(src, w, quad, rule, U, V):
@@ -350,7 +356,7 @@ def _ray_sum(src, w, quad, rule, U, V):
         a, z = divmod(int(key[group[0]]), npan + 1)
         if z > a:
             nodes = slice(a * k, z * k)
-            for rows in _runs(group, (z - a) * k):
+            for rows in _runs(group, (z - a) * k, _NODES):
                 out[rows] = np.vecdot(src.values(U[rows], V[rows], t[nodes]), hw[nodes])
     return out
 
@@ -376,7 +382,7 @@ def _analytic_sum(values, w, rule, U, V, lo, hi):
     length = b - a
     sums = np.zeros(2 * M, dtype=complex)
     live = np.flatnonzero((length > 0.0) & (length < np.inf))
-    for rows in _runs(live, s.size):
+    for rows in _runs(live, s.size, _NODES):
         m, L = rows % M, length[rows, None]
         h = _window_eval(w, a[rows, None] + L * s)
         sums[rows] = np.vecdot(ws, values(U[m] + a[rows, None] * V[m], L * V[m], s) * h) * L[:, 0]
@@ -622,11 +628,16 @@ def analytic_wrt_data(f, w, u_grid, vset):
     B^2 / (4 alpha s^4) - A / (2 s^2) of :func:`analytic_wrt_gaussian` takes
     A / (2 s^2) computed once per call and B = (u - c).v built per axis, as
     an outer sum of (x_i - c_i) v_i, so no (points x columns) temporary is
-    formed.  Each pool worker fills one contiguous range of the columns, so
-    the values do not depend on the worker count.  Useful wherever exact
-    transform data is needed without quadrature cost (calibration, geometry
-    studies); same restrictions as :func:`analytic_wrt_gaussian`, checked,
-    with the dimensions, before any column is computed.
+    formed.  Each pool worker fills one contiguous range of the columns, a
+    block of consecutive columns of at most _BLOCK values per numpy call
+    (one column on a larger grid): on one small slice per call, the workers'
+    interpreter-lock handoffs between calls cost more than the arithmetic.
+    Every value goes through the same operations whatever its block or
+    worker, so the values do not depend on the worker count.  Useful
+    wherever exact transform data is needed without quadrature cost
+    (calibration, geometry studies); same restrictions as
+    :func:`analytic_wrt_gaussian`, checked, with the dimensions, before any
+    column is computed.
     """
     _check_closed_form(f, w)
     _check_dimensions(f.n, u_grid.n, vset.vectors)
@@ -636,21 +647,23 @@ def analytic_wrt_data(f, w, u_grid, vset):
     for c in f.components:
         d = np.ix_(*(x - ci for x, ci in zip(axes, c["center"])))
         comps.append((d, sum(di * di for di in d) / (2.0 * c["sigma"]**2), c))
-    v2s = np.sum(vset.vectors * vset.vectors, axis=-1)
-    vals = np.zeros((len(vset), u_grid.size))
+    lead = (slice(None),) + (None,) * u_grid.n  # a column axis ahead of the grid's
+    vs = [vi[lead] for vi in vset.vectors.T]  # per axis, v_i as (Nv, 1, ..., 1)
+    v2s = np.sum(vset.vectors * vset.vectors, axis=-1)[lead]
+    vals = np.zeros((len(vset),) + shape)
 
     def fill(part):  # part: a range of columns
-        e = np.empty(shape)
-        for j in part:
-            v, row = vset.vectors[j], vals[j].reshape(shape)
+        for block in _runs(part, u_grid.size, _BLOCK):
+            j = slice(block.start, block.stop)
+            e = np.empty((len(block),) + shape)
             for d, a, c in comps:
-                np.copyto(e, d[0] * v[0])
-                for di, vi in zip(d[1:], v[1:]):
-                    e += di * vi
-                row += _closed_form_term(e, a, v2s[j], c, w)
+                np.copyto(e, d[0] * vs[0][j])
+                for di, vi in zip(d[1:], vs[1:]):
+                    e += di * vi[j]
+                vals[j] += _closed_form_term(e, a, v2s[j], c, w)
 
     _pool.map(fill, range(len(vset)))
-    return WRTData(u_grid, vset, w, vals.T)
+    return WRTData(u_grid, vset, w, vals.reshape(len(vset), -1).T)
 
 
 def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):

@@ -19,6 +19,7 @@ in a JSON sidecar, so values remain recoverable.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -64,6 +65,14 @@ def _write_dir(path, meta, array):
     with open(os.path.join(path, "data.bin"), "wb") as fh:
         for block in _row_blocks(array):
             np.ascontiguousarray(block, dtype=dtype).tofile(fh)
+
+
+def _extent(n):
+    """A meta shape entry as an int: a JSON number that is whole and >= 1
+    (no format holds an empty axis), else ValueError."""
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or not n >= 1 or n != int(n):
+        raise ValueError(f"shape entry {n!r} is not a whole number >= 1")
+    return int(n)
 
 
 def _wrt1_layout(m):
@@ -112,14 +121,14 @@ def _read_dir(path, expected_format):
         raise ValidationError(f"{path}: meta.json lacks {', '.join(map(repr, missing))}")
     try:
         shape, memory = layout_of(meta)
-        shape = tuple(int(n) for n in shape)
-    except (KeyError, TypeError, ValueError) as exc:
+        shape = tuple(_extent(n) for n in shape)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed meta.json ({type(exc).__name__}: {exc})")
     dtype = np.dtype(_DTYPES[meta["dtype"]])
     data_path = os.path.join(path, "data.bin")
     try:
         nbytes = os.path.getsize(data_path)
-        if nbytes != int(np.prod(shape)) * dtype.itemsize:
+        if nbytes != math.prod(shape) * dtype.itemsize:
             raise ValidationError(f"{path}: data.bin holds {nbytes} bytes, the meta implies "
                                   f"{shape} values of {dtype.itemsize} bytes")
         data = np.empty(shape, dtype=dtype, order=memory)
@@ -143,7 +152,7 @@ def _grid_meta(grid):
 
 
 def _grid_from_meta(m):
-    return Grid(tuple(m["shape"]), tuple(m["origin"]), tuple(m["spacing"]))
+    return Grid(tuple(_extent(n) for n in m["shape"]), tuple(m["origin"]), tuple(m["spacing"]))
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,31 @@ def test_malformed_dataset_exit_1(tmp_path, capsys, write, damage):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt, shape", [
+    ("gf1", [-8, -8]), ("gf1", [8.5, 8]), ("gf1", [True, 64]), ("gf1", [8, float("nan")]),
+    ("gf1", [2**63, 0]), ("wrt1", [-16, -16]), ("wrt1", [16.5, 16])],
+    ids=["gf1-negative", "gf1-fractional", "gf1-boolean", "gf1-nan", "gf1-empty-axis",
+         "wrt1-u-grid-negative", "wrt1-u-grid-fractional"])
+def test_bad_shape_entry_exit_1(tmp_path, capsys, fmt, shape):
+    # each shape keeps the payload's value count (an emptied payload for a
+    # zero entry), so only the entry check rejects it
+    d = tmp_path / "d"
+    if fmt == "gf1":
+        wio.write_gf1(str(d), ScalarField(make_grid(2, 8, 4.0), np.ones((8, 8))))
+        argv = ["compare", str(d), str(d)]
+    else:
+        _polar_wrt1(str(d))
+        argv = ["invert", "--method", "t1", "--in", str(d), "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _edit_meta(d, lambda m: (m if fmt == "gf1" else m["u_grid"]).update(shape=shape))
+    if 0 in shape:
+        (d / "data.bin").write_bytes(b"")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "shape entry" in err
+
+
 def test_selftest_inject_fault(capsys):
     assert main(["selftest", "--inject-fault"]) == 2
     failed = [line.split("  FAIL (")[0].strip()

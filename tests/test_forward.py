@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -120,15 +121,24 @@ def test_analytic_wrt_data_matches_per_v_closed_form():
 
 
 def test_analytic_wrt_data_does_not_depend_on_the_worker_count(monkeypatch):
-    # 35 columns of 160^2 points: two workers fill 17 and 18 columns
-    spec = gaussian_mixture_phantom([((0.3, -0.1), 0.9, 1.0), ((-0.7, 0.5), 0.6, 0.4)])
+    # blocks of 2^16 // points columns: 160^2 points take 2 (two workers fill
+    # 17 and 18 of the 35 columns), 48^2 take 28 (the last block short),
+    # 260^2 one, and the 3-D grid's 24^3 take 4 of its 5 columns
     w = gaussian_window(1.1)
-    grid = make_grid(2, 160, 12.0)
-    vset = polar_vset(uniform_circle(5)[0], np.geomspace(0.1, 3.0, 7))
-    monkeypatch.setenv("WRTKIT_THREADS", "1")
-    one = analytic_wrt_data(spec, w, grid, vset).values
-    monkeypatch.setenv("WRTKIT_THREADS", "2")
-    assert np.array_equal(analytic_wrt_data(spec, w, grid, vset).values, one)
+    plane = gaussian_mixture_phantom(_MIXTURE_2D)
+    polar = polar_vset(uniform_circle(5)[0], np.geomspace(0.1, 3.0, 7))
+    cases = [(plane, make_grid(2, n, 12.0), polar) for n in (160, 48, 260)]
+    cases.append((gaussian_mixture_phantom(_MIXTURE_3D), make_grid(3, 24, 6.0), _VSET_3D))
+    for spec, grid, vset in cases:
+        monkeypatch.setenv("WRTKIT_THREADS", "1")
+        one = analytic_wrt_data(spec, w, grid, vset).values
+        for workers in ("2", "3"):
+            monkeypatch.setenv("WRTKIT_THREADS", workers)
+            assert np.array_equal(analytic_wrt_data(spec, w, grid, vset).values, one)
+        # a column filled in a block equals the same column filled alone
+        for j in (0, len(vset) - 1):
+            alone = VSet("full-grid", vset.vectors[j:j + 1])
+            assert np.array_equal(analytic_wrt_data(spec, w, grid, alone).values[:, 0], one[:, j])
 
 
 def test_oracle_continuous_at_v_zero():
@@ -203,6 +213,37 @@ def test_polar_wrt_rejects_bad_values():
         PolarWRT(rho, theta, gaussian_window(1.0), np.full((3, 5), np.nan))
     with pytest.raises(NumericalError):
         PolarWRT(rho, theta, gaussian_window(1.0), np.full((4, 8), np.nan))
+
+
+def _ones_wrt_rows(columns, dtype):
+    """(grid, vset, window, v-major rows of ones) on 64^2 points x ``columns``."""
+    vset = VSet("full-grid", np.stack([np.ones(columns), np.arange(columns)], axis=1))
+    w = gaussian_window(1.0) if dtype is float else analytic_signal_window()
+    return make_grid(2, 64, 8.0), vset, w, np.ones((columns, 64 * 64), dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_wrt_data_checks_finiteness_without_a_whole_array_temporary(dtype):
+    # 2^20 values checked 2^16 at a time: far below one bool per value (1 MiB)
+    grid, vset, w, rows = _ones_wrt_rows(256, dtype)
+    tracemalloc.start()
+    try:
+        data = WRTData(grid, vset, w, rows.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(data.values, rows) and peak < 2**18
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf), complex(np.nan, 0.0)])
+def test_wrt_data_rejects_a_non_finite_value_in_the_last_short_block(bad):
+    # 250 slices of 4096 values go in blocks of 16 slices, the last of 10
+    grid, vset, w, rows = _ones_wrt_rows(250, complex if isinstance(bad, complex) else float)
+    rows[-1, -1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        WRTData(grid, vset, w, rows.T)
+    with pytest.raises(NumericalError, match="non-finite"):  # and in C order, copied
+        WRTData(grid, vset, w, np.ascontiguousarray(rows.T))
 
 
 def test_forward_matches_gaussian_oracle_in_3d():
@@ -685,9 +726,6 @@ def test_forward_rejects_a_complex_field():
 
 _FIELD = sample_phantom(_GAUSS, make_grid(2, 32, 10.0))
 _EDGE_FIELD = sample_phantom(gaussian_phantom((4.2, 0.5), 0.6), make_grid(2, 32, 10.0))
-_MIXTURE_3D = gaussian_mixture_phantom([((0.3, -0.1, 0.2), 0.9, 1.0), ((-0.7, 0.5, -0.4), 0.6, 0.4)])
-_VSET_3D = VSet("full-grid", [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [-0.3, 1.2, 0.4],
-                              [2.0, -1.0, 0.7], [0.05, 0.02, -0.1]])
 
 
 @pytest.mark.filterwarnings("ignore:field does not decay")  # the edge-touching field
@@ -698,8 +736,8 @@ _VSET_3D = VSet("full-grid", [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [-0.3, 1.2, 0.4]
     (_FIELD, gaussian_window(1.0), _FIELD.grid, _VSET),
     (_FIELD, hermite1_window(0.8), make_grid(2, (20, 17), (14.0, 11.0), center=(0.3, -0.45)), _VSET),
     (_EDGE_FIELD, gaussian_window(1.0), make_grid(2, 20, 14.0), _VSET),
-    (_MIXTURE_3D, gaussian_window(1.1), make_grid(3, 8, 6.0), _VSET_3D),
-    (sample_phantom(_MIXTURE_3D, make_grid(3, 12, 8.0)), bump_window(2.0),
+    (gaussian_mixture_phantom(_MIXTURE_3D), gaussian_window(1.1), make_grid(3, 8, 6.0), _VSET_3D),
+    (sample_phantom(gaussian_mixture_phantom(_MIXTURE_3D), make_grid(3, 12, 8.0)), bump_window(2.0),
      make_grid(3, (8, 7, 6), (6.0, 5.0, 7.0)), _VSET_3D),
 ], ids=["gaussian-gaussian", "gaussian-hermite1", "gaussian-bump", "mixture-gaussian",
         "mixture-hermite1", "mixture-bump", "field-own-grid", "field-other-grid", "field-edge",
