@@ -225,11 +225,31 @@ def _component(kind, c):
     return {"center": center, "amplitude": amp, **lengths}
 
 
+def _ray_sums(spec, u, v, t, weights):
+    """sum_q f(u_m + t_q v_m) weights[..., q] as (M,), rays u, v (M, n), weights
+    (Q,) or (M, Q).  A gaussian's rays are reduced in place: per component one
+    reused (M, Q) buffer takes k |u + t v - c|^2 = ((k |v|^2) t + 2 k b) t + k a
+    (k = -1 / 2 sigma^2, a = |u - c|^2, b = (u - c).v; |v|^2 may underflow)."""
+    if spec.kind == "smoothed-disk":
+        return np.vecdot(_evaluate_along_rays(spec, u, v, t), weights)
+    v2 = np.sum(v * v, axis=1)[:, None]
+    e = np.empty((u.shape[0], t.size))
+    out = np.zeros(u.shape[0], dtype=np.result_type(float, weights))
+    for c in spec.components:
+        k, du = -0.5 / c["sigma"] ** 2, u - np.asarray(c["center"])
+        np.multiply(k * v2, t, out=e)
+        e += 2.0 * k * np.sum(du * v, axis=1)[:, None]
+        e *= t
+        e += k * np.sum(du * du, axis=1)[:, None]
+        out += c["amplitude"] * np.vecdot(np.exp(e, out=e), weights)
+    return out
+
+
 def _evaluate_along_rays(spec, u, v, t):
     # PhantomSpec.evaluate_along_rays under a name perfbench's layer tracer
-    # does not wrap: the forward's pool threads evaluate the source through
-    # this.  r^2 = a + 2 b t + |v|^2 t^2 is built in place in one (M, Q)
-    # buffer, and a gaussian's profile overwrites it
+    # does not wrap: the forward's pool threads reduce a smoothed disk's rays
+    # through this.  r^2 = a + 2 b t + |v|^2 t^2 is built in place in one
+    # (M, Q) buffer, and a gaussian's profile overwrites it
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     t = np.asarray(t, dtype=float)

@@ -25,7 +25,7 @@ from .fields import (
     PhantomSpec,
     ScalarField,
     _disk_clip_radius,
-    _evaluate_along_rays,
+    _ray_sums,
     _warn_undecayed,
     continuous_ft,
 )
@@ -186,8 +186,8 @@ def _perp_axes(rho, theta):
     nt = theta.size
     if np.any(rho <= 0):
         raise ValidationError("polar radii must be positive")
-    if rho.size < 2 or nt < 1:
-        raise ValidationError("perp data needs at least 2 radii and 1 angle")
+    if rho.ndim != 1 or rho.size < 2 or nt < 1:
+        raise ValidationError("perp data needs a 1-d rho of at least 2 radii and 1 angle")
     if nt & (nt - 1):
         raise ValidationError("theta count must be a power of two")
     if theta.ndim != 1 or not np.allclose(theta, 2.0 * np.pi * np.arange(nt) / nt, 0.0, 1e-12):
@@ -231,7 +231,7 @@ def _node_rules(w, quad, norms, feature):
     return [rules[p] for p in counts]
 
 
-_Source = namedtuple("_Source", "values interval feature factored")  # see _ray_source
+_Source = namedtuple("_Source", "sums interval feature factored")  # see _ray_source
 
 
 def _ray_source(f):
@@ -239,7 +239,8 @@ def _ray_source(f):
     on the caller (which also builds a smoothed disk's profile tables, once
     per spec):
 
-    - values(U, V, t): f(u_m + t_q v_m) as (M, Q);
+    - sums(U, V, t, weights): sum_q f(u_m + t_q v_m) weights[..., q] as (M,),
+      weights (Q,) or (M, Q), with no (M, Q) values for a gaussian phantom;
     - interval(U, V): the per-ray [lo, hi] in t outside which |f| <= _EPS
       times the peak (lo > hi: the ray misses);
     - feature: the narrowest length scale (smallest sigma or smoothing of a
@@ -261,11 +262,11 @@ def _ray_source(f):
             return np.min(lo, axis=0), np.max(hi, axis=0)
 
         f._profiles  # noqa: B018  (built here, so the pool threads only read them)
-        values = functools.partial(_evaluate_along_rays, f)
+        sums = functools.partial(_ray_sums, f)
         if disk:
-            return _Source(values, interval, feature, None)
+            return _Source(sums, interval, feature, None)
         comps = [(c, s["sigma"], s["amplitude"], r) for (c, r), s in zip(balls, f.components)]
-        return _Source(values, interval, feature, functools.partial(_gaussian_column, comps))
+        return _Source(sums, interval, feature, functools.partial(_gaussian_column, comps))
     if not isinstance(f, ScalarField):
         raise ValidationError("source must be a PhantomSpec or ScalarField")
     if np.iscomplexobj(f.values):
@@ -282,7 +283,7 @@ def _ray_source(f):
     box = g.index_to_coord(ibox)
     mid, half = 0.5 * (box[0] + box[1]), 0.5 * (box[1] - box[0])
 
-    def values(U, V, t):
+    def sums(U, V, t, weights):
         # the sample indices (u + t v - origin) / spacing, built in place one axis at a time
         idx = np.empty((g.n, U.shape[0], t.size))
         for i, x in enumerate(idx):
@@ -290,8 +291,9 @@ def _ray_source(f):
             x += U[:, i, None]
             x -= g.origin[i]
             x /= g.spacing[i]
-        return ndimage.map_coordinates(coef, idx.reshape(g.n, -1), order=3, mode="constant",
+        vals = ndimage.map_coordinates(coef, idx.reshape(g.n, -1), order=3, mode="constant",
                                        prefilter=False).reshape(U.shape[0], t.size)
+        return np.vecdot(vals, weights)
 
     def interval(U, V):  # Siddon's slabs: each axis is a 1-d ball, intersected
         lo, hi = zip(*(_ball_interval(U[:, i:i + 1] - mid[i], V[:, i:i + 1], half[i])
@@ -302,7 +304,7 @@ def _ray_source(f):
     # sum_k c[k] prod_i B3(x_i - k_i) with the coefficients c mirrored at the
     # edges; the box's stencils need c on [lo - 1, hi + 2] of each axis
     mirrored = np.pad(coef, 2, mode="reflect")[tuple(slice(a + 1, b + 5) for a, b in ibox.T)]
-    return _Source(values, interval, float(min(g.spacing)),
+    return _Source(sums, interval, float(min(g.spacing)),
                    functools.partial(_spline_column, mirrored, ibox, g))
 
 
@@ -333,17 +335,17 @@ def _ray_sum(src, w, quad, rule, U, V):
     """P_h f(u_m, v_m) for paired rays (U, V), src from _ray_source and rule
     from _node_rules.
 
-    A real window's rule covers its support; per ray, the panels (quad.nodes
-    consecutive nodes) outside the clip interval are skipped, and rays that
-    keep the same panel range share source evaluations of at most _NODES ray
-    nodes.  Each ray's nodes are reduced by themselves (np.vecdot), so its
-    value depends on its own inputs only, not on the rays that share its
-    group, run or pool worker.  Runs on pool threads, so it calls no name
-    perfbench's layer tracer wraps.
+    A real window's rule (t, hw) covers its support; per ray, the panels
+    (quad.nodes consecutive nodes) outside the clip interval are skipped, and
+    rays that keep the same panel range share calls of src.sums with the
+    weights hw of those panels, over at most _NODES ray nodes a call.  Each
+    ray's nodes are reduced by themselves, so its value depends on its own
+    inputs only, not on the rays that share its group, run or pool worker.
+    Runs on pool threads, so it calls no name perfbench's layer tracer wraps.
     """
     lo, hi = src.interval(U, V)
     if not w.is_real:
-        return _analytic_sum(src.values, w, rule, U, V, lo, hi)
+        return _analytic_sum(src.sums, w, rule, U, V, lo, hi)
     k = quad.nodes
     t, hw = rule
     npan = t.size // k
@@ -357,38 +359,38 @@ def _ray_sum(src, w, quad, rule, U, V):
         if z > a:
             nodes = slice(a * k, z * k)
             for rows in _runs(group, (z - a) * k, _NODES):
-                out[rows] = np.vecdot(src.values(U[rows], V[rows], t[nodes]), hw[nodes])
+                out[rows] = src.sums(U[rows], V[rows], t[nodes], hw[nodes])
     return out
 
 
-def _analytic_sum(values, w, rule, U, V, lo, hi):
+def _analytic_sum(sums, w, rule, U, V, lo, hi):
     """P_h f for h(t) = 1 / (2 pi i (t - i)) on the clip intervals [lo, hi],
-    evaluated and reduced as in :func:`_ray_sum`.
+    reduced by src.sums as in :func:`_ray_sum`.
 
     Each interval is cut at t = 0, below the kernel's pole, so the pole sits
     over a panel edge; a piece [a, b] gets the panels of ``rule`` (s, ws),
-    max(panels, 64) of them on [0, 1], evaluated as values(U + a V, (b - a) V,
-    s).  A ray with an unbounded interval (|v|^2 underflowed inside the
-    support) is the point u and gets f(u) hhat(0) = f(u) / 2.  The panels
-    resolve the pole only for |v| >= 1e-2: against the Faddeeva closed form
-    (gaussian sigma 0.5, u = (0.25, 0), v perpendicular to u) the error is
-    5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6.  The callers warn
-    when such rays reach it (:func:`_warn_unresolved_pole`).
+    max(panels, 64) of them on [0, 1], and is (b - a) sums(U + a V, (b - a) V,
+    s, ws h(a + (b - a) s)).  A ray with an unbounded interval (|v|^2
+    underflowed inside the support) is the point u: one node of weight 1/2,
+    f(u) hhat(0).  The panels resolve the pole only for |v| >= 1e-2: against
+    the Faddeeva closed form (gaussian sigma 0.5, u = (0.25, 0), v
+    perpendicular to u) the error is 5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and
+    99 % at 1e-6.  The callers warn when such rays reach it (_warn_unresolved_pole).
     """
     s, ws = rule
     M = U.shape[0]
     a = np.concatenate([lo, np.maximum(lo, 0.0)])
     b = np.concatenate([np.minimum(hi, 0.0), hi])
     length = b - a
-    sums = np.zeros(2 * M, dtype=complex)
+    pieces = np.zeros(2 * M, dtype=complex)
     live = np.flatnonzero((length > 0.0) & (length < np.inf))
     for rows in _runs(live, s.size, _NODES):
         m, L = rows % M, length[rows, None]
-        h = _window_eval(w, a[rows, None] + L * s)
-        sums[rows] = np.vecdot(ws, values(U[m] + a[rows, None] * V[m], L * V[m], s) * h) * L[:, 0]
-    out = sums[:M] + sums[M:]
+        h = ws * _window_eval(w, a[rows, None] + L * s)
+        pieces[rows] = sums(U[m] + a[rows, None] * V[m], L * V[m], s, h) * L[:, 0]
+    out = pieces[:M] + pieces[M:]
     point = np.flatnonzero((lo < hi) & ~(hi - lo < np.inf))
-    out[point] = 0.5 * values(U[point], V[point], np.zeros(1))[:, 0]
+    out[point] = sums(U[point], V[point], np.zeros(1), np.full(1, 0.5))
     return out
 
 

@@ -67,8 +67,11 @@ def _exp_flushed(x, out=None):
     far from the centre and the gaussian and hermite1 hhat beyond the band.
     Those lanes are masked instead (numpy 2.4 on a 2-core x86-64 box: 16
     against 2.7 ns a value on a 128^2 closed-form slice where 58 % of the
-    results underflow).  Quadrature nodes are clipped to the source's 1e-17
-    support, so their exponents never get this low and they keep np.exp."""
+    results underflow).  Ray-by-ray exponents keep np.exp: they get this low
+    where a mixture's clip interval (the hull of its balls) takes a narrow
+    component far from its own, but rarely (two sigma = 0.05 gaussians at
+    (+-1, 0), perp 256 rho x 64 theta, bump:2.0, 16 panels: 22,868 of 2,152,576),
+    and masking them measured no faster (25.1 against 23.4 ms, one worker)."""
     x = np.asarray(x, dtype=float)
     low = x < _LOG_TINY
     if not low.any():

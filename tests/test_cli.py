@@ -488,9 +488,11 @@ def _edit_meta(path, edit):
     (_polar_wrt1, lambda d: _edit_meta(d, lambda m: m.update(window="gaussian"))),
     (_perp_wrt1, lambda d: _edit_meta(d, lambda m: m["vset"].update(theta=["x"] * 8))),
     (_perp_wrt1, lambda d: _edit_meta(d, lambda m: m["vset"].update(rho=[1.0] * 8))),
+    (_perp_wrt1, lambda d: _edit_meta(d, lambda m: m["vset"].update(
+        rho=np.reshape(m["vset"]["rho"], (2, 4)).tolist()))),
 ], ids=["truncated-wrt1", "truncated-perp", "wrt1-without-window", "gf1-without-kind",
         "meta-not-json", "meta-not-object", "no-data-bin", "window-not-object",
-        "perp-theta-not-a-number", "perp-equal-radii"])
+        "perp-theta-not-a-number", "perp-equal-radii", "perp-rho-nested"])
 def test_malformed_dataset_exit_1(tmp_path, capsys, write, damage):
     d = tmp_path / "d"
     write(str(d))

@@ -206,6 +206,15 @@ def test_polar_wrt_validation():
         PolarWRT(rho, theta[:0], gaussian_window(1.0), vals[:, :0])
 
 
+def test_perp_data_needs_a_1d_rho():
+    rho = np.array([[0.5, 1.0], [2.0, 4.0]])  # log-uniform along each row
+    theta = 2.0 * np.pi * np.arange(4) / 4
+    with pytest.raises(ValidationError, match="1-d rho"):
+        PolarWRT(rho, theta, bump_window(2.0), np.zeros((4, 4)))
+    with pytest.raises(ValidationError, match="1-d rho"):
+        wrt_polar_perp(_GAUSS, bump_window(2.0), rho, theta)
+
+
 def test_polar_wrt_rejects_bad_values():
     theta = 2.0 * np.pi * np.arange(8) / 8
     rho = np.geomspace(0.1, 1.0, 4)
@@ -647,6 +656,67 @@ def test_clipped_perp_matches_dense_rule():
 
 
 _GAUSS = gaussian_phantom((0.4, -0.2), 0.7)
+_NARROW_PAIR = gaussian_mixture_phantom([((1.0, 0.0), 0.05, 1.0), ((-1.0, 0.0), 0.05, 1.0)])
+
+
+def _perp_rays(rho, n_theta=64):
+    """Paired perp rays u = rho e(theta), v = rho e(theta)^perp, rho-major."""
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    U = (rho[:, None, None] * e).reshape(-1, 2)
+    return U, U[:, ::-1] * [-1.0, 1.0]
+
+
+def _bump_rule():
+    """The full bump:2.0 rule of 16 panels, unrefined."""
+    quad = QuadratureParams(panels=16, max_panels=None)
+    return _time_nodes(bump_window(2.0), quad, window_support_radius(bump_window(2.0), tol=1e-14), 16)
+
+
+@pytest.mark.parametrize("f, rho", [
+    (_TWO_BUMP, np.geomspace(1e-10, 4.0, 64)),  # the cli-perp-mellin phantom and rows
+    (_GAUSS, np.geomspace(1e-10, 4.0, 64)),
+    (_TWO_BUMP, np.array([1e-200, 1e-160, 1e-10])),  # |v|^2 underflows to 0 in two rows
+    (_GAUSS, np.array([1e-200, 1e-160, 1e-10])),
+], ids=["two-bump", "gaussian", "two-bump-underflow", "gaussian-underflow"])
+def test_gaussian_ray_sums_match_the_dense_values(f, rho):
+    # the in-place sum of a gaussian phantom against its (rays x nodes) values
+    # reduced by the same weights: real (Q,), and complex per ray (M, Q) as
+    # the analytic-signal kernel passes them
+    U, V = _perp_rays(rho)
+    if rho[0] == 1e-200:
+        assert np.sum(V[0] * V[0]) == 0.0
+    t, hw = _bump_rule()
+    sums, dense = _ray_source(f).sums, f.evaluate_along_rays(U, V, t)
+    _assert_close(sums(U, V, t, hw), dense @ hw)
+    weights = hw * np.exp(1j * np.outer(U[:, 0], t))
+    _assert_close(sums(U, V, t, weights), np.sum(dense * weights, axis=1))
+
+
+def test_narrow_mixture_ray_sums_match_the_per_axis_sum():
+    # sigma = 0.05 (k = -200): both the in-place exponent and the dense r^2
+    # expand |u + t v - c|^2 into terms up to about 64 that cancel near the
+    # peak, so each lands a few 1e-14 of max (2.9e-14 and 5.0e-14 measured)
+    # from the sum of the per-axis squares (du_i + t v_i)^2, which is within
+    # 1e-15 of a long-double one; a 1e-14 bound holds for neither
+    U, V = _perp_rays(np.geomspace(1e-10, 4.0, 256))
+    t, hw = _bump_rule()
+    exact = sum(c["amplitude"] * np.exp(-0.5 * sum((U[:, i, None] - ci + t * V[:, i, None]) ** 2
+                                                   for i, ci in enumerate(c["center"]))
+                                        / c["sigma"] ** 2) @ hw for c in _NARROW_PAIR.components)
+    got = _ray_source(_NARROW_PAIR).sums(U, V, t, hw)
+    _assert_close(got, exact, rtol=5e-14)
+    _assert_close(_NARROW_PAIR.evaluate_along_rays(U, V, t) @ hw, exact, rtol=6e-14)
+    _assert_close(got, _NARROW_PAIR.evaluate_along_rays(U, V, t) @ hw, rtol=5e-14)
+
+
+@pytest.mark.parametrize("w", [gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0)],
+                         ids=lambda w: w.kind)
+def test_ray_by_ray_columns_match_the_dense_rule(w):
+    # wrt_columns reduces a mixture's clipped rays in place
+    grid, quad = make_grid(2, 20, 16.0), QuadratureParams(panels=8)
+    got = wrt_columns(_FAR_MIXTURE, w, grid.points(), _VSET.vectors, quad)
+    _assert_close(got, _dense_wrt(_FAR_MIXTURE, w, grid.points(), _VSET.vectors, quad))
 
 
 def _columns(f, w):  # 576 base points, split in two shares of rows
