@@ -21,10 +21,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, special
+from scipy import special
 
 from .errors import HypothesisError, ValidationError
-from .fields import Grid, ScalarField, continuous_ft
+from .fields import Grid, ScalarField
 from .forward import WRTData, v1_line_vset, windowed_ray_transform, wrt_columns
 from .quad import QuadratureParams, trapezoid_weights
 from .windows import window_eval
@@ -50,6 +50,8 @@ class SliceParams:
     apodization: str = "hann"
 
     def __post_init__(self):
+        if not np.isfinite(self.a):
+            raise ValidationError(f"slice parameter a must be finite, got {self.a}")
         apodization_weights(self.apodization, 0.0, 1.0)  # rejects unknown kinds
 
 
@@ -106,33 +108,54 @@ def make_restricted_dataset(f, w, u1, v1, vprimes,
 
 
 def _extract(u1, v1, blocks, w, p):
-    """sigma and |sigma| P_hat(sigma, a sigma) / (2 pi h(a)) for every block
-    blocks[:, :, j] on u1 x v1, with P_hat the continuous FT in (u1, v1) of
-    the apodized block.  v1 must be uniform and symmetric about 0, so that
-    it spans (-V, V), and a sigma must stay inside the sampled tau band."""
-    if not w.is_real:
-        raise HypothesisError("inversion requires a real window")
+    """sigma and |sigma| P_hat(sigma, a sigma) / (2 pi h(a)) per block blocks[:, :, j] on
+    v1 x u1, P_hat the continuous FT in (u1, v1) of the apodized block, linear in tau
+    between the DFT bins around a sigma: only those bins are summed over v1, then one FFT
+    along u1.  Needs uniform u1 (>= 5 samples), v1 uniform and symmetric about 0 (so it
+    spans (-V, V)), and a sigma inside the sampled tau band."""
+    du, dv = np.diff(u1), np.diff(v1)
+    if u1.size < 5 or not np.allclose(du, du[0], rtol=1e-10, atol=0.0):
+        raise ValidationError("u1 grid must be uniform with at least 5 samples")
+    if not w.is_real or np.iscomplexobj(blocks):  # complex data come from a complex window
+        raise HypothesisError("inversion requires a real window and real data")
     ha = complex(np.asarray(window_eval(w, float(p.a))))
     if abs(ha) <= 1e-12:
         raise HypothesisError(f"window vanishes at a = {p.a}")
-    dv = np.diff(v1)
-    if not np.allclose(dv, dv[0], rtol=1e-10, atol=0.0):
-        raise ValidationError("v1 grid must be uniform")
+    if v1.size < 2 or not np.allclose(dv, dv[0], rtol=1e-10, atol=0.0):
+        raise ValidationError("v1 grid must be uniform with at least 2 samples")
     if abs(v1[0] + v1[-1]) > 1e-9 * abs(dv[0]):
         raise ValidationError("v1 grid must be symmetric about 0")
-    grid = Grid((u1.size, v1.size), (u1[0], v1[0]), (u1[1] - u1[0], dv[0]))
-    fgrid = grid.frequency_grid()  # the grid of continuous_ft's output
+    if not np.all(np.isfinite([blocks.min(), blocks.max()])):  # NaN propagates; no temporary
+        raise ValidationError("slice data contain non-finite values")
+    fgrid = Grid((u1.size, v1.size), (u1[0], v1[0]), (du[0], dv[0])).frequency_grid()
     sigma, tau = fgrid.axis_coords(0), fgrid.axis_coords(1)
     pos = (p.a * sigma - tau[0]) / fgrid.spacing[1]  # tau index of a sigma
     if pos.min() < -1e-9 or pos.max() > tau.size - 1 + 1e-9:
         raise ValidationError("a * sigma leaves the v1 Nyquist band; refine v1")
-    coords = np.stack([np.arange(sigma.size, dtype=float), np.clip(pos, 0, tau.size - 1)])
+    i0 = np.clip(np.floor(pos), 0, tau.size - 2).astype(int)  # order-1 interpolation weights
+    frac = np.clip(pos - i0, 0.0, 1.0)
+    bins = np.unique(np.concatenate([i0[frac < 1], i0[frac > 0] + 1]))
+    # DFT twiddles from integer turns, so large bin x sample products stay exact
+    turns = ((bins[:, None] - v1.size // 2) * np.arange(v1.size)) % v1.size / v1.size
     apod = apodization_weights(p.apodization, v1, abs(v1[0]) + 0.5 * dv[0])
-    out = np.empty((sigma.size, blocks.shape[2]), dtype=complex)
-    for j in range(blocks.shape[2]):
-        F = continuous_ft(ScalarField(grid, blocks[:, :, j] * apod), warn_boundary=False).values
-        out[:, j] = ndimage.map_coordinates(F, coords, order=1)  # row k at tau = a sigma_k
-    return sigma, np.abs(sigma)[:, None] * out / (2.0 * np.pi * ha)
+    E = np.exp(-2j * np.pi * turns) * (np.exp(-1j * tau[bins] * v1[0])[:, None] * apod * dv[0])
+    X = blocks.reshape(v1.size, -1)
+    k = (np.arange(sigma.size) - sigma.size // 2) % sigma.size  # DFT index of sigma
+    out = np.zeros((sigma.size, blocks.shape[2]), dtype=complex)
+    step = max(1, 2**15 // X.shape[1])  # bins per chunk: R and Y hold 1 MiB together
+    R = np.empty((2 * min(step, bins.size), X.shape[1]))
+    Y = np.empty((min(step, bins.size), X.shape[1]), dtype=complex)
+    for s in range(0, bins.size, step):
+        c = min(step, bins.size - s)
+        np.matmul(np.vstack([E.real[s:s + c], E.imag[s:s + c]]), X, out=R[:2 * c])  # X stays real
+        Y[:c].real, Y[:c].imag = R[:c], R[c:2 * c]
+        Z = Y[:c].reshape(c, sigma.size, -1)
+        np.fft.fft(Z, axis=1, out=Z)
+        for b, wt in ((np.searchsorted(bins, i0), 1 - frac), (np.searchsorted(bins, i0 + 1), frac)):
+            r = (wt > 0) & (b >= s) & (b < s + step)
+            out[r] += wt[r, None] * Z[b[r] - s, k[r]]
+    scale = np.exp(-1j * sigma * u1[0]) * du[0] * np.abs(sigma) / (2.0 * np.pi * ha)
+    return sigma, scale[:, None] * out
 
 
 def _dc_even_extrapolate(vals, sigma):
@@ -148,14 +171,13 @@ def slice_extract(data, p):
     crossed with a v1-line vset (see :func:`make_slice_dataset`).
 
     zeta = a v' + u2 (v' is the vset's fixed v2, normally 0 in full mode).
-    Any other dataset is a ValidationError, checked before the window.
+    Any other dataset, or < 5 u1 samples, is a ValidationError, checked before the window.
     """
     if not isinstance(data, WRTData) or data.vset.mode != "v1-line" or data.u_grid.n != 2:
         raise ValidationError("slice extraction needs v1-line WRTData on a 2-D u grid")
     u1, u2 = data.u_grid.axis_coords(0), data.u_grid.axis_coords(1)
     v1 = data.vset.v1
-    blocks = data.values.reshape(u1.size, u2.size, v1.size).transpose(0, 2, 1)
-    sigma, out = _extract(u1, v1, blocks, data.window, p)
+    sigma, out = _extract(u1, v1, data.values.T.reshape(v1.size, u1.size, -1), data.window, p)
     _dc_even_extrapolate(out, sigma)
     return SliceSpectrum(sigma, p.a * float(data.vset.vprime[0]) + u2, out)
 
@@ -165,8 +187,11 @@ def restricted_extract(u1, v1, vprimes, values, w, p):
     by :func:`make_restricted_dataset`; needs a != 0."""
     if p.a == 0.0:
         raise ValidationError("restricted mode needs a != 0: zeta = a v' is 0 for every v'")
-    sigma, out = _extract(np.asarray(u1, dtype=float), np.asarray(v1, dtype=float), values, w, p)
-    return SliceSpectrum(sigma, p.a * np.asarray(vprimes), out)
+    u1, v1, vprimes = (np.asarray(x, dtype=float) for x in (u1, v1, vprimes))
+    if np.shape(values) != (u1.size, v1.size, vprimes.size):
+        raise ValidationError(f"values of shape {np.shape(values)} are not (u1, v1, v') sized")
+    sigma, out = _extract(u1, v1, np.asarray(values).swapaxes(0, 1), w, p)
+    return SliceSpectrum(sigma, p.a * vprimes, out)
 
 
 def reconstruct_slice(spectrum, out_grid):

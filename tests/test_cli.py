@@ -153,6 +153,26 @@ def test_slice_window_vanishing_at_a_exit_2(tmp_path, capsys):
     assert "vanishes at a" in capsys.readouterr().err
 
 
+def test_slice_short_u1_axis_exit_1(tmp_path, capsys):
+    # 4 u1 samples cannot feed the sigma = 0 row's extrapolation from |sigma| in {d, 2d}
+    spec = _phantom_file(tmp_path)
+    data = str(tmp_path / "vline")
+    rc = main([
+        "forward", "--phantom", spec, "--window", "gaussian:1.0",
+        "--vmode", "v1-line", "--v1max", "2", "--nv1", "8",
+        "--shape", "4", "--extent", "8", "--quad-panels", "4", "--out", data,
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    out = tmp_path / "r"
+    rc = main(["invert", "--method", "slice", "--in", data, "--shape", "4", "--extent", "4",
+               "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and "at least 5" in err[0]
+    assert not out.exists()
+
+
 def test_analytic_signal_rejected_by_inversions_exit_2(tmp_path):
     spec = _phantom_file(tmp_path)
     data = str(tmp_path / "pol")
@@ -168,6 +188,24 @@ def test_analytic_signal_rejected_by_inversions_exit_2(tmp_path):
             "--shape", "16", "--extent", "8", "--out", str(tmp_path / "r"),
         ])
         assert rc == 2, method
+
+
+def test_slice_of_complex_data_with_a_real_window_exit_2(tmp_path, capsys):
+    # analytic-signal data relabelled with --window gaussian: the slice route needs real data
+    spec = _phantom_file(tmp_path)
+    data = str(tmp_path / "vline")
+    rc = main([
+        "forward", "--phantom", spec, "--window", "analytic-signal",
+        "--vmode", "v1-line", "--v1max", "2", "--nv1", "8",
+        "--shape", "8", "--extent", "8", "--quad-panels", "4", "--out", data,
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["invert", "--method", "slice", "--in", data, "--window", "gaussian:1.0",
+               "--shape", "4", "--extent", "4", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and "real data" in err[0]
 
 
 def test_calibrate_fast_json(tmp_path, capsys):
@@ -415,6 +453,8 @@ def test_invert_inputs_reconstruct(invert_inputs, tmp_path):
     ("mellin", ["--mellin-t", "inf"]),
     ("mellin", ["--reg-lambda", "-1"]),
     ("mellin", ["--reg-lambda", "nan"]),
+    ("slice", ["--slice-a", "nan"]),
+    ("slice", ["--slice-a", "inf"]),
 ])
 def test_bad_invert_arguments_exit_1(invert_inputs, tmp_path, method, argv):
     out = tmp_path / "r"

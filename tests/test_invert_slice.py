@@ -6,6 +6,7 @@ import pytest
 from wrtkit import (
     Grid,
     HypothesisError,
+    NumericalError,
     ValidationError,
     analytic_signal_window,
     gaussian_phantom,
@@ -87,6 +88,11 @@ def test_complex_window_rejected():
 
     ds = dataclasses.replace(_dataset(V=2.0, n2=4), window=analytic_signal_window())
     with pytest.raises(HypothesisError, match="real window"):
+        slice_extract(ds, SliceParams(a=0.0))
+    # complex data (a complex window's) under a real window's label
+    ds = _dataset(V=2.0, n2=4)
+    ds = dataclasses.replace(ds, values=ds.values * (1.0 + 1j))
+    with pytest.raises(HypothesisError, match="real data"):
         slice_extract(ds, SliceParams(a=0.0))
 
 
@@ -222,3 +228,126 @@ def test_apodization_is_validated_by_the_params():
     none = slice_extract(ds, SliceParams(apodization="none"))
     hann = slice_extract(ds, SliceParams())
     assert not np.allclose(none.values, hann.values)
+
+
+def _reference_extract(u1, v1, blocks, w, a, apodization):
+    """The per-block extraction the slice route used to run, kept as a
+    reference: one continuous_ft per (u1, v1) block, read at tau = a sigma
+    by map_coordinates(order=1)."""
+    from scipy import ndimage
+
+    from wrtkit.fields import ScalarField, continuous_ft
+    from wrtkit.windows import window_eval
+
+    dv = v1[1] - v1[0]
+    grid = Grid((u1.size, v1.size), (u1[0], v1[0]), (u1[1] - u1[0], dv))
+    fgrid = grid.frequency_grid()
+    sigma, tau = fgrid.axis_coords(0), fgrid.axis_coords(1)
+    pos = np.clip((a * sigma - tau[0]) / fgrid.spacing[1], 0, tau.size - 1)
+    coords = np.stack([np.arange(sigma.size, dtype=float), pos])
+    apod = apodization_weights(apodization, v1, abs(v1[0]) + 0.5 * dv)
+    out = np.empty((sigma.size, blocks.shape[2]), dtype=complex)
+    for j in range(blocks.shape[2]):
+        F = continuous_ft(ScalarField(grid, blocks[:, :, j] * apod), warn_boundary=False).values
+        out[:, j] = ndimage.map_coordinates(F, coords, order=1)
+    ha = complex(np.asarray(window_eval(w, a)))
+    return sigma, np.abs(sigma)[:, None] * out / (2.0 * np.pi * ha)
+
+
+def _symmetric_v1(n, dv):
+    return (np.arange(n) - 0.5 * (n - 1)) * dv
+
+
+# the last two shapes have 16,384 and 33,150 columns: several chunks of tau bins
+@pytest.mark.parametrize("n1, nv1, n2", [(64, 16, 5), (63, 15, 5), (64, 15, 5), (63, 16, 5),
+                                         (256, 16, 64), (255, 15, 130)])
+@pytest.mark.parametrize("apodization", ["none", "hann", "kaiser:8"])
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.5, 0.375])
+def test_full_extraction_matches_the_per_block_reference(a, apodization, n1, nv1, n2):
+    rng = np.random.default_rng(n1 + nv1)
+    u1, v1 = -3.0 + 0.5 * np.arange(n1), _symmetric_v1(nv1, 0.5)
+    w = gaussian_window(2.0)
+    vals = rng.standard_normal((n1, n2, nv1))
+    data = WRTData(Grid((n1, n2), (u1[0], -1.0), (0.5, 0.5)), v1_line_vset(v1, [0.25]), w,
+                   vals.reshape(n1 * n2, nv1))  # v' != 0: an odd v1 grid holds v1 = 0
+    got = slice_extract(data, SliceParams(a=a, apodization=apodization))
+    sigma, want = _reference_extract(u1, v1, vals.transpose(0, 2, 1), w, a, apodization)
+    i0 = int(np.argmin(np.abs(sigma)))  # the sigma = 0 row, even-extrapolated
+    want[i0] = (4.0 * (want[i0 + 1] + want[i0 - 1]) - (want[i0 + 2] + want[i0 - 2])) / 6.0
+    assert np.array_equal(got.sigma, sigma)
+    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n1, nv1", [(40, 16), (41, 15)])
+@pytest.mark.parametrize("apodization", ["none", "hann", "kaiser:8"])
+@pytest.mark.parametrize("a", [0.5, -0.5, 0.375])
+def test_restricted_extraction_matches_the_per_block_reference(a, apodization, n1, nv1):
+    rng = np.random.default_rng(n1 + nv1)
+    u1, v1, vprimes = 0.5 * np.arange(n1) - 10.0, _symmetric_v1(nv1, 0.5), np.linspace(-2, 2, 3)
+    w = gaussian_window(2.0)
+    vals = rng.standard_normal((n1, nv1, vprimes.size))
+    got = restricted_extract(u1, v1, vprimes, vals, w, SliceParams(a=a, apodization=apodization))
+    sigma, want = _reference_extract(u1, v1, vals, w, a, apodization)
+    assert np.array_equal(got.sigma, sigma)
+    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_rejected_in_both_modes(bad):
+    u1, v1, w = 0.5 * np.arange(16), _symmetric_v1(8, 0.5), gaussian_window(2.0)
+    vals = np.ones((u1.size, v1.size, 2))
+    vals[3, 5, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        restricted_extract(u1, v1, np.array([-1.0, 1.0]), vals, w, SliceParams(a=0.5))
+    # full mode reads WRTData, which refuses non-finite values when it is made
+    with pytest.raises(NumericalError, match="non-finite"):
+        WRTData(Grid((u1.size, 2), (0.0, 0.0), (0.5, 1.0)), v1_line_vset(v1, [0.0]), w,
+                vals.transpose(0, 2, 1).reshape(-1, v1.size))
+
+
+@pytest.mark.parametrize("n1", [2, 3, 4])
+def test_short_u1_axis_rejected(n1):
+    # the sigma = 0 row is extrapolated from |sigma| in {d, 2d}: 5 u1 samples at least
+    v1, w = _symmetric_v1(8, 0.5), gaussian_window(2.0)
+    data = WRTData(Grid((n1, 2), (0.0, 0.0), (0.5, 1.0)), v1_line_vset(v1, [0.0]), w,
+                   np.ones((2 * n1, v1.size)))
+    with pytest.raises(ValidationError, match="at least 5"):
+        slice_extract(data, SliceParams(a=0.0))
+    grown = WRTData(Grid((5, 2), (0.0, 0.0), (0.5, 1.0)), v1_line_vset(v1, [0.0]), w,
+                    np.ones((10, v1.size)))
+    assert slice_extract(grown, SliceParams(a=0.0)).values.shape == (5, 2)
+
+
+@pytest.mark.parametrize("shape, nvp", [
+    ((16, 7, 2), 2),   # v1 count off by one
+    ((16, 8), 2),      # 2-D values
+    ((16, 8, 2), 3),   # vprimes of another length
+    ((15, 8, 2), 2),   # u1 count off by one
+])
+def test_restricted_extract_rejects_mismatched_values(shape, nvp):
+    u1, v1 = 0.5 * np.arange(16), _symmetric_v1(8, 0.5)
+    with pytest.raises(ValidationError, match="shape"):
+        restricted_extract(u1, v1, np.linspace(-1.0, 1.0, nvp), np.ones(shape),
+                           gaussian_window(2.0), SliceParams(a=0.5))
+
+
+def test_restricted_extract_rejects_a_non_uniform_u1():
+    u1, v1 = 0.5 * np.arange(16), _symmetric_v1(8, 0.5)
+    u1[7] += 1e-6
+    with pytest.raises(ValidationError, match="u1 grid must be uniform"):
+        restricted_extract(u1, v1, np.array([-1.0, 1.0]), np.ones((16, 8, 2)),
+                           gaussian_window(2.0), SliceParams(a=0.5))
+
+
+@pytest.mark.parametrize("nv1", [0, 1])
+def test_v1_axis_under_two_samples_rejected(nv1):
+    u1, v1 = 0.5 * np.arange(16), _symmetric_v1(nv1, 0.5)
+    with pytest.raises(ValidationError, match="at least 2"):
+        restricted_extract(u1, v1, np.array([1.0]), np.ones((16, nv1, 1)),
+                           gaussian_window(2.0), SliceParams(a=0.5))
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+def test_non_finite_a_rejected(a):
+    with pytest.raises(ValidationError, match="finite"):
+        SliceParams(a=a)
