@@ -2,7 +2,8 @@
 
 The t1 backprojection shares out its slices, the closed-form oracle and
 the factored route of ``windowed_ray_transform`` their v columns,
-``wrt_columns`` its base points and ``wrt_polar_perp`` its rho rows.  That
+``wrt_columns`` its planned source calls (base points for the
+analytic-signal window) and ``wrt_polar_perp`` its rho rows.  That
 work spends its time in numpy ufuncs, pocketfft, BLAS and
 ``ndimage.map_coordinates``, which release the interpreter lock, so threads
 run it on separate cores.  The factored route's GEMMs run on the pool
@@ -16,9 +17,13 @@ Granularity: a share's numpy calls should each cover a block of work, not
 one small slice.  The interpreter lock passes between the workers around
 every call, and on a slice of a few thousand values those handoffs cost
 more than the arithmetic, so two workers can lose to one; the oracle, for
-one, fills a block of columns per call.  No forward value depends on the
-count; t1 sums its workers' spectra in share order, so it repeats bit for
-bit at a given count.
+one, fills a block of columns per call.  Likewise ``wrt_columns`` plans its
+source calls on the caller (runs of rays that keep the same panels) and
+shares out whole calls, each share of about equal work and of at least
+2^19 ray nodes; shares of base points, regrouped by panels within each
+share, made more and smaller calls the more workers there were.  No
+forward value depends on the count; t1 sums its workers' spectra in share
+order, so it repeats bit for bit at a given count.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import HypothesisError, NumericalError, ValidationError
 from .fields import gaussian_phantom, make_grid, sample_phantom
 from .forward import (
     _has_closed_form,
@@ -77,9 +77,13 @@ def _forward_data(spec, w, grid, vset):
 
 def calibrate_constant(method, w, phantoms, fast=False):
     """Fit the normalization scalar for 't1' or 't2' over >= 3 phantoms;
-    a spread (std / mean) above 10 % raises NumericalError."""
+    a spread (std / mean) above 10 % raises NumericalError.  A complex
+    window raises HypothesisError, as both inversions do, before any
+    forward data is computed."""
     if method not in ("t1", "t2"):
         raise ValidationError("calibration applies to the t1 and t2 inversions")
+    if not w.is_real:
+        raise HypothesisError("inversion requires a real window")
     phantoms = list(phantoms)
     if len(phantoms) < 3:
         raise ValidationError("calibration needs at least 3 phantoms")

@@ -247,10 +247,10 @@ def cmd_compare(args):
 
 def cmd_calibrate(args):
     w = parse_window(args.window)
-    if args.phantoms:
-        phantoms = [_load_phantom(p) for p in args.phantoms]
-    else:
+    if args.phantoms is None:
         phantoms = default_calibration_phantoms()
+    else:  # --phantoms with no file is rejected, not read as the defaults
+        phantoms = [_load_phantom(p) for p in args.phantoms]
     report = calibrate_constant(args.method, w, phantoms, fast=args.fast)
     _report(args, report.to_json(), [
         f"method: {report.method}",

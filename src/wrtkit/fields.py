@@ -237,7 +237,8 @@ def _ray_sums(spec, u, v, t, weights):
     out = np.zeros(u.shape[0], dtype=np.result_type(float, weights))
     for c in spec.components:
         k, du = -0.5 / c["sigma"] ** 2, u - np.asarray(c["center"])
-        np.multiply(k * v2, t, out=e)
+        np.copyto(e, t)
+        e *= k * v2
         e += 2.0 * k * np.sum(du * v, axis=1)[:, None]
         e *= t
         e += k * np.sum(du * du, axis=1)[:, None]

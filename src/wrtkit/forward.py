@@ -231,7 +231,7 @@ def _node_rules(w, quad, norms, feature):
     return [rules[p] for p in counts]
 
 
-_Source = namedtuple("_Source", "sums interval feature factored")  # see _ray_source
+_Source = namedtuple("_Source", "sums interval feature factored run")  # see _ray_source
 
 
 def _ray_source(f):
@@ -249,7 +249,11 @@ def _ray_source(f):
       grid with these axes, raveled in C order, summed from per-axis factor
       matrices over the nodes where the shifted grid meets the source's box
       (the interval's box or ball) on every axis; None for the smoothed disk,
-      which does not factor per axis.
+      which does not factor per axis;
+    - run: the ray nodes of one sums call where :func:`wrt_columns` plans its
+      calls, _NODES, or _NODES / 32 for the smoothed disk, whose sums holds
+      about eight (rays x nodes) arrays (the gaussian's one, the field's three)
+      and is fastest on runs that stay in cache.
     """
     if isinstance(f, PhantomSpec):
         disk = f.kind == "smoothed-disk"
@@ -264,9 +268,9 @@ def _ray_source(f):
         f._profiles  # noqa: B018  (built here, so the pool threads only read them)
         sums = functools.partial(_ray_sums, f)
         if disk:
-            return _Source(sums, interval, feature, None)
+            return _Source(sums, interval, feature, None, _NODES // 32)
         comps = [(c, s["sigma"], s["amplitude"], r) for (c, r), s in zip(balls, f.components)]
-        return _Source(sums, interval, feature, functools.partial(_gaussian_column, comps))
+        return _Source(sums, interval, feature, functools.partial(_gaussian_column, comps), _NODES)
     if not isinstance(f, ScalarField):
         raise ValidationError("source must be a PhantomSpec or ScalarField")
     if np.iscomplexobj(f.values):
@@ -305,7 +309,7 @@ def _ray_source(f):
     # edges; the box's stencils need c on [lo - 1, hi + 2] of each axis
     mirrored = np.pad(coef, 2, mode="reflect")[tuple(slice(a + 1, b + 5) for a, b in ibox.T)]
     return _Source(sums, interval, float(min(g.spacing)),
-                   functools.partial(_spline_column, mirrored, ibox, g))
+                   functools.partial(_spline_column, mirrored, ibox, g), _NODES)
 
 
 def _ball_interval(du, V, rad):
@@ -321,7 +325,12 @@ def _ball_interval(du, V, rad):
 
 
 _NODES = 2**19  # ray nodes per source evaluation: the ray-by-ray route's one memory bound
-_BLOCK = 2**16  # values per numpy call where the oracle or WRTData's check walks v slices
+# ray nodes a pool worker's share of a planned block carries at least: one full
+# run of a gaussian or a field; on 2 cores, two shares of the disk's short runs
+# were no faster than one, as its evaluation does not scale over threads
+_SHARE = _NODES
+_BLOCK = 2**16  # values per numpy call where the oracle or WRTData's check walks v slices,
+# and rays per planned block of wrt_columns
 
 
 def _runs(items, size, budget):
@@ -329,6 +338,27 @@ def _runs(items, size, budget):
     values (one item at least) of ``size`` each."""
     step = max(1, budget // size)
     return (items[j:j + step] for j in range(0, len(items), step))
+
+
+def _panel_keys(src, k, t, U, V):
+    """Per ray (U, V), the key a (P + 1) + z of the panels a, ..., z - 1 of
+    the real window's rule t (P panels of k nodes) that meet its clip
+    interval; z = a when the ray misses the source."""
+    lo, hi = src.interval(U, V)
+    p_lo = np.searchsorted(t[k - 1::k], lo, side="left")
+    p_hi = np.maximum(np.searchsorted(t[::k], hi, side="right"), p_lo)
+    return p_lo * (t.size // k + 1) + p_hi
+
+
+def _panel_groups(key, k, t):
+    """(rays, nodes) per group of equal keys from :func:`_panel_keys`, in
+    key order with the rays in their own order; rays that miss are left out."""
+    npan = t.size // k
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        a, z = divmod(int(key[group[0]]), npan + 1)
+        if z > a:
+            yield group, slice(a * k, z * k)
 
 
 def _ray_sum(src, w, quad, rule, U, V):
@@ -343,23 +373,13 @@ def _ray_sum(src, w, quad, rule, U, V):
     inputs only, not on the rays that share its group, run or pool worker.
     Runs on pool threads, so it calls no name perfbench's layer tracer wraps.
     """
-    lo, hi = src.interval(U, V)
     if not w.is_real:
-        return _analytic_sum(src.sums, w, rule, U, V, lo, hi)
-    k = quad.nodes
+        return _analytic_sum(src.sums, w, rule, U, V, *src.interval(U, V))
     t, hw = rule
-    npan = t.size // k
-    p_lo = np.searchsorted(t[k - 1::k], lo, side="left")
-    p_hi = np.maximum(np.searchsorted(t[::k], hi, side="right"), p_lo)
-    key = p_lo * (npan + 1) + p_hi
     out = np.zeros(U.shape[0])
-    order = np.argsort(key, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        a, z = divmod(int(key[group[0]]), npan + 1)
-        if z > a:
-            nodes = slice(a * k, z * k)
-            for rows in _runs(group, (z - a) * k, _NODES):
-                out[rows] = src.sums(U[rows], V[rows], t[nodes], hw[nodes])
+    for group, nodes in _panel_groups(_panel_keys(src, quad.nodes, t, U, V), quad.nodes, t):
+        for rows in _runs(group, nodes.stop - nodes.start, _NODES):
+            out[rows] = src.sums(U[rows], V[rows], t[nodes], hw[nodes])
     return out
 
 
@@ -504,16 +524,62 @@ def _columns(src, w, U, vectors, quad):
     norms = np.linalg.norm(vectors, axis=1)
     _warn_unresolved_pole(w, norms, U.shape[0], 4)
     rules = _node_rules(w, quad, norms, src.feature)
-    out = np.zeros((vectors.shape[0], U.shape[0]), dtype=float if w.is_real else complex)
+    M = U.shape[0]
+    out = np.zeros((vectors.shape[0], M), dtype=float if w.is_real else complex)
+    if not w.is_real:  # base-point shares: _analytic_sum's pieces are per ray, no groups to plan
+        def fill(share):  # a range of base points
+            rows = slice(share.start, share.stop)  # numpy would convert a range element by element
+            Us = U[rows]
+            for j, v in enumerate(vectors):
+                out[j, rows] = _ray_sum(src, w, quad, rules[j], Us, np.broadcast_to(v, Us.shape))
 
-    def fill(share):  # a range of base points
-        rows = slice(share.start, share.stop)  # numpy would convert a range element by element
-        Us = U[rows]
-        for j, v in enumerate(vectors):
-            out[j, rows] = _ray_sum(src, w, quad, rules[j], Us, np.broadcast_to(v, Us.shape))
+        _pool.map(fill, range(M))
+        return out.T
 
-    _pool.map(fill, range(U.shape[0]))
+    def run(shares):  # _pool.map hands each worker a list of one share of planned calls
+        for cols, rays, t, hw in itertools.chain.from_iterable(shares):
+            c, m = np.divmod(rays, M)
+            out[cols[c], m] = src.sums(U[m], vectors[cols[c]], t, hw)
+
+    tag = {}  # the columns of one rule are planned together
+    by_rule = np.argsort([tag.setdefault(id(r), len(tag)) for r in rules], kind="stable")
+    for block in _runs(by_rule, M, _BLOCK):
+        _pool.map(run, _shares(_plan(src, quad.nodes, rules, U, vectors, block)))
     return out.T
+
+
+def _plan(src, k, rules, U, vectors, block):
+    """The src.sums calls (cols, rays, t, hw) of the rays U x vectors[block],
+    block a run of columns sorted by rule.  Per rule, ray r of its columns
+    cols is (U[r % M], vectors[cols[r // M]]); the rays are grouped by
+    :func:`_panel_keys` and each group cut into runs of at most src.run ray
+    nodes, one call each.  Only the integer ray ids and keys of the block
+    are held, no gathered rays."""
+    calls = []
+    for _, same in itertools.groupby(block, lambda j: id(rules[j])):
+        cols = np.fromiter(same, int)
+        t, hw = rules[cols[0]]
+        key = np.concatenate([_panel_keys(src, k, t, U, np.broadcast_to(vectors[j], U.shape))
+                              for j in cols])
+        for group, nodes in _panel_groups(key, k, t):
+            calls += [(cols, rays, t[nodes], hw[nodes])
+                      for rays in _runs(group, nodes.stop - nodes.start, src.run)]
+    return calls
+
+
+def _shares(calls):
+    """``calls`` cut in order into min(_pool.workers(), work // _SHARE)
+    shares (one at least) of about equal work, rays x nodes: a call goes to
+    the share its midpoint in the running work falls in, so each share is
+    within one call's work of the mean."""
+    if not calls:
+        return []
+    work = np.array([rays.size * t.size for _, rays, t, _ in calls])
+    total = int(work.sum())
+    n = max(1, min(_pool.workers(), total // _SHARE))
+    share = (2 * np.cumsum(work) - work) * n // (2 * total)
+    cuts = np.flatnonzero(np.diff(share)) + 1
+    return [calls[a:z] for a, z in zip([0, *cuts], [*cuts, len(calls)])]
 
 
 def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
@@ -522,8 +588,17 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     rule of :func:`windowed_ray_transform` with the panels outside each
     ray's clip interval skipped.
 
-    Each pool worker runs every column on one contiguous share of the base
-    points; the values do not depend on the worker count."""
+    A real window's source calls are planned on the caller, one block of at
+    most _BLOCK rays at a time: the rays of the columns that share a node
+    rule are grouped by the panels they keep, each group is cut into runs of
+    at most src.run ray nodes, one src.sums call each, and each pool worker
+    takes one contiguous share of the calls, of about equal work (rays x
+    nodes) and at least _SHARE ray nodes.  So more workers make no more,
+    smaller calls.  The analytic-signal kernel instead gives each worker a
+    contiguous share of the base points: :func:`_analytic_sum` cuts every
+    ray's own pieces from its clip interval, so its rays have no shared
+    panels to group by.  Each ray is reduced by itself, so the values do not
+    depend on the worker count or the run size."""
     U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
     src = _grid_source(f, U.shape[1], vectors)
     _warn_cut_field(f, w)
@@ -549,7 +624,8 @@ def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
     source's box; pool workers take contiguous ranges of the columns.  It
     does not clip per ray, so a ray that misses the source gets its tiny true
     value, not 0.  Anything else (the smoothed disk, the analytic-signal
-    kernel) runs :func:`wrt_columns` ray by ray."""
+    kernel) runs :func:`wrt_columns` ray by ray, which shares out planned
+    source calls (base points for the analytic-signal kernel)."""
     src = _grid_source(f, u_grid.n, vset.vectors)
     _warn_cut_field(f, w)
     if w.is_real and src.factored is not None:
@@ -672,8 +748,14 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     """g(rho, theta) = P_h f(u, u^perp) with u = rho (cos t, sin t), by the
     rule of :func:`windowed_ray_transform`: a real window refines its panels
     for each rho = |v| on its own.  Each pool worker takes a contiguous share
-    of the rho rows, as :func:`wrt_columns` takes base points; the values do
-    not depend on the worker count."""
+    of the rho rows, and :func:`_ray_sum` groups each run of rows that share
+    a rule by panels; the values do not depend on the worker count.  It does
+    not plan its calls as :func:`wrt_columns` does: a rho row already gives
+    one call per panel range, and through such a planner two workers took
+    the ``cli-perp-mellin`` perp forward (1,024 rho x 64 theta, two
+    gaussians, bump window, 16 panels) 321-402 ms with runs of 2^14 ray
+    nodes, 164-177 ms with 2^16 and 141-147 ms with 2^19, against 125-158
+    ms with rho rows (quartiles of 9 runs, 2 cores)."""
     rho, theta = _perp_axes(rho, theta)
     src = _ray_source(f)
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:

@@ -22,7 +22,9 @@ class QuadratureParams:
     tiny t-interval; each v column, and each rho of perp data, is refined
     for its own |v|.  Ray by ray, the panels where the source is below 1e-17
     of its peak are skipped, and each ray's nodes are summed by themselves,
-    so no value depends on the worker count; the factored route of
+    so no value depends on the worker count or on how ``wrt_columns`` groups
+    the rays into source calls (runs of rays that keep the same panels, one
+    contiguous share of those calls per worker); the factored route of
     ``windowed_ray_transform`` (a gaussian phantom or a sampled field on a u
     grid) skips instead the nodes at which the whole shifted grid misses the
     region where the source is above that level.  The analytic-signal kernel gets

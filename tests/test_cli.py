@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrtkit import _pool
+from wrtkit import _pool, calibrate
 from wrtkit import io as wio
 from wrtkit.calibrate import calibrate_constant
 from wrtkit.cli import build_parser, main, parse_window
@@ -218,6 +218,83 @@ def test_calibrate_fast_json(tmp_path, capsys):
     assert payload["ratio"] > 0
 
 
+_SPEC = {"kind": "gaussian", "components": [{"center": [0.4, -0.2], "sigma": 0.7}]}
+
+
+def _edited_spec(key, value):
+    return json.dumps({**_SPEC, "components": [{**_SPEC["components"][0], key: value}]})
+
+
+_SPEC_TEXTS = {  # a calibration phantom file: the valid spec's text, mutations of it, or none
+    "valid": json.dumps(_SPEC),
+    "mixture": json.dumps({**_SPEC, "kind": "gaussian-mixture"}),
+    "disk-kind": json.dumps({**_SPEC, "kind": "smoothed-disk"}),
+    "unknown-kind": json.dumps({**_SPEC, "kind": "ellipse"}),
+    "kind-number": json.dumps({**_SPEC, "kind": 3}),
+    "no-kind": json.dumps({"components": _SPEC["components"]}),
+    "no-components": json.dumps({**_SPEC, "components": []}),
+    "components-text": json.dumps({**_SPEC, "components": "abc"}),
+    "sigma-zero": _edited_spec("sigma", 0.0),
+    "sigma-nan": _edited_spec("sigma", float("nan")),
+    "sigma-text": _edited_spec("sigma", "x"),
+    "sigma-wide": _edited_spec("sigma", 40.0),
+    "center-1d": _edited_spec("center", [0.4]),
+    "center-3d": _edited_spec("center", [0.4, -0.2, 0.1]),
+    "center-empty": _edited_spec("center", []),
+    "center-inf": _edited_spec("center", [float("inf"), 0.0]),
+    "amplitude-zero": _edited_spec("amplitude", 0.0),
+    "amplitude-huge": _edited_spec("amplitude", 1e308),
+    "amplitude-text": _edited_spec("amplitude", "a"),
+    "truncated": json.dumps(_SPEC)[:20],
+    "not-an-object": "[1, 2]",
+    "empty-file": "",
+    "missing-file": None,
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(["t1", "t2", "slice"]),
+       window=st.one_of(st.just("gaussian:1.0"), st.sampled_from([
+           "gaussian:0", "gaussian:nan", "gaussian:x", "gaussian", "hermite1:inf", "bump:-1",
+           "analytic-signal", "kaiser:2", ""])),
+       fast=st.booleans(), as_json=st.booleans(),
+       edit=st.sampled_from(sorted(_SPEC_TEXTS)), valid=st.integers(0, 3))
+def test_calibrate_argv_property(method, window, fast, as_json, edit, valid):
+    # calibrate on drawn flags and phantom files, one drawn file then up to
+    # three valid ones: exit 0, or exit 1 or 2 with one error line; never an
+    # exception.  The default phantoms run in test_calibrate_fast_json.
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["calibrate", "--method", method, f"--window={window}", "--phantoms"]
+        for k, name in enumerate([edit] + ["valid"] * valid):
+            argv.append(os.path.join(tmp, f"spec{k}.json"))
+            if _SPEC_TEXTS[name] is not None:
+                pathlib.Path(argv[-1]).write_text(_SPEC_TEXTS[name])
+        rc, err = _run(argv + ["--fast"] * fast + ["--json"] * as_json)
+        assert rc in (0, 1, 2)
+        if rc:  # one error line, after argparse's usage lines for an invalid --method
+            assert err[-1].startswith("error: ")
+            assert len(err) == 1 or method not in ("t1", "t2")
+
+
+def test_calibrate_rejects_a_complex_window_before_any_forward(monkeypatch, capsys):
+    # both inversions need a real window; the forward data came first, and
+    # took over a minute of analytic-signal quadrature before the exit 2
+    def forward(*args):
+        raise AssertionError("forward data computed")
+
+    monkeypatch.setattr(calibrate, "_forward_data", forward)
+    rc = main(["calibrate", "--method", "t2", "--window", "analytic-signal", "--fast"])
+    assert rc == 2
+    assert _one_error_line(capsys)
+
+
+def test_calibrate_phantoms_flag_needs_files_exit_1(capsys):
+    # --phantoms with no file named was read as the default phantoms
+    rc = main(["calibrate", "--method", "t1", "--window", "gaussian:1.0", "--fast", "--phantoms"])
+    assert rc == 1
+    assert _one_error_line(capsys)
+
+
 def test_threads_env_validation(monkeypatch):
     monkeypatch.setenv("WRTKIT_THREADS", "notanumber")
     assert main(["compare", "nope-a", "nope-b"]) == 1
@@ -409,16 +486,21 @@ def test_phantom_and_compare_argv_property(shapes, extent, center, targets):
 
 @pytest.fixture(scope="module")
 def invert_inputs(tmp_path_factory):
-    """Tiny valid datasets, one per inversion method."""
+    """Tiny valid datasets, one per inversion method, and two slice datasets
+    the slice route rejects: complex values under a real window's label
+    (exit 2) and a u1 axis of 4 samples (exit 1)."""
     d = tmp_path_factory.mktemp("invert")
     spec, w = gaussian_phantom((1.0, 0.0), 0.3), WindowSpec("gaussian", sigma=1.0)
     grid = make_grid(2, 8, 8.0)
-    paths = {m: str(d / m) for m in ("t1", "slice", "mellin")}
+    paths = {m: str(d / m) for m in ("t1", "slice", "mellin", "slice-complex", "slice-short")}
     wio.write_wrt1(paths["t1"], analytic_wrt_data(
         spec, w, grid, polar_vset(uniform_circle(4)[0], [0.5, 1.0, 2.0])))
-    wio.write_wrt1(paths["slice"], windowed_ray_transform(
-        spec, w, grid, v1_line_vset(symmetric_offset_grid(2.0, 0.5), [0.0]),
-        QuadratureParams(panels=4)))
+    vline = v1_line_vset(symmetric_offset_grid(2.0, 0.5), [0.0])
+    data = windowed_ray_transform(spec, w, grid, vline, QuadratureParams(panels=4))
+    wio.write_wrt1(paths["slice"], data)
+    wio.write_wrt1(paths["slice-complex"], WRTData(grid, vline, w, (1.0 - 0.5j) * data.values))
+    wio.write_wrt1(paths["slice-short"], windowed_ray_transform(
+        spec, w, make_grid(2, (4, 8), 8.0), vline, QuadratureParams(panels=4)))
     wio.write_wrt1(paths["mellin"], wrt_polar_perp(
         spec, WindowSpec("bump", radius=2.0), np.geomspace(1e-8, 4.0, 64),
         2.0 * np.pi * np.arange(8) / 8, QuadratureParams(panels=4)))
@@ -426,10 +508,10 @@ def invert_inputs(tmp_path_factory):
     return paths
 
 
-def _run_invert(paths, method, argv, out):
+def _run_invert(paths, method, argv, out, dataset=None):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(["invert", "--method", method, "--in", paths[method], "--shape", "4",
+        rc = main(["invert", "--method", method, "--in", paths[dataset or method], "--shape", "4",
                    "--extent", "4", "--lmax", "1", "--out", out, *argv])
     return rc, err.getvalue().splitlines()
 
@@ -438,6 +520,16 @@ def test_invert_inputs_reconstruct(invert_inputs, tmp_path):
     for method in ("t1", "t2", "slice", "mellin"):
         rc, err = _run_invert(invert_inputs, method, [], str(tmp_path / method))
         assert rc == 0, (method, err)
+
+
+@pytest.mark.parametrize("dataset, code, message", [
+    ("slice-complex", 2, "real data"), ("slice-short", 1, "at least 5")])
+def test_slice_rejects_its_malformed_inputs(invert_inputs, tmp_path, dataset, code, message):
+    out = tmp_path / "r"
+    rc, err = _run_invert(invert_inputs, "slice", [], str(out), dataset)
+    assert rc == code
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method, argv", [
@@ -470,17 +562,21 @@ _INVERT_FLAGS = {"--nsigma": _COUNT, "--lmax": _COUNT, **{f: _VALUE for f in (
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(method=st.sampled_from(["t1", "t2", "slice", "mellin"]),
+@given(case=st.sampled_from([("t1", "t1"), ("t2", "t2"), ("slice", "slice"),
+                             ("slice", "slice-complex"), ("slice", "slice-short"),
+                             ("mellin", "mellin")]),
        mode=st.sampled_from(CONSTANT_MODES),
        flags=st.lists(st.sampled_from(sorted(_INVERT_FLAGS)), max_size=3, unique=True).flatmap(
            lambda keys: st.fixed_dictionaries({k: _INVERT_FLAGS[k] for k in keys})))
-def test_invert_argv_property(invert_inputs, method, mode, flags):
-    # up to three flags off their defaults: exit 0 with a finite field, or
-    # exit 1 or 2 with one error line; never an exception
+def test_invert_argv_property(invert_inputs, case, mode, flags):
+    # a method on one of its datasets, up to three flags off their defaults:
+    # exit 0 with a finite field, or exit 1 or 2 with one error line; never
+    # an exception
+    method, dataset = case
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "r")
         argv = ["--constant-mode", mode] + [f"{k}={v}" for k, v in flags.items()]
-        rc, err = _run_invert(invert_inputs, method, argv, out)
+        rc, err = _run_invert(invert_inputs, method, argv, out, dataset)
         assert rc in (0, 1, 2)
         if rc:
             assert len(err) == 1 and err[0].startswith("error: ")

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 import warnings
 
@@ -764,6 +765,68 @@ def test_ray_by_ray_forward_does_not_depend_on_the_node_budget(monkeypatch):
         assert np.array_equal(route(f, w), ref), (route.__name__, f, w)
 
 
+def test_planned_calls_do_not_grow_with_the_worker_count(monkeypatch):
+    # the benchmark's disk geometry: the calls are planned on the caller and
+    # shared out whole, so more workers make no more, smaller calls
+    disk = smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3)
+    vset = polar_vset(uniform_circle(4)[0], np.geomspace(0.1, 1.0, 2))
+    calls, real = [], forward._ray_source  # (rays, nodes) of every src.sums call
+
+    def counted(f):
+        src = real(f)
+
+        def sums(U, V, t, weights):
+            calls.append((U.shape[0], t.size))
+            return src.sums(U, V, t, weights)
+
+        return src._replace(sums=sums)
+
+    monkeypatch.setattr(forward, "_ray_source", counted)
+    counts, values = {}, {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_pool, "limit", workers)
+        calls.clear()
+        values[workers] = windowed_ray_transform(disk, gaussian_window(1.0), make_grid(2, 64, 24.0),
+                                                 vset, QuadratureParams(panels=8)).values
+        counts[workers] = len(calls)
+        assert max(rays * nodes for rays, nodes in calls) <= forward._NODES // 32
+    for workers in (2, 3):
+        assert counts[workers] <= counts[1] + workers - 1, counts
+        assert np.array_equal(values[workers], values[1])
+
+
+def test_planned_shares_balance_one_dominant_group(monkeypatch):
+    # a wide gaussian meets every ray over the whole window support, so all
+    # but the far rays keep every panel: one (rule, panel range) group holds
+    # most of the work, and its runs are still shared out evenly
+    wide = gaussian_phantom((0.0, 0.0), 6.0)
+    U = np.concatenate([make_grid(2, 32, 4.0).points(), [[400.0, 0.0], [0.0, 90.0]]])
+    vectors = 0.5 * uniform_circle(8)[0]
+    shares, real = [], _pool.map
+
+    def spy(fn, items):
+        shares.append([sum(rays.size * t.size for _, rays, t, _ in share) for share in items])
+        return real(fn, items)
+
+    monkeypatch.setattr(_pool, "map", spy)
+    want, interval = None, sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # the workers write disjoint rays of one array
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_pool, "limit", workers)
+            shares.clear()
+            got = wrt_columns(wide, gaussian_window(1.0), U, vectors, QuadratureParams())
+            want = got if want is None else want
+            assert np.array_equal(got, want)
+            (work,) = shares  # one planned block
+            assert len(work) == workers
+            assert min(work) >= np.mean(work) / 3, work
+    finally:
+        sys.setswitchinterval(interval)
+    full = 32 * 16 * U.shape[0] * len(vectors)  # every ray keeps all 32 panels
+    assert sum(work) < full and sum(work) > 0.99 * full
+
+
 def test_smoothed_disk_builds_each_profile_once(monkeypatch):
     built = []
 
@@ -822,7 +885,7 @@ def test_only_the_disk_and_the_complex_kernel_go_ray_by_ray(monkeypatch):
     def ray_by_ray(*args):
         raise RuntimeError("ray by ray")
 
-    monkeypatch.setattr(forward, "_ray_sum", ray_by_ray)
+    monkeypatch.setattr(forward, "_columns", ray_by_ray)
     grid, quad = make_grid(2, 12, 10.0), QuadratureParams(panels=8)
     for f in (_GAUSS, _FAR_MIXTURE, _FIELD):
         for w in (gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0)):
