@@ -418,16 +418,18 @@ def _gaussian_column(comps, axes, v, t, hw):
     """factored() of gaussian components (centre, sigma, amplitude, clip
     radius): a component at the nodes where the shifted grid meets its clip
     box is sum_q amp hw_q prod_i G_i[m_i, q] with the per-axis factors
-    G_i[m, q] = exp(-(u_i[m] - c_i + t_q v_i)^2 / 2 sigma^2), summed by GEMMs
-    over runs of nodes small enough (m n k <= 2^19) that OpenBLAS runs each on
-    one thread, so the pool workers do not contend for its threads."""
+    G_i[m, q] = exp(-(u_i[m] - c_i + t_q v_i)^2 / 2 sigma^2), 0 below the
+    smallest normal double (_exp_flushed; along a long axis most are), summed
+    by GEMMs over runs of nodes small enough (m n k <= 2^19) that OpenBLAS
+    runs each on one thread, so the pool workers do not contend for its
+    threads."""
     out = np.zeros((int(np.prod([x.size for x in axes[:-1]])), axes[-1].size))
     for c, s, amp, r in comps:
         d = [x[:, None] - ci + t * vi for x, ci, vi in zip(axes, c, v)]
         live = np.logical_and.reduce([np.any(np.abs(di) <= r, axis=0) for di in d])
         if not live.any():
             continue
-        *first, last = (np.exp(-0.5 * (di[:, live] / s) ** 2) for di in d)
+        *first, last = (_exp_flushed(-0.5 * (di[:, live] / s) ** 2) for di in d)
         head = amp * hw[live]  # times the Khatri-Rao product of all factors but the last
         for g in first:
             head = (head[..., None, :] * g).reshape(-1, g.shape[1])
@@ -623,9 +625,11 @@ def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
     factor matrix products over the nodes where the shifted grid meets the
     source's box; pool workers take contiguous ranges of the columns.  It
     does not clip per ray, so a ray that misses the source gets its tiny true
-    value, not 0.  Anything else (the smoothed disk, the analytic-signal
-    kernel) runs :func:`wrt_columns` ray by ray, which shares out planned
-    source calls (base points for the analytic-signal kernel)."""
+    value, not 0, unless a gaussian's per-axis factor there is below the
+    smallest normal double, which reads 0.  Anything else (the smoothed disk,
+    the analytic-signal kernel) runs :func:`wrt_columns` ray by ray, which
+    shares out planned source calls (base points for the analytic-signal
+    kernel)."""
     src = _grid_source(f, u_grid.n, vset.vectors)
     _warn_cut_field(f, w)
     if w.is_real and src.factored is not None:

@@ -31,14 +31,13 @@ supported window, matching the identity's hypotheses exactly.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
-from .fields import ScalarField
+from .fields import ScalarField, _exp_i_outer, _line_step
 from .forward import PolarWRT
 from .quad import gauss_legendre_panels, trapezoid_weights
 from .windows import window_eval, window_support_radius
@@ -85,44 +84,6 @@ class MellinLine:
         if np.ndim(self.values) not in (1, 2) or np.shape(self.values)[-1] != y.size:
             raise ValidationError("Mellin line values must have shape (Ny,) or (K, Ny)")
         _line_step(y)
-
-
-def _line_step(y):
-    """The step of a y line, which is uniform (steps equal to rtol 1e-10)
-    and symmetric about 0, else ValidationError; 0.0 for a single sample."""
-    if y.ndim != 1 or y.size == 0 or not np.all(np.isfinite(y)):
-        raise ValidationError("Mellin y line must be a non-empty, finite 1-D array")
-    if y.size == 1:
-        return 0.0
-    d = np.diff(y)
-    if not np.allclose(d, d[0], rtol=1e-10, atol=0.0):
-        raise ValidationError("Mellin line needs a uniform y grid")
-    if abs(y[0] + y[-1]) > 1e-9 * (abs(d[0]) + 1):
-        raise ValidationError("Mellin line y grid must be symmetric")
-    return (y[-1] - y[0]) / (y.size - 1)
-
-
-def _exp_i_outer(y, a):
-    """exp(i y_k a_j), (Ny, Na) complex, for a y line (_line_step) and 1-D a.
-
-    With blocks of B = ceil(sqrt(Ny)) samples and k = qB + m, the uniform
-    step dy gives e^{i y_k a} = e^{i y_qB a} e^{i m dy a}: a fine table over
-    one block, kept in the first block of the result, times the coarse row
-    of each block start, written as the block's own first row.  That is
-    (Ny/B + B) Na exponentials, not Ny Na, and no array beside the result.
-    """
-    dy = _line_step(y)
-    ny = y.size
-    B = math.isqrt(ny - 1) + 1
-    E = np.empty((ny, a.size), dtype=complex)
-    fine = E[:B]  # its row m = 0 is 1
-    np.multiply.outer(dy * np.arange(B), 1j * a, out=fine)
-    np.exp(fine, out=fine)
-    for k in [*range(B, ny, B), 0]:  # the first block last: it holds the fine table
-        start = np.multiply(1j * y[k], a, out=E[k])
-        np.exp(start, out=start)
-        np.multiply(fine[1:ny - k], start, out=E[k + 1:k + B])  # a last block may be short
-    return E
 
 
 _DY = 0.05  # step of the y line

@@ -19,11 +19,11 @@ from wrtkit import (
     window_eval,
     wrt_polar_perp,
 )
+from wrtkit.fields import _exp_i_outer
 from wrtkit.forward import PolarWRT
 from wrtkit.invert_mellin import (
     MellinLine,
     MellinParams,
-    _exp_i_outer,
     circular_decompose,
     kernel_H,
     mellin_convolution_residual,
