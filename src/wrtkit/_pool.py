@@ -1,27 +1,25 @@
 """Worker threads for independent slices, columns and rays.
 
 The t1 backprojection shares out its slices, the closed-form oracle and
-the factored route of ``windowed_ray_transform`` their v columns,
-``wrt_columns`` its planned source calls (base points for the
-analytic-signal window) and ``wrt_polar_perp`` its rho rows.  That
-work spends its time in numpy ufuncs, pocketfft, BLAS and
-``ndimage.map_coordinates``, which release the interpreter lock, so threads
-run it on separate cores.  The factored route's GEMMs run on the pool
-threads; where it can, it keeps each small enough that OpenBLAS runs it on
-one thread, so the workers do not contend for OpenBLAS's own threads.  The
-worker count comes from the CLI's ``--threads`` or the WRTKIT_THREADS
-environment variable; unset or 0 means one worker per core this process
-may run on.  With one worker nothing is threaded.
+the factored route of ``windowed_ray_transform`` their v columns, and the
+ray-by-ray forward (``wrt_columns``, ``wrt_polar_perp``) its rays' panel
+keys, then its planned source calls.  That work spends its time in numpy
+ufuncs, pocketfft, BLAS and ``ndimage.map_coordinates``, which release the
+interpreter lock, so threads run it on separate cores.  The factored
+route's GEMMs run on the pool threads; where it can, it keeps each small
+enough that OpenBLAS runs it on one thread, so the workers do not contend
+for OpenBLAS's own threads.  The worker count comes from the CLI's
+``--threads`` or the WRTKIT_THREADS environment variable; unset or 0 means
+one worker per core this process may run on.  With one worker nothing is
+threaded.
 
 Granularity: a share's numpy calls should each cover a block of work, not
 one small slice.  The interpreter lock passes between the workers around
 every call, and on a slice of a few thousand values those handoffs cost
 more than the arithmetic, so two workers can lose to one; the oracle, for
-one, fills a block of columns per call.  Likewise ``wrt_columns`` plans its
-source calls on the caller (runs of rays that keep the same panels) and
-shares out whole calls, each share of about equal work and of at least
-2^19 ray nodes; shares of base points, regrouped by panels within each
-share, made more and smaller calls the more workers there were.  No
+one, fills a block of columns per call.  Likewise the ray-by-ray forward
+shares out whole planned calls, each share of about equal work and of at
+least 2^19 ray nodes, so more workers make no more, smaller calls.  No
 forward value depends on the count; t1 sums its workers' spectra in share
 order, so it repeats bit for bit at a given count.
 """

@@ -4,9 +4,9 @@ Subcommands: phantom, forward, invert, compare, calibrate, selftest.
 Exit codes: 0 success, 1 usage or validation problem, 2 numerical failure
 or violated method hypothesis.  ``--threads`` (or the WRTKIT_THREADS
 environment variable) sets the number of threads that share the t1
-backprojection, the closed-form oracle and the quadrature forward (rows of
-the base points, perp rho rows); 0 means one per usable core, and 1
-starts no thread.
+backprojection, the closed-form oracle and the quadrature forward (v
+columns on the factored route, planned source calls ray by ray); 0 means
+one per usable core, and 1 starts no thread.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ def _parse_center(text, n=2):
         parts = parts * n
     if len(parts) != n:
         raise ValidationError(f"center needs {n} comma-separated values")
-    return tuple(float(p) for p in parts)
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise ValidationError(f"center values must be numbers, not {text!r}") from None
 
 
 def _load_phantom(path):
@@ -155,6 +158,8 @@ def cmd_forward(args):
     w = parse_window(args.window)
     quad = QuadratureParams(panels=args.quad_panels)
     if args.vmode == "perp":
+        if args.oracle:
+            raise ValidationError("--oracle has no closed form for perp data")
         if not 0 < args.rho_min < args.rho_max < np.inf:
             raise ValidationError("perp radii need 0 < --rho-min < --rho-max < inf")
         if args.nrho < 2 or args.ntheta < 1:

@@ -250,8 +250,8 @@ def _ray_source(f):
       matrices over the nodes where the shifted grid meets the source's box
       (the interval's box or ball) on every axis; None for the smoothed disk,
       which does not factor per axis;
-    - run: the ray nodes of one sums call where :func:`wrt_columns` plans its
-      calls, _NODES, or _NODES / 32 for the smoothed disk, whose sums holds
+    - run: the ray nodes of one sums call where :func:`_ray_columns` plans
+      its calls, _NODES, or _NODES / 32 for the smoothed disk, whose sums holds
       about eight (rays x nodes) arrays (the gaussian's one, the field's three)
       and is fastest on runs that stay in cache.
     """
@@ -330,7 +330,7 @@ _NODES = 2**19  # ray nodes per source evaluation: the ray-by-ray route's one me
 # were no faster than one, as its evaluation does not scale over threads
 _SHARE = _NODES
 _BLOCK = 2**16  # values per numpy call where the oracle or WRTData's check walks v slices,
-# and rays per planned block of wrt_columns
+# and rays per planned block of _ray_columns
 
 
 def _runs(items, size, budget):
@@ -340,77 +340,45 @@ def _runs(items, size, budget):
     return (items[j:j + step] for j in range(0, len(items), step))
 
 
-def _panel_keys(src, k, t, U, V):
-    """Per ray (U, V), the key a (P + 1) + z of the panels a, ..., z - 1 of
-    the real window's rule t (P panels of k nodes) that meet its clip
-    interval; z = a when the ray misses the source."""
-    lo, hi = src.interval(U, V)
+def _panel_keys(src, k, t, rays, cols, M, ids):
+    """Per ray id r of the range ``ids``, the ray rays(cols[r // M], r % M),
+    the key a (P + 1) + z of the panels a, ..., z - 1 of the real window's
+    rule t (P panels of k nodes) that meet its clip interval; z = a when the
+    ray misses the source."""
+    c, m = np.divmod(np.arange(ids.start, ids.stop), M)
+    lo, hi = src.interval(*rays(np.take(cols, c), m))
     p_lo = np.searchsorted(t[k - 1::k], lo, side="left")
     p_hi = np.maximum(np.searchsorted(t[::k], hi, side="right"), p_lo)
     return p_lo * (t.size // k + 1) + p_hi
 
 
-def _panel_groups(key, k, t):
-    """(rays, nodes) per group of equal keys from :func:`_panel_keys`, in
-    key order with the rays in their own order; rays that miss are left out."""
-    npan = t.size // k
-    order = np.argsort(key, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        a, z = divmod(int(key[group[0]]), npan + 1)
-        if z > a:
-            yield group, slice(a * k, z * k)
-
-
-def _ray_sum(src, w, quad, rule, U, V):
-    """P_h f(u_m, v_m) for paired rays (U, V), src from _ray_source and rule
-    from _node_rules.
-
-    A real window's rule (t, hw) covers its support; per ray, the panels
-    (quad.nodes consecutive nodes) outside the clip interval are skipped, and
-    rays that keep the same panel range share calls of src.sums with the
-    weights hw of those panels, over at most _NODES ray nodes a call.  Each
-    ray's nodes are reduced by themselves, so its value depends on its own
-    inputs only, not on the rays that share its group, run or pool worker.
-    Runs on pool threads, so it calls no name perfbench's layer tracer wraps.
-    """
-    if not w.is_real:
-        return _analytic_sum(src.sums, w, rule, U, V, *src.interval(U, V))
-    t, hw = rule
-    out = np.zeros(U.shape[0])
-    for group, nodes in _panel_groups(_panel_keys(src, quad.nodes, t, U, V), quad.nodes, t):
-        for rows in _runs(group, nodes.stop - nodes.start, _NODES):
-            out[rows] = src.sums(U[rows], V[rows], t[nodes], hw[nodes])
-    return out
-
-
-def _analytic_sum(sums, w, rule, U, V, lo, hi):
-    """P_h f for h(t) = 1 / (2 pi i (t - i)) on the clip intervals [lo, hi],
-    reduced by src.sums as in :func:`_ray_sum`.
+def _analytic_sum(src, w, rule, U, V):
+    """P_h f(u_m, v_m) for h(t) = 1 / (2 pi i (t - i)) and paired rays (U, V),
+    on their clip intervals [lo, hi] = src.interval(U, V).
 
     Each interval is cut at t = 0, below the kernel's pole, so the pole sits
     over a panel edge; a piece [a, b] gets the panels of ``rule`` (s, ws),
-    max(panels, 64) of them on [0, 1], and is (b - a) sums(U + a V, (b - a) V,
-    s, ws h(a + (b - a) s)).  A ray with an unbounded interval (|v|^2
-    underflowed inside the support) is the point u: one node of weight 1/2,
-    f(u) hhat(0).  The panels resolve the pole only for |v| >= 1e-2: against
-    the Faddeeva closed form (gaussian sigma 0.5, u = (0.25, 0), v
-    perpendicular to u) the error is 5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and
-    99 % at 1e-6.  The callers warn when such rays reach it (_warn_unresolved_pole).
+    max(panels, 64) of them on [0, 1], and is (b - a) src.sums(U + a V,
+    (b - a) V, s, ws h(a + (b - a) s)), all pieces in one call.  A ray with
+    an unbounded interval (|v|^2 underflowed inside the support) is the point
+    u: one node of weight 1/2, f(u) hhat(0).  The panels resolve the pole
+    only for |v| >= 1e-2: against the Faddeeva closed form (gaussian sigma
+    0.5, u = (0.25, 0), v perpendicular to u) the error is 5e-8 at
+    |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6.  The callers warn when such
+    rays reach it (_warn_unresolved_pole).
     """
     s, ws = rule
+    lo, hi = src.interval(U, V)
     M = U.shape[0]
     a = np.concatenate([lo, np.maximum(lo, 0.0)])
-    b = np.concatenate([np.minimum(hi, 0.0), hi])
-    length = b - a
+    length = np.concatenate([np.minimum(hi, 0.0), hi]) - a
     pieces = np.zeros(2 * M, dtype=complex)
     live = np.flatnonzero((length > 0.0) & (length < np.inf))
-    for rows in _runs(live, s.size, _NODES):
-        m, L = rows % M, length[rows, None]
-        h = ws * _window_eval(w, a[rows, None] + L * s)
-        pieces[rows] = sums(U[m] + a[rows, None] * V[m], L * V[m], s, h) * L[:, 0]
+    m, L, a = live % M, length[live, None], a[live, None]
+    pieces[live] = src.sums(U[m] + a * V[m], L * V[m], s, ws * _window_eval(w, a + L * s)) * L[:, 0]
     out = pieces[:M] + pieces[M:]
     point = np.flatnonzero((lo < hi) & ~(hi - lo < np.inf))
-    out[point] = sums(U[point], V[point], np.zeros(1), np.full(1, 0.5))
+    out[point] = src.sums(U[point], V[point], np.zeros(1), np.full(1, 0.5))
     return out
 
 
@@ -522,50 +490,65 @@ def _warn_unresolved_pole(w, norms, rays_each, stacklevel):
 
 
 def _columns(src, w, U, vectors, quad):
-    """wrt_columns on a checked source."""
+    """wrt_columns on a checked source: column j holds the rays (U[m], vectors[j])."""
     norms = np.linalg.norm(vectors, axis=1)
     _warn_unresolved_pole(w, norms, U.shape[0], 4)
-    rules = _node_rules(w, quad, norms, src.feature)
-    M = U.shape[0]
-    out = np.zeros((vectors.shape[0], M), dtype=float if w.is_real else complex)
-    if not w.is_real:  # base-point shares: _analytic_sum's pieces are per ray, no groups to plan
-        def fill(share):  # a range of base points
-            rows = slice(share.start, share.stop)  # numpy would convert a range element by element
-            Us = U[rows]
-            for j, v in enumerate(vectors):
-                out[j, rows] = _ray_sum(src, w, quad, rules[j], Us, np.broadcast_to(v, Us.shape))
+    UT, VT = U.T.copy(), vectors.T.copy()  # column-major rays: (rays, n) math ran 4-8x faster
+    return _ray_columns(src, w, quad, norms, U.shape[0],
+                        lambda c, m: (np.take(UT, m, axis=1).T, np.take(VT, c, axis=1).T)).T
 
-        _pool.map(fill, range(M))
-        return out.T
+
+def _ray_columns(src, w, quad, norms, M, rays):
+    """P_h f, (len(norms), M), ray by ray on columns j of M rays with |v| =
+    norms[j]; rays(c, m) gives the paired rays (U, V) of column indices c
+    and row indices m.  One block of at most _BLOCK rays at a time, the
+    source calls are planned (:func:`_plan`) and shared out whole
+    (:func:`_shares`), so more workers make no more, smaller calls; each ray
+    is reduced by itself, so no value depends on the worker count or the run
+    size.  The key pass and the runs go on pool threads, so they call no
+    name perfbench's layer tracer wraps."""
+    rules = _node_rules(w, quad, norms, src.feature)
+    out = np.zeros((len(norms), M), dtype=float if w.is_real else complex)
 
     def run(shares):  # _pool.map hands each worker a list of one share of planned calls
-        for cols, rays, t, hw in itertools.chain.from_iterable(shares):
-            c, m = np.divmod(rays, M)
-            out[cols[c], m] = src.sums(U[m], vectors[cols[c]], t, hw)
+        for cols, ids, t, hw in itertools.chain.from_iterable(shares):
+            c, m = np.divmod(ids, M)
+            j = np.take(cols, c)
+            U, V = rays(j, m)
+            out[j, m] = src.sums(U, V, t, hw) if w.is_real else _analytic_sum(src, w, (t, hw), U, V)
 
     tag = {}  # the columns of one rule are planned together
     by_rule = np.argsort([tag.setdefault(id(r), len(tag)) for r in rules], kind="stable")
     for block in _runs(by_rule, M, _BLOCK):
-        _pool.map(run, _shares(_plan(src, quad.nodes, rules, U, vectors, block)))
-    return out.T
+        _pool.map(run, _shares(_plan(src, w, quad.nodes, rules, block, M, rays)))
+    return out
 
 
-def _plan(src, k, rules, U, vectors, block):
-    """The src.sums calls (cols, rays, t, hw) of the rays U x vectors[block],
-    block a run of columns sorted by rule.  Per rule, ray r of its columns
-    cols is (U[r % M], vectors[cols[r // M]]); the rays are grouped by
-    :func:`_panel_keys` and each group cut into runs of at most src.run ray
-    nodes, one call each.  Only the integer ray ids and keys of the block
-    are held, no gathered rays."""
+def _plan(src, w, k, rules, block, M, rays):
+    """The source calls (cols, ids, t, hw) of the columns ``block``, sorted
+    by rule; ray id r of the columns cols of one rule is rays(cols[r // M],
+    r % M).  A real window's rays are grouped by the panels they keep
+    (:func:`_panel_keys`, on the pool), each group cut into runs of at most
+    src.run ray nodes.  The analytic-signal kernel's rays, whose pieces
+    :func:`_analytic_sum` cuts per ray, are cut in order into runs of at
+    most src.run nodes of their two pieces."""
     calls = []
     for _, same in itertools.groupby(block, lambda j: id(rules[j])):
         cols = np.fromiter(same, int)
         t, hw = rules[cols[0]]
-        key = np.concatenate([_panel_keys(src, k, t, U, np.broadcast_to(vectors[j], U.shape))
-                              for j in cols])
-        for group, nodes in _panel_groups(key, k, t):
-            calls += [(cols, rays, t[nodes], hw[nodes])
-                      for rays in _runs(group, nodes.stop - nodes.start, src.run)]
+        if not w.is_real:
+            calls += [(cols, ids, t, hw)
+                      for ids in _runs(np.arange(cols.size * M), 2 * t.size, src.run)]
+            continue
+        key = np.concatenate(_pool.map(functools.partial(_panel_keys, src, k, t, rays, cols, M),
+                                       range(cols.size * M)))
+        order = np.argsort(key, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            a, z = divmod(int(key[group[0]]), t.size // k + 1)
+            if z > a:  # rays that miss the source make no call
+                nodes = slice(a * k, z * k)
+                calls += [(cols, ids, t[nodes], hw[nodes])
+                          for ids in _runs(group, z * k - a * k, src.run)]
     return calls
 
 
@@ -576,7 +559,7 @@ def _shares(calls):
     within one call's work of the mean."""
     if not calls:
         return []
-    work = np.array([rays.size * t.size for _, rays, t, _ in calls])
+    work = np.array([ids.size * t.size for _, ids, t, _ in calls])
     total = int(work.sum())
     n = max(1, min(_pool.workers(), total // _SHARE))
     share = (2 * np.cumsum(work) - work) * n // (2 * total)
@@ -588,19 +571,9 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     """P_h f(u_m, v_j), (M, Nv) in the v-major layout of :class:`WRTData`,
     for base points U (M, n) crossed with vectors (Nv, n), ray by ray: the
     rule of :func:`windowed_ray_transform` with the panels outside each
-    ray's clip interval skipped.
-
-    A real window's source calls are planned on the caller, one block of at
-    most _BLOCK rays at a time: the rays of the columns that share a node
-    rule are grouped by the panels they keep, each group is cut into runs of
-    at most src.run ray nodes, one src.sums call each, and each pool worker
-    takes one contiguous share of the calls, of about equal work (rays x
-    nodes) and at least _SHARE ray nodes.  So more workers make no more,
-    smaller calls.  The analytic-signal kernel instead gives each worker a
-    contiguous share of the base points: :func:`_analytic_sum` cuts every
-    ray's own pieces from its clip interval, so its rays have no shared
-    panels to group by.  Each ray is reduced by itself, so the values do not
-    depend on the worker count or the run size."""
+    ray's clip interval skipped.  The source calls are planned on the caller
+    and shared out whole over the pool workers (:func:`_ray_columns`), so the
+    values do not depend on the worker count."""
     U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
     src = _grid_source(f, U.shape[1], vectors)
     _warn_cut_field(f, w)
@@ -628,8 +601,7 @@ def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
     value, not 0, unless a gaussian's per-axis factor there is below the
     smallest normal double, which reads 0.  Anything else (the smoothed disk,
     the analytic-signal kernel) runs :func:`wrt_columns` ray by ray, which
-    shares out planned source calls (base points for the analytic-signal
-    kernel)."""
+    shares out planned source calls."""
     src = _grid_source(f, u_grid.n, vset.vectors)
     _warn_cut_field(f, w)
     if w.is_real and src.factored is not None:
@@ -751,37 +723,22 @@ def analytic_wrt_data(f, w, u_grid, vset):
 def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     """g(rho, theta) = P_h f(u, u^perp) with u = rho (cos t, sin t), by the
     rule of :func:`windowed_ray_transform`: a real window refines its panels
-    for each rho = |v| on its own.  Each pool worker takes a contiguous share
-    of the rho rows, and :func:`_ray_sum` groups each run of rows that share
-    a rule by panels; the values do not depend on the worker count.  It does
-    not plan its calls as :func:`wrt_columns` does: a rho row already gives
-    one call per panel range, and through such a planner two workers took
-    the ``cli-perp-mellin`` perp forward (1,024 rho x 64 theta, two
-    gaussians, bump window, 16 panels) 321-402 ms with runs of 2^14 ray
-    nodes, 164-177 ms with 2^16 and 141-147 ms with 2^19, against 125-158
-    ms with rho rows (quartiles of 9 runs, 2 cores)."""
+    for each rho = |v| on its own.  Each rho row is a column of
+    :func:`_ray_columns`, so the values do not depend on the worker count."""
     rho, theta = _perp_axes(rho, theta)
     src = _ray_source(f)
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:
         raise ValidationError("perpendicular polar transform is n=2 only")
     _warn_cut_field(f, w)
     _warn_unresolved_pole(w, rho, theta.size, 3)
-    ct, st = np.cos(theta), np.sin(theta)
-    # paired (rho, theta) points: u = rho e(theta), v = rho e(theta)^perp
-    U = np.stack([np.multiply.outer(rho, ct).ravel(), np.multiply.outer(rho, st).ravel()], axis=1)
-    V = np.stack([np.multiply.outer(rho, -st).ravel(), np.multiply.outer(rho, ct).ravel()], axis=1)
-    rules = _node_rules(w, quad, rho, src.feature)
-    nt = theta.size
-    vals = np.zeros(U.shape[0], dtype=float if w.is_real else complex)
+    e = np.stack([np.cos(theta), np.sin(theta)])
+    perp = np.stack([-e[1], e[0]])
 
-    def fill(share):  # a range of rho rows, one _ray_sum per run of rows that share a rule
-        for _, run in itertools.groupby(share, lambda i: id(rules[i])):
-            rows = list(run)
-            rays = slice(rows[0] * nt, (rows[-1] + 1) * nt)
-            vals[rays] = _ray_sum(src, w, quad, rules[rows[0]], U[rays], V[rays])
+    def rays(c, m):  # u = rho e(theta), v = rho e(theta)^perp, column-major as in _columns
+        r = np.take(rho, c)
+        return (np.take(e, m, axis=1) * r).T, (np.take(perp, m, axis=1) * r).T
 
-    _pool.map(fill, range(rho.size))
-    return PolarWRT(rho, theta, w, vals.reshape(rho.size, theta.size))
+    return PolarWRT(rho, theta, w, _ray_columns(src, w, quad, rho, theta.size, rays))
 
 
 def fourier_identity_residual(data, f_spec, band=None):

@@ -22,12 +22,11 @@ class QuadratureParams:
     tiny t-interval; each v column, and each rho of perp data, is refined
     for its own |v|.  Ray by ray, the panels where the source is below 1e-17
     of its peak are skipped, and each ray's nodes are summed by themselves,
-    so no value depends on the worker count or on how ``wrt_columns`` groups
-    the rays into source calls (runs of rays that keep the same panels, one
-    contiguous share of those calls per worker); the factored route of
-    ``windowed_ray_transform`` (a gaussian phantom or a sampled field on a u
-    grid) skips instead the nodes at which the whole shifted grid misses the
-    region where the source is above that level.  The analytic-signal kernel gets
+    so no value depends on the worker count or on how the rays are grouped
+    into source calls; the factored route of ``windowed_ray_transform`` (a
+    gaussian phantom or a sampled field on a u grid) skips instead the nodes
+    at which the whole shifted grid misses the region where the source is
+    above that level.  The analytic-signal kernel gets
     max(``panels``, 64) panels on each ray's clip interval (where the
     source is above that level), cut at t = 0 below its pole; they resolve
     the pole only for |v| >= 1e-2 (off by 0.9 % at |v| = 1e-3, 99 % at 1e-6).

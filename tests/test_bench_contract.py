@@ -85,7 +85,7 @@ def test_pool_threads_call_no_traced_name(monkeypatch):
         vset = wrtkit.polar_vset(wrtkit.uniform_circle(16)[0], np.geomspace(0.1, 4.0, 8))
         data = wrtkit.analytic_wrt_data(spec, w, grid, vset)
         wrtkit.reconstruct_t1(data, w, grid, BPParams(r_min=0.1, r_max=4.0))
-        # the quadrature forward: planned calls of wrt_columns, blocks of wrt_polar_perp
+        # the quadrature forward: planned calls of wrt_columns and of wrt_polar_perp
         small = wrtkit.make_grid(2, 16, 12.0)
         few = wrtkit.polar_vset(wrtkit.uniform_circle(4)[0], np.array([0.5, 2.0]))
         for f, h in ((spec, w), (field, w), (spec, wrtkit.analytic_signal_window())):

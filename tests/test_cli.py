@@ -460,7 +460,8 @@ _SHAPE = st.one_of(st.integers(-2, 3), st.integers(4, 64))
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(shapes=st.tuples(_SHAPE, _SHAPE), extent=_VALUE,
-       center=st.lists(_VALUE, min_size=1, max_size=3).map(lambda c: ",".join(map(str, c))),
+       center=st.lists(st.one_of(_VALUE, st.just("abc")), min_size=1, max_size=3).map(
+           lambda c: ",".join(map(str, c))),
        targets=st.tuples(*[st.sampled_from(["good", "under-a-file", "missing-dir"])] * 2))
 def test_phantom_and_compare_argv_property(shapes, extent, center, targets):
     # phantom on two drawn grids, then compare of the two with a PGM: each
@@ -741,11 +742,13 @@ def test_forward_from_a_gf1_field(tmp_path, capsys):
                                   got.u_grid, got.vset, QuadratureParams(panels=4))
     assert np.array_equal(got.values, want.values)
     capsys.readouterr()
-    # a sampled field has no closed form: --oracle fails before anything is written
+    # a sampled field has no closed form, nor has perp data: --oracle fails
+    # before anything is written
     out = tmp_path / "oracle"
-    assert main(argv + ["--oracle", "--out", str(out)]) == 1
-    assert _one_error_line(capsys)
-    assert not out.exists()
+    for vmode in ("polar", "perp"):
+        assert main(argv + ["--vmode", vmode, "--oracle", "--out", str(out)]) == 1
+        assert _one_error_line(capsys)
+        assert not out.exists()
     # a 3-D field does not fit the 2-D rays of either vmode
     wio.write_gf1(field, ScalarField(make_grid(3, 4, 4.0), np.ones((4, 4, 4))))
     for vmode in ("polar", "perp"):

@@ -720,12 +720,12 @@ def test_ray_by_ray_columns_match_the_dense_rule(w):
     _assert_close(got, _dense_wrt(_FAR_MIXTURE, w, grid.points(), _VSET.vectors, quad))
 
 
-def _columns(f, w):  # 576 base points, split in two shares of rows
+def _columns(f, w):  # 576 base points x 7 vectors, ray by ray
     return wrt_columns(f, w, make_grid(2, 24, 12.0).points(), _VSET.vectors[::3],
                        QuadratureParams(panels=8))
 
 
-def _perp(f, w):  # 48 rho rows, shared out over the workers
+def _perp(f, w):  # 48 rho rows x 64 angles, ray by ray
     return wrt_polar_perp(f, w, np.geomspace(0.05, 4.0, 48), 2.0 * np.pi * np.arange(64) / 64,
                           QuadratureParams(panels=16)).values
 
@@ -753,7 +753,7 @@ def test_quadrature_forward_does_not_depend_on_the_worker_count(monkeypatch, rou
 def test_ray_by_ray_forward_does_not_depend_on_the_node_budget(monkeypatch):
     # each ray is reduced by itself, so cutting the source evaluations into
     # runs of 2^10 nodes (4 to 8 real-window rays; one analytic-signal
-    # piece) changes no bit
+    # ray of two pieces) changes no bit
     disk = smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3)
     cases = [(route, f, w) for route in (_columns, _perp) for f, w in (
         (_GAUSS, gaussian_window(1.0)), (disk, gaussian_window(1.0)),
@@ -766,33 +766,45 @@ def test_ray_by_ray_forward_does_not_depend_on_the_node_budget(monkeypatch):
 
 
 def test_planned_calls_do_not_grow_with_the_worker_count(monkeypatch):
-    # the benchmark's disk geometry: the calls are planned on the caller and
-    # shared out whole, so more workers make no more, smaller calls
+    # the calls are planned on the caller and shared out whole, so more
+    # workers make no more, smaller calls: on the benchmark's disk geometry,
+    # on perp data (one column per rho row) and with the analytic-signal kernel
     disk = smoothed_disk_phantom((0.3, 0.1), 1.5, 0.3)
     vset = polar_vset(uniform_circle(4)[0], np.geomspace(0.1, 1.0, 2))
-    calls, real = [], forward._ray_source  # (rays, nodes) of every src.sums call
+    cases = {
+        "disk": lambda: windowed_ray_transform(disk, gaussian_window(1.0), make_grid(2, 64, 24.0),
+                                               vset, QuadratureParams(panels=8)).values,
+        # a narrow rho range: rays of one theta keep the same panels on every row
+        "perp": lambda: wrt_polar_perp(_TWO_BUMP, bump_window(2.0), np.geomspace(1.0, 1.1, 32),
+                                       2.0 * np.pi * np.arange(64) / 64,
+                                       QuadratureParams(panels=16)).values,
+        "analytic-signal": lambda: windowed_ray_transform(
+            _GAUSS, analytic_signal_window(), make_grid(2, 32, 12.0), vset,
+            QuadratureParams(panels=8)).values,
+    }
+    calls, real = [], forward._ray_source  # (ray nodes, src.run) of every src.sums call
 
     def counted(f):
         src = real(f)
 
         def sums(U, V, t, weights):
-            calls.append((U.shape[0], t.size))
+            calls.append((U.shape[0] * t.size, src.run))
             return src.sums(U, V, t, weights)
 
         return src._replace(sums=sums)
 
     monkeypatch.setattr(forward, "_ray_source", counted)
-    counts, values = {}, {}
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(_pool, "limit", workers)
-        calls.clear()
-        values[workers] = windowed_ray_transform(disk, gaussian_window(1.0), make_grid(2, 64, 24.0),
-                                                 vset, QuadratureParams(panels=8)).values
-        counts[workers] = len(calls)
-        assert max(rays * nodes for rays, nodes in calls) <= forward._NODES // 32
-    for workers in (2, 3):
-        assert counts[workers] <= counts[1] + workers - 1, counts
-        assert np.array_equal(values[workers], values[1])
+    for name, route in cases.items():
+        counts, values = {}, {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_pool, "limit", workers)
+            calls.clear()
+            values[workers] = route()
+            counts[workers] = len(calls)
+            assert all(nodes <= run for nodes, run in calls), name
+        for workers in (2, 3):
+            assert counts[workers] <= counts[1] + workers - 1, (name, counts)
+            assert np.array_equal(values[workers], values[1]), name
 
 
 def test_planned_shares_balance_one_dominant_group(monkeypatch):
@@ -805,7 +817,8 @@ def test_planned_shares_balance_one_dominant_group(monkeypatch):
     shares, real = [], _pool.map
 
     def spy(fn, items):
-        shares.append([sum(rays.size * t.size for _, rays, t, _ in share) for share in items])
+        if isinstance(items, list):  # the runs' shares of planned calls, not the key pass's rays
+            shares.append([sum(rays.size * t.size for _, rays, t, _ in share) for share in items])
         return real(fn, items)
 
     monkeypatch.setattr(_pool, "map", spy)
