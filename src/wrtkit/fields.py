@@ -140,7 +140,9 @@ class PhantomSpec:
     indicator of a disk convolved with an isotropic Gaussian (C^inf; its
     radial profile, the noncentral-chi-square CDF, is read from a table built
     once per spec, see _DiskProfile).  Centres share one dimension, numbers
-    are finite, lengths positive; amplitude defaults to 1.
+    are finite, lengths positive; amplitude defaults to 1.  Values at points,
+    on a grid and along rays all come from one evaluator, _values: per
+    component, the squared distance to its centre summed axis by axis.
     """
 
     kind: str
@@ -161,29 +163,21 @@ class PhantomSpec:
         return len(self.components[0]["center"])
 
     @functools.cached_property
-    def _profiles(self):
-        """Per component, its value as a function of r^2, the squared distance
-        from its centre (which the function may overwrite): a smoothed disk's
-        _DiskProfile table, built on first use and kept with the spec."""
-        if self.kind == "smoothed-disk":
-            return [_DiskProfile(c) for c in self.components]
-        return [functools.partial(_gaussian_profile, c["sigma"] ** 2, c["amplitude"])
-                for c in self.components]
+    def _tables(self):
+        """Per component, a smoothed disk's _DiskProfile table (built once) or None."""
+        return [_DiskProfile(c) if self.kind == "smoothed-disk" else None for c in self.components]
 
     # -- direct evaluation ---------------------------------------------------
 
     def evaluate(self, points):
         """Pointwise values at an (..., n) array of coordinates."""
-        points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1])
-        for c, profile in zip(self.components, self._profiles):
-            out += profile(np.asarray(np.sum((points - np.asarray(c["center"])) ** 2, axis=-1)))
-        return out
+        return _values(self, np.moveaxis(np.asarray(points, dtype=float), -1, 0))
 
     def evaluate_along_rays(self, u, v, t):
-        """Values f(u_m + t_q v_m) as an (M, Q) array without forming the
-        full point cloud; u, v are (M, n) paired arrays."""
-        return _evaluate_along_rays(self, u, v, t)
+        """f(u_m + t_q v_m), (M, Q), of paired rays u, v (M, n): :meth:`evaluate` there."""
+        u, v = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (u, v))
+        t = np.asarray(t, dtype=float)
+        return _values(self, [ui[:, None] + vi[:, None] * t for ui, vi in zip(u.T, v.T)])
 
     def spectrum(self, xi):
         """Closed-form continuous Fourier transform at (..., n) frequencies."""
@@ -232,7 +226,8 @@ def _ray_sums(spec, u, v, t, weights):
     reused (M, Q) buffer takes k |u + t v - c|^2 = ((k |v|^2) t + 2 k b) t + k a
     (k = -1 / 2 sigma^2, a = |u - c|^2, b = (u - c).v; |v|^2 may underflow)."""
     if spec.kind == "smoothed-disk":
-        return np.vecdot(_evaluate_along_rays(spec, u, v, t), weights)
+        return np.vecdot(_values(spec, [ui[:, None] + vi[:, None] * t
+                                        for ui, vi in zip(u.T, v.T)]), weights)
     v2 = np.sum(v * v, axis=1)[:, None]
     e = np.empty((u.shape[0], t.size))
     out = np.zeros(u.shape[0], dtype=np.result_type(float, weights))
@@ -247,33 +242,25 @@ def _ray_sums(spec, u, v, t, weights):
     return out
 
 
-def _evaluate_along_rays(spec, u, v, t):
-    # PhantomSpec.evaluate_along_rays under a name perfbench's layer tracer
-    # does not wrap: the forward's pool threads reduce a smoothed disk's rays
-    # through this.  r^2 = a + 2 b t + |v|^2 t^2 is built in place in one
-    # (M, Q) buffer, and a gaussian's profile overwrites it
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    t = np.asarray(t, dtype=float)
-    out = np.zeros((u.shape[0], t.size))
-    vt2 = np.sum(v * v, axis=1)[:, None] * (t * t)
-    r2 = np.empty_like(out)
-    for c, profile in zip(spec.components, spec._profiles):
-        du = u - np.asarray(c["center"])
-        np.multiply(2.0 * np.sum(du * v, axis=1)[:, None], t, out=r2)
-        r2 += np.sum(du * du, axis=1)[:, None]
-        r2 += vt2
-        out += profile(r2)
+def _values(spec, coords):
+    """Phantom values at points given per axis: coords[i] holds the x_i, and
+    the arrays broadcast together.  Per component, r^2 = sum_i (x_i - c_i)^2
+    is summed axis by axis (never below 0) and read by its profile; a far
+    point's r^2 overflows to inf, which every profile reads as 0."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
+    out = np.zeros(shape)
+    with np.errstate(over="ignore"):
+        for c, table in zip(spec.components, spec._tables):
+            r2 = np.zeros(shape)
+            for x, ci in zip(coords, c["center"], strict=True):
+                r2 += (x - ci) ** 2
+            if table is not None:
+                out += table(r2)
+            else:  # amp exp(-r^2 / 2 sigma^2), in place in r^2
+                r2 *= -0.5
+                r2 /= c["sigma"] ** 2
+                out += np.multiply(np.exp(r2, out=r2), c["amplitude"], out=r2)
     return out
-
-
-def _gaussian_profile(sigma2, amp, r2):
-    """amp exp(-r^2 / 2 sigma^2) of one gaussian component, in place in r^2."""
-    r2 *= -0.5
-    r2 /= sigma2
-    np.exp(r2, out=r2)
-    r2 *= amp
-    return r2
 
 
 _EPS = 1e-17  # sources are treated as zero below this share of their peak
@@ -287,8 +274,8 @@ def _disk_clip_radius(c):
 
 
 class _DiskProfile:
-    """r^2 -> one smoothed-disk component at distance r from its centre,
-    built once per spec (:attr:`PhantomSpec._profiles`).
+    """r^2 (summed per axis by _values, so >= 0) -> one smoothed-disk
+    component at distance r from its centre; built once per spec (_tables).
 
     The profile P(r) = amp P(|x + s g| <= R), g a standard normal, is the
     noncentral chi-square CDF amp chndtr((R / s)^2, 2, (r / s)^2) (what
@@ -299,7 +286,7 @@ class _DiskProfile:
     e^{-(r - R)^2 / 2 s^2} i1e(r R / s^2), and read by cubic Hermite
     interpolation: within 4e-15 amp of chndtr for R / s up to 20, at most
     19,700 steps at any R / s.  Inside the table's start it is P there
-    (1 - P / amp < _EPS), beyond its end 0.
+    (1 - P / amp < _EPS), beyond its end (r^2 = inf too) 0.
     """
 
     def __init__(self, c):
@@ -316,8 +303,7 @@ class _DiskProfile:
         self.coef = (p[:-1], d[:-1], 3.0 * dp - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dp)
 
     def __call__(self, r2):
-        # r^2 built as a + 2 b t + |v|^2 t^2 can round below 0 near the centre
-        r = np.sqrt(np.maximum(np.asarray(r2, dtype=float).reshape(-1), 0.0))
+        r = np.sqrt(np.asarray(r2, dtype=float).reshape(-1))
         beyond = r > self.end
         r -= self.start
         r /= self.h
@@ -371,8 +357,7 @@ def make_grid(n, shape, extent, center=0.0):
 def sample_phantom(spec, grid):
     if spec.n != grid.n:
         raise ValidationError(f"phantom dimension {spec.n} != grid dimension {grid.n}")
-    vals = spec.evaluate(grid.points()).reshape(grid.shape)
-    return ScalarField(grid, vals)
+    return ScalarField(grid, _values(spec, np.ix_(*map(grid.axis_coords, range(grid.n)))))
 
 
 def _phased(values, fgrid, origin, s):

@@ -75,7 +75,8 @@ class VSet:
         object.__setattr__(self, "vectors", vec)
         if vec.size == 0:
             raise ValidationError("VSet needs at least one vector")
-        norms = np.linalg.norm(vec, axis=1)
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected below
+            norms = np.linalg.norm(vec, axis=1)
         if not np.all((norms > 0.0) & (norms < np.inf)):
             raise ValidationError("VSet vectors need a finite, non-zero norm (v = 0 is not allowed)")
 
@@ -265,7 +266,7 @@ def _ray_source(f):
             lo, hi = zip(*(_ball_interval(U - c, V, r) for c, r in balls))
             return np.min(lo, axis=0), np.max(hi, axis=0)
 
-        f._profiles  # noqa: B018  (built here, so the pool threads only read them)
+        f._tables  # noqa: B018  (built here, so the pool threads only read them)
         sums = functools.partial(_ray_sums, f)
         if disk:
             return _Source(sums, interval, feature, None, _NODES // 32)

@@ -92,7 +92,11 @@ def symmetric_offset_grid(V, step):
 def make_slice_dataset(f, w, u1, u2, v1, vprime=0.0,
                        quad=QuadratureParams(panels=8, max_panels=None)):
     """Forward-simulate a full-mode dataset: WRTData on the (u1, u2) grid
-    with the v1-line vset (v1, vprime)."""
+    with the v1-line vset (v1, vprime); u1 and u2 must be uniform."""
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    for name, u in (("u1", u1), ("u2", u2)):
+        if u.size < 2 or not np.allclose(np.diff(u), u[1] - u[0], rtol=1e-10, atol=0.0):
+            raise ValidationError(f"{name} grid must be uniform with at least 2 samples")
     grid = Grid((u1.size, u2.size), (u1[0], u2[0]), (u1[1] - u1[0], u2[1] - u2[0]))
     return windowed_ray_transform(f, w, grid, v1_line_vset(v1, [vprime]), quad)
 

@@ -85,10 +85,13 @@ def test_pool_threads_call_no_traced_name(monkeypatch):
         vset = wrtkit.polar_vset(wrtkit.uniform_circle(16)[0], np.geomspace(0.1, 4.0, 8))
         data = wrtkit.analytic_wrt_data(spec, w, grid, vset)
         wrtkit.reconstruct_t1(data, w, grid, BPParams(r_min=0.1, r_max=4.0))
-        # the quadrature forward: planned calls of wrt_columns and of wrt_polar_perp
+        # the quadrature forward: planned calls of wrt_columns and of wrt_polar_perp;
+        # the smoothed disk's pool threads evaluate it without the traced
+        # PhantomSpec.evaluate_along_rays
         small = wrtkit.make_grid(2, 16, 12.0)
         few = wrtkit.polar_vset(wrtkit.uniform_circle(4)[0], np.array([0.5, 2.0]))
-        for f, h in ((spec, w), (field, w), (spec, wrtkit.analytic_signal_window())):
+        disk = wrtkit.smoothed_disk_phantom((0.2, -0.1), 1.0, 0.3)
+        for f, h in ((spec, w), (field, w), (disk, w), (spec, wrtkit.analytic_signal_window())):
             wrtkit.windowed_ray_transform(f, h, small, few, QuadratureParams(panels=8))
         wrtkit.wrt_polar_perp(spec, w, np.geomspace(0.05, 4.0, 48),
                               2.0 * np.pi * np.arange(64) / 64, QuadratureParams(panels=16))
@@ -102,7 +105,7 @@ def test_pool_threads_call_no_traced_name(monkeypatch):
     assert set(opened_on) == {threading.get_ident()} and len(opened_on) == len(spans)
     assert [s[0] for s in spans if s[0] != "windows.window_eval"] == [
         "forward.analytic_wrt_data", "invert_bp.reconstruct_t1",
-        *["forward.windowed_ray_transform"] * 3, "forward.wrt_polar_perp"]
+        *["forward.windowed_ray_transform"] * 4, "forward.wrt_polar_perp"]
     assert not any(parent is not None and spans[parent][0] == name
                    for name, _, _, parent, _ in spans)
     assert tracer._stack == []

@@ -369,6 +369,7 @@ def test_non_finite_window_parameter_exit_1(tmp_path, capsys, window):
     ["--vmode", "perp", "--ntheta", "0"],
     ["--vmode", "polar", "--jitter", "nan"],
     ["--vmode", "polar", "--rmax", "inf"],
+    ["--vmode", "polar", "--rmax", "1e300"],
     ["--vmode", "v1-line", "--v1max", "inf"],
     ["--vmode", "v1-line", "--vprime", "nan"],
     ["--extent", "nan"],

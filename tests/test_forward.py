@@ -695,20 +695,23 @@ def test_gaussian_ray_sums_match_the_dense_values(f, rho):
 
 
 def test_narrow_mixture_ray_sums_match_the_per_axis_sum():
-    # sigma = 0.05 (k = -200): both the in-place exponent and the dense r^2
-    # expand |u + t v - c|^2 into terms up to about 64 that cancel near the
-    # peak, so each lands a few 1e-14 of max (2.9e-14 and 5.0e-14 measured)
-    # from the sum of the per-axis squares (du_i + t v_i)^2, which is within
-    # 1e-15 of a long-double one; a 1e-14 bound holds for neither
+    # sigma = 0.05 (k = -200): the in-place exponent of the gaussian kernel
+    # expands |u + t v - c|^2 into terms up to about 64 that cancel near the
+    # peak, so it lands a few 1e-14 of max (2.9e-14 measured) from a
+    # long-double sum of the per-axis squares (du_i + t v_i)^2; the dense
+    # values sum those squares per axis in double and stay within 1e-14
     U, V = _perp_rays(np.geomspace(1e-10, 4.0, 256))
     t, hw = _bump_rule()
-    exact = sum(c["amplitude"] * np.exp(-0.5 * sum((U[:, i, None] - ci + t * V[:, i, None]) ** 2
+    Ul, Vl, tl = (a.astype(np.longdouble) for a in (U, V, t))
+    exact = sum(c["amplitude"] * np.exp(-0.5 * sum((Ul[:, i, None] - ci + tl * Vl[:, i, None]) ** 2
                                                    for i, ci in enumerate(c["center"]))
-                                        / c["sigma"] ** 2) @ hw for c in _NARROW_PAIR.components)
+                                        / c["sigma"] ** 2) for c in _NARROW_PAIR.components)
+    exact = exact @ hw.astype(np.longdouble)
     got = _ray_source(_NARROW_PAIR).sums(U, V, t, hw)
+    dense = _NARROW_PAIR.evaluate_along_rays(U, V, t) @ hw
     _assert_close(got, exact, rtol=5e-14)
-    _assert_close(_NARROW_PAIR.evaluate_along_rays(U, V, t) @ hw, exact, rtol=6e-14)
-    _assert_close(got, _NARROW_PAIR.evaluate_along_rays(U, V, t) @ hw, rtol=5e-14)
+    _assert_close(dense, exact, rtol=1e-14)
+    _assert_close(got, dense, rtol=5e-14)
 
 
 @pytest.mark.parametrize("w", [gaussian_window(1.0), hermite1_window(0.8), bump_window(2.0)],

@@ -351,3 +351,18 @@ def test_v1_axis_under_two_samples_rejected(nv1):
 def test_non_finite_a_rejected(a):
     with pytest.raises(ValidationError, match="finite"):
         SliceParams(a=a)
+
+
+@pytest.mark.parametrize("axis", ["u1", "u2"])
+def test_make_slice_dataset_rejects_a_non_uniform_axis(monkeypatch, axis):
+    # the dataset's grid is read from the first step of each axis, so a
+    # non-uniform axis would silently give data on another grid
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward run on a non-uniform axis")
+
+    monkeypatch.setattr("wrtkit.invert_slice.windowed_ray_transform", no_forward)
+    uniform, skewed = np.arange(6.0), np.array([0.0, 1.0, 3.0, 4.0, 5.0, 6.0])
+    u1, u2 = (skewed, uniform) if axis == "u1" else (uniform, skewed)
+    with pytest.raises(ValidationError, match=f"{axis} grid must be uniform"):
+        make_slice_dataset(gaussian_phantom(CENTER, SIG), gaussian_window(2.0), u1, u2,
+                           symmetric_offset_grid(2.0, 0.5))
