@@ -383,29 +383,41 @@ def _line_step(y):
     return (y[-1] - y[0]) / (y.size - 1)
 
 
-def _exp_i_outer(y, a):
-    """exp(i y_k a_j), (Ny, Na) complex, for a y line (_line_step) and 1-D a.
+def _exp_i_blocks(y, a, rows):
+    """exp(i y_k a_j) for a y line (_line_step) and 1-D a, as an iterator of
+    (k, E[k:k + n]) row blocks of the (Ny, Na) table, n about rows.
 
-    With blocks of B = ceil(sqrt(Ny)) samples and k = qB + m, the uniform
+    With groups of B = ceil(sqrt(Ny)) samples and k = qB + m, the uniform
     step dy gives e^{i y_k a} = e^{i y_qB a} e^{i m dy a}: a fine table over
-    one block, kept in the first block of the result, times the coarse row
-    of each block start, written as the block's own first row.  That is
-    (Ny/B + B) Na exponentials, not Ny Na, and no array beside the result.
-    The Mellin lines and the t2 route's per-axis phases (on a grid axis
-    about its centre) are built here.
+    one group times the coarse row of each group start, written as the
+    group's own first row.  That is (Ny/B + B) Na exponentials, not Ny Na.
+    A block is whole groups (at least one; the whole table when rows >= Ny)
+    in one buffer that the next block overwrites.  The line is checked
+    here, before anything is allocated.
     """
     dy = _line_step(y)
     ny = y.size
     B = math.isqrt(ny - 1) + 1
-    E = np.empty((ny, a.size), dtype=complex)
-    fine = E[:B]  # its row m = 0 is 1
-    np.multiply.outer(dy * np.arange(B), 1j * a, out=fine)
-    np.exp(fine, out=fine)
-    for k in [*range(B, ny, B), 0]:  # the first block last: it holds the fine table
-        start = np.multiply(1j * y[k], a, out=E[k])
-        np.exp(start, out=start)
-        np.multiply(fine[1:ny - k], start, out=E[k + 1:k + B])  # a last block may be short
-    return E
+    step = ny if rows >= ny else max(rows // B, 1) * B
+    fine = np.exp(np.multiply.outer(dy * np.arange(B), 1j * a))  # its row m = 0 is 1
+    buf = np.empty((step, a.size), dtype=complex)
+
+    def blocks():
+        for k0 in range(0, ny, step):
+            E = buf[:ny - k0]
+            for k in range(0, len(E), B):
+                start = np.multiply(1j * y[k0 + k], a, out=E[k])
+                np.exp(start, out=start)
+                np.multiply(fine[1:len(E) - k], start, out=E[k + 1:k + B])  # a last group may be short
+            yield k0, E
+
+    return blocks()
+
+
+def _exp_i_outer(y, a):
+    """exp(i y_k a_j), (Ny, Na) complex, whole: _exp_i_blocks' one block (the
+    t2 route's per-axis phases, the Mellin recovery's blocks of radii)."""
+    return next(_exp_i_blocks(y, a, y.size))[1]
 
 
 def continuous_ft(field, warn_boundary=True):

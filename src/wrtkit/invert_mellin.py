@@ -23,9 +23,9 @@ integral at abscissa t > 1:
     f_l(r) = (1 / 2 pi i) int_{t - iT}^{t + iT} r^{-s} Mg_l(s) / MH_l(s) ds
 
 realized with Tikhonov-regularized division (the kernel spectrum
-oscillates and decays along the line).  Odd windows are rejected: their
-even part vanishes, so H_l = 0 identically and nothing can be divided
-out.  The full reconstruction additionally insists on a compactly
+oscillates and decays along the line).  Odd windows are rejected: for
+them H_0 = 0 identically, so the circular mean of f cannot be
+recovered.  The full reconstruction additionally insists on a compactly
 supported window, matching the identity's hypotheses exactly.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
-from .fields import ScalarField, _exp_i_outer, _line_step
+from .fields import ScalarField, _exp_i_blocks, _exp_i_outer, _line_step
 from .forward import PolarWRT
 from .quad import gauss_legendre_panels, trapezoid_weights
 from .windows import window_eval, window_support_radius
@@ -87,14 +87,15 @@ class MellinLine:
 
 
 _DY = 0.05  # step of the y line
-_MAX_HALF_LINE = 2**14  # y samples beside y = 0; the line fills dense matrices
+_MAX_HALF_LINE = 2**14  # y samples beside y = 0; every stage's work grows with the line
+_BLOCK = 2**17  # complex entries (2 MB) in one block of an exp(i y a) table
 
 
 @dataclass(frozen=True)
 class MellinParams:
     """Contour abscissa t > 1, band [-T, T] of the y line (step 0.05, so
-    0 < T <= 2^14 * 0.05), and the Tikhonov term lam of Q = Mg conj(MH) /
-    (|MH|^2 + lam), None meaning (1e-6 max|MH_l|)^2, per harmonic."""
+    0.025 < T <= 2^14 * 0.05), and the Tikhonov term lam of Q = Mg conj(MH)
+    / (|MH|^2 + lam), None meaning (1e-6 max|MH_l|)^2, per harmonic."""
 
     t: float = 2.0
     T: float = 40.0
@@ -103,8 +104,9 @@ class MellinParams:
     def __post_init__(self):
         if not 1.0 < self.t < np.inf:
             raise ValidationError("contour abscissa must be finite with t > 1")
-        if not 0 < self.T <= _MAX_HALF_LINE * _DY:
-            raise ValidationError(f"need 0 < T <= {_MAX_HALF_LINE * _DY:g} (2^14 steps of {_DY})")
+        if not _DY / 2 < self.T <= _MAX_HALF_LINE * _DY:  # 1 to 2^14 steps each side of 0
+            raise ValidationError(f"need {_DY / 2:g} < T <= {_MAX_HALF_LINE * _DY:g} "
+                                  f"(1 to 2^14 y steps of {_DY}), got T = {self.T:g}")
         if self.lam is not None and not 0 <= self.lam < np.inf:
             raise ValidationError("Tikhonov lambda must be finite and >= 0")
 
@@ -145,8 +147,8 @@ def _check_not_odd(w):
         raise HypothesisError("harmonic kernel needs a real window")
     if w.parity == "odd":
         raise HypothesisError(
-            "window hypothesis violated: h is odd (even part vanishes), "
-            "the harmonic kernel H_l is identically zero"
+            "window hypothesis violated: h is odd, so the harmonic kernel H_0 "
+            "is identically zero and the circular mean of f cannot be recovered"
         )
 
 
@@ -169,14 +171,30 @@ def kernel_H(w, l, r_grid):
     return vals
 
 
+def _exp_product(A, y, a, over_y=False):
+    """A @ E.T, (..., Ny) from A (..., Na), for E = exp(i y a) (fields'
+    two-table build); with over_y, A @ E, (..., Na) from A (..., Ny).  E
+    comes in blocks of about _BLOCK entries that split the output axis
+    only, so each value is one dot product, as with the whole table.
+    """
+    if over_y:
+        n = max(_BLOCK // y.size, 1)
+        return np.concatenate(
+            [A @ _exp_i_outer(y, a[j:j + n]) for j in range(0, max(a.size, 1), n)], axis=-1)
+    blocks = _exp_i_blocks(y, a, _BLOCK // a.size)
+    out = np.empty((*np.shape(A)[:-1], y.size), dtype=complex)
+    for k, E in blocks:
+        np.matmul(A, E.T, out=out[..., k:k + len(E)])
+    return out
+
+
 def mellin_transform(r_grid, samples, t, y_grid):
     """Mf(t + i y) = int_0^inf f(r) r^{t + i y - 1} dr on a log-uniform grid.
 
     samples (Nrho,) or (K, Nrho), finite, give values (Ny,) or (K, Ny) at a
     finite t.  In u = ln r the integral is int f(e^u) e^{t u} e^{i y u} du, a
-    trapezoid rule on at least two radii; the e^{i y u} matrix, shared by
-    all rows, is built from two small tables on the uniform y line
-    (_exp_i_outer).  Each row's weighted integrand must have decayed at both
+    trapezoid rule on at least two radii, one block of y at a time
+    (_exp_product).  Each row's weighted integrand must have decayed at both
     grid ends (compact support inside the grid counts).
     """
     r = np.asarray(r_grid, dtype=float)
@@ -204,7 +222,7 @@ def mellin_transform(r_grid, samples, t, y_grid):
             "samples have not decayed at the r-grid ends; widen the grid "
             f"(end/max = {np.max(ends[bad] / gmax[bad]):.2e})"
         )
-    return MellinLine(float(t), y, (wu * g) @ _exp_i_outer(y, u).T)
+    return MellinLine(float(t), y, _exp_product(wu * g, y, u))
 
 
 def mellin_kernel_line(w, l, t, y_grid):
@@ -216,8 +234,8 @@ def mellin_kernel_line(w, l, t, y_grid):
     the substitution removes the 1/sqrt(1 - r^2) endpoint singularity, and
     for compactly supported h the integrand vanishes beyond
     psi = arctan(support radius).  The real factor cos^{t-2}(psi) goes with
-    the node weights; cos^{iy}(psi) = e^{i y ln cos psi} comes from two small
-    tables on the uniform y line (_exp_i_outer).  t must be finite.
+    the node weights; the sum with cos^{iy}(psi) = e^{i y ln cos psi} runs
+    one block of y at a time (_exp_product).  t must be finite.
     """
     _check_not_odd(w)
     y = np.asarray(y_grid, dtype=float)
@@ -231,7 +249,7 @@ def mellin_kernel_line(w, l, t, y_grid):
         np.asarray(window_eval(w, tanp)) * ephase
         + np.asarray(window_eval(w, -tanp)) / ephase
     ) * (wp * np.exp((t - 2.0) * lcos))
-    return MellinLine(float(t), y, amp @ _exp_i_outer(y, lcos).T)
+    return MellinLine(float(t), y, _exp_product(amp, y, lcos))
 
 
 def mellin_convolution_residual(g_line, f_line, H_line):
@@ -257,9 +275,9 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
     lam None means (1e-6 max|MH_l|)^2, and the division is ill-posed when
     |MH_l| stays below 1e-6 max|MH_l| on more than half the band.  The
     finite band realizes the exact formula's T -> infinity limit; the y
-    integral is the trapezoid rule, with the e^{-i y ln r} matrix of all
-    rows built from two small tables on the uniform y line (_exp_i_outer).
-    t must be finite with t > 1, and r_grid 1-D, finite and positive.
+    integral is the trapezoid rule, summed one block of radii at a time
+    (_exp_product).  t must be finite with t > 1, and r_grid 1-D, finite
+    and positive.
     """
     if not 1.0 < t < np.inf:
         raise ValidationError("contour abscissa must be finite with t > 1")
@@ -279,7 +297,7 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
     lam = lam if lam is not None else (1e-6 * hmax) ** 2
     Q = Mg.values * np.conj(MH.values) / (absH**2 + lam)
     wy = trapezoid_weights(Mg.y)
-    return r ** (-t) * ((wy * Q) @ _exp_i_outer(Mg.y, -np.log(r))) / (2.0 * np.pi)
+    return r ** (-t) * _exp_product(wy * Q, Mg.y, -np.log(r), over_y=True) / (2.0 * np.pi)
 
 
 def reconstruct_mellin(g, w, L, grid, params=MellinParams()):

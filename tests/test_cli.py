@@ -549,6 +549,7 @@ def test_slice_rejects_its_malformed_inputs(invert_inputs, tmp_path, dataset, co
     ("mellin", ["--reg-lambda", "nan"]),
     ("slice", ["--slice-a", "nan"]),
     ("slice", ["--slice-a", "inf"]),
+    ("mellin", ["--mellin-T", "0.01"]),
 ])
 def test_bad_invert_arguments_exit_1(invert_inputs, tmp_path, method, argv):
     out = tmp_path / "r"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,8 @@ from wrtkit import (
     window_eval,
     wrt_polar_perp,
 )
-from wrtkit.fields import _exp_i_outer
+from wrtkit import invert_mellin
+from wrtkit.fields import _exp_i_blocks, _exp_i_outer
 from wrtkit.forward import PolarWRT
 from wrtkit.invert_mellin import (
     MellinLine,
@@ -31,6 +33,7 @@ from wrtkit.invert_mellin import (
     mellin_transform,
     reconstruct_mellin,
     recover_fl,
+    _exp_product,
 )
 from wrtkit.quad import QuadratureParams, gauss_legendre_panels
 from wrtkit.windows import window_support_radius
@@ -240,10 +243,20 @@ def test_reconstruct_radial(perp_data):
 def test_mellin_params_validation():
     for kwargs in ({"t": 0.5}, {"t": np.nan}, {"t": np.inf},
                    {"T": -1.0}, {"T": np.nan}, {"T": np.inf}, {"T": 1e300}, {"T": 820.0},
+                   {"T": 0.0}, {"T": 0.01}, {"T": 0.025},
                    {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf}):
         with pytest.raises(ValidationError):
             MellinParams(**kwargs)
     assert MellinParams(lam=0.0).lam == 0.0
+
+
+def test_mellin_params_reject_a_band_without_a_step():
+    # T = 0.01 rounds to no step of 0.05: the line would be the single y = 0
+    with pytest.raises(ValidationError, match=r"T = 0\.01") as err:
+        MellinParams(T=0.01)
+    assert "0.05" in str(err.value)
+    assert MellinParams(T=0.0251).y_grid().size == 3
+    assert MellinParams(T=819.2).y_grid().size == 2**15 + 1
 
 
 def test_negative_harmonic_cut_off_rejected():
@@ -402,6 +415,26 @@ def test_exp_tables_take_any_line_length():
         assert np.max(np.abs(E - _direct_exp(a, np.array([y0])))) <= 2.0 * EPS
 
 
+@pytest.mark.parametrize("ny", [1, 2, 9, 11, 1601])
+def test_blocked_products_match_the_direct_exponential(monkeypatch, ny):
+    # 40 entries a block: whole groups of y rows (blocks of 41 of 1,601
+    # rows, the last 2; of 11, blocks of 4, the last 3) or, summing over y,
+    # 40 // Ny of the 13 a values (at least 1; all 13 for Ny <= 2)
+    monkeypatch.setattr(invert_mellin, "_BLOCK", 40)
+    y = {1: np.array([0.3]), 1601: MellinParams().y_grid()}.get(ny, np.linspace(-2.5, 2.5, ny))
+    a = np.linspace(-23.1, 1.4, 13)
+    bound = 8.0 * EPS * np.max(np.abs(np.multiply.outer(a, y)))
+    rng = np.random.default_rng(ny)
+    for rows in ((), (3,)):
+        A = rng.normal(size=(*rows, a.size)) + 1j * rng.normal(size=(*rows, a.size))
+        Y = rng.normal(size=(*rows, ny)) + 1j * rng.normal(size=(*rows, ny))
+        for got, want, coef in ((_exp_product(A, y, a), A @ _direct_exp(a, y), A),
+                                (_exp_product(Y, y, a, over_y=True), Y @ _direct_exp(y, a), Y)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want)
+                          <= bound * np.sum(np.abs(coef), axis=-1, keepdims=True))
+
+
 def test_mellin_transform_rejects_a_drifting_log_r_step():
     # steps of 5e-7 drifting by 1 %: within allclose's default atol of 1e-8
     r = np.exp(np.concatenate([[0.0], np.cumsum(5e-7 * (1.0 + 0.01 * np.linspace(0, 1, 15)))]))
@@ -424,6 +457,24 @@ def test_exp_tables_reject_a_non_uniform_line_before_allocating(monkeypatch):
     with pytest.raises(ValidationError, match="uniform"):
         # a step off by 1e-9 of itself, within allclose's default atol of 1e-8
         _exp_i_outer(np.array([-0.1, 0.0, 0.1 + 1e-10]) * 1e-2, a)
+    with pytest.raises(ValidationError, match="uniform"):
+        _exp_i_blocks(y, a, 3)  # at the call, before the first block is drawn
+    for over_y in (False, True):
+        with pytest.raises(ValidationError, match="uniform"):
+            _exp_product(np.ones(y.size if over_y else a.size), y, a, over_y=over_y)
+
+
+@pytest.mark.parametrize("T, mib", [(40.0, 10), (200.0, 25)])
+def test_reconstruct_mellin_memory_grows_with_the_output_only(perp_data, T, mib):
+    # a whole (Ny x Nrho) table would be 25 MiB at T = 40 and 125 MiB at T = 200
+    grid = make_grid(2, 48, 4.4)
+    tracemalloc.start()
+    try:
+        reconstruct_mellin(perp_data, WINDOW, 24, grid, MellinParams(T=T))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 def _transform_direct(r, f, t, y):
