@@ -93,9 +93,11 @@ def polar_vset(directions, radii):
     the routes read ``radii`` as |v|, so directions must be unit vectors."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise ValidationError("polar radii must be strictly positive")
-    if not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12):
+    if radii.ndim != 1 or not np.all((radii > 0) & (radii < np.inf)):
+        raise ValidationError("polar radii must be a list of finite, strictly positive numbers")
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected here
+        unit = np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12
+    if not np.all(unit):
         raise ValidationError("polar directions must be unit vectors")
     vec = (directions[:, None, :] * radii[None, :, None]).reshape(-1, directions.shape[1])
     return VSet("polar", vec, directions=directions, radii=radii)
@@ -116,6 +118,8 @@ def uniform_circle(n_theta, jitter=0.0, seed=0):
 def v1_line_vset(v1, vprime):
     v1 = np.asarray(v1, dtype=float)
     vprime = np.atleast_1d(np.asarray(vprime, dtype=float))
+    if v1.ndim != 1 or vprime.ndim != 1:
+        raise ValidationError("v1 and v' must be lists of numbers")
     vec = np.concatenate(
         [v1[:, None], np.broadcast_to(vprime, (v1.size, vprime.size))], axis=1
     )
@@ -139,6 +143,9 @@ class WRTData:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.vset.vectors.shape[1] != self.u_grid.n:
+            raise ValidationError(f"v vectors of dimension {self.vset.vectors.shape[1]} on a "
+                                  f"{self.u_grid.n}-D u grid")
         vals = np.asarray(self.values)
         if vals.shape != (self.u_grid.size, len(self.vset)):
             raise ValidationError("WRT values have the wrong shape")
@@ -215,9 +222,14 @@ def _panel_count(quad, T, v_norm, feature):
 
 def _time_nodes(w, quad, T, panels):
     """The rule (t, h(t) wt) of a real window: ``panels`` Gauss-Legendre
-    panels of ``quad.nodes`` nodes on [-T, T]."""
+    panels of ``quad.nodes`` nodes on [-T, T].  A hermite1 sigma above about
+    1e155 makes h(t) wt overflow: NumericalError."""
     t, wt = gauss_legendre_panels(-T, T, panels, quad.nodes)
-    return t, window_eval(w, t) * wt
+    with np.errstate(over="ignore"):
+        hw = window_eval(w, t) * wt
+    if not np.all(np.isfinite(hw)):
+        raise NumericalError(f"the {w.kind} window's quadrature weights overflow")
+    return t, hw
 
 
 def _node_rules(w, quad, norms, feature):

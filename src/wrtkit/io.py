@@ -75,28 +75,40 @@ def _extent(n):
     return int(n)
 
 
+def _gf1_layout(m):
+    grid = _grid_from_meta(m)
+    return grid, grid.shape, "C"
+
+
 def _wrt1_layout(m):
     v = m["vset"]
-    if v["mode"] == "perp":  # parsed here, so malformed numbers are a meta error
-        return (np.asarray(v["rho"], dtype=float).size,
-                np.asarray(v["theta"], dtype=float).size), "C"
+    if v["mode"] == "perp":
+        rho, theta = (np.asarray(v[k], dtype=float) for k in ("rho", "theta"))
+        return (rho, theta), (rho.size, theta.size), "C"
     # WRTData's v-major values: (M, Nv) in F order, the transpose of C-order (Nv, M)
-    return (_grid_from_meta(m["u_grid"]).size, len(_vset_from_meta(v))), "F"
+    grid, vset = _grid_from_meta(m["u_grid"]), _vset_from_meta(v)
+    return (grid, vset), (grid.size, len(vset)), "F"
 
 
-# the meta keys each format requires, and the payload shape (and memory
-# order of the array read) its meta implies
+def _pss1_layout(m):
+    axes = tuple(np.asarray(m[k], dtype=float) for k in ("angles", "sigma", "radii"))
+    return axes, tuple(a.size for a in axes), "C"
+
+
+# the meta keys each format requires, and the parser of its meta: it returns
+# what the reader builds on (parsed here, so a malformed entry is a meta
+# error), the payload shape and the memory order of the array read
 _LAYOUTS = {
-    "gf1": (("kind", "shape", "origin", "spacing"), lambda m: (m["shape"], "C")),
+    "gf1": (("kind", "shape", "origin", "spacing"), _gf1_layout),
     "wrt1": (("vset", "window"), _wrt1_layout),
-    "pss1": (("angles", "sigma", "radii"),
-             lambda m: ((len(m["angles"]), len(m["sigma"]), len(m["radii"])), "C")),
+    "pss1": (("angles", "sigma", "radii"), _pss1_layout),
 }
 
 
 def _read_dir(path, expected_format):
-    """(meta, payload shaped as the meta implies); malformed meta, missing
-    keys and a payload of the wrong length raise ValidationError."""
+    """(meta, the format's parsed meta, payload shaped as the meta implies);
+    malformed meta, missing keys and a payload of the wrong length raise
+    ValidationError."""
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
         raise ValidationError(f"{path}: not a dataset directory (meta.json missing)")
@@ -111,7 +123,7 @@ def _read_dir(path, expected_format):
         raise ValidationError(
             f"{path}: format {meta.get('format')!r}, expected {expected_format!r}"
         )
-    if meta.get("dtype") not in _DTYPES:
+    if not isinstance(meta.get("dtype"), str) or meta["dtype"] not in _DTYPES:
         raise ValidationError(f"{path}: unsupported dtype {meta.get('dtype')!r}")
     if meta.get("order", "C") != "C":
         raise ValidationError(f"{path}: only C (row-major) order is supported")
@@ -120,7 +132,7 @@ def _read_dir(path, expected_format):
     if missing:
         raise ValidationError(f"{path}: meta.json lacks {', '.join(map(repr, missing))}")
     try:
-        shape, memory = layout_of(meta)
+        parsed, shape, memory = layout_of(meta)
         shape = tuple(_extent(n) for n in shape)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed meta.json ({type(exc).__name__}: {exc})")
@@ -140,7 +152,7 @@ def _read_dir(path, expected_format):
                 block[...] = buf[:len(block)]
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read data.bin ({exc})")
-    return meta, data
+    return meta, parsed, data
 
 
 def _grid_meta(grid):
@@ -170,10 +182,10 @@ def write_gf1(path, field):
 
 def read_gf1(path):
     """The ScalarField of a gf1 directory; any kind but f64 'scalar' is rejected."""
-    meta, values = _read_dir(path, "gf1")
+    meta, grid, values = _read_dir(path, "gf1")
     if meta["kind"] != "scalar" or meta["dtype"] != "f64":
         raise ValidationError(f"{path}: gf1 holds f64 scalars, not {meta['kind']} {meta['dtype']}")
-    return ScalarField(_grid_from_meta(meta), values)
+    return ScalarField(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +264,11 @@ def write_wrt1(path, data):
 
 
 def read_wrt1(path):
-    meta, data = _read_dir(path, "wrt1")
+    meta, axes, data = _read_dir(path, "wrt1")
     w = window_from_json(meta["window"])
     if meta["vset"]["mode"] == "perp":
-        rho = np.asarray(meta["vset"]["rho"], dtype=float)
-        theta = np.asarray(meta["vset"]["theta"], dtype=float)
-        return PolarWRT(rho, theta, w, data)
-    return WRTData(_grid_from_meta(meta["u_grid"]), _vset_from_meta(meta["vset"]), w, data)
+        return PolarWRT(*axes, w, data)  # (rho, theta)
+    return WRTData(*axes, w, data)  # (u grid, vset)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +289,9 @@ def write_pss1(path, samples):
 
 
 def read_pss1(path):
-    meta, data = _read_dir(path, "pss1")
-    angles = np.asarray(meta["angles"], dtype=float)
-    sigma = np.asarray(meta["sigma"], dtype=float)
-    radii = np.asarray(meta["radii"], dtype=float)
+    meta, axes, data = _read_dir(path, "pss1")
     w = window_from_json(meta["window"]) if meta.get("window") else None
-    return PolarSpectralSamples(angles, sigma, radii, data, window=w)
+    return PolarSpectralSamples(*axes, data, window=w)  # (angles, sigma, radii)
 
 
 # ---------------------------------------------------------------------------

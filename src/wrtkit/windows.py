@@ -16,10 +16,11 @@ integral_0^inf |hhat|^2 = pi c_h2 and integral_R |hhat|^2 = 2 pi c_h2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import special
 
 from .errors import HypothesisError, ValidationError
 from .quad import _exp_flushed, gauss_legendre_panels
@@ -150,7 +151,8 @@ def _even_window_ft(w, eta):
     eta = np.asarray(eta, dtype=float)
     if w.kind == "gaussian":
         s = w.sigma
-        return s * np.sqrt(2.0 * np.pi) * _exp_flushed(-0.5 * (s * eta) ** 2)
+        with np.errstate(over="ignore"):  # (s eta)^2 = inf where the factor is 0
+            return s * np.sqrt(2.0 * np.pi) * _exp_flushed(-0.5 * (s * eta) ** 2)
     t, wh = _bump_ft_nodes(w.radius)
     # hhat(eta) = 2 integral_0^R h(t) cos(eta t) dt (0 for |eta| R >= 1200),
     # in blocks of eta that keep the cosine matrix near 8 MB
@@ -164,14 +166,37 @@ def _even_window_ft(w, eta):
 
 
 def window_support_radius(w, tol=1e-14):
-    """T with |h(t)| < tol for |t| > T, for a real window."""
+    """T with |h(t)| < tol for |t| > T, for a real window (HypothesisError
+    for the analytic-signal kernel).
+
+    gaussian: T = sigma sqrt(2 ln(1/tol)).  bump: T = R.  hermite1: |h(t)| =
+    |t| exp(-t^2 / 2 sigma^2) peaks at |t| = sigma, and beyond it y = (T/sigma)^2
+    is the root y > 1 of y - ln y = c, c = 2 ln(sigma/tol), that is
+    y = -W_{-1}(-exp(-c)).  There is no root when sigma <= tol sqrt(e)
+    (c <= 1), where |h| < tol everywhere: ValidationError, as when T
+    overflows (sigma above about 4.7e306).
+    """
     if w.kind == "gaussian":
         return w.sigma * np.sqrt(2.0 * np.log(1.0 / tol))
-    if w.kind == "hermite1":
-        t0 = w.sigma * np.sqrt(2.0 * np.log(1.0 / tol))
-        f = lambda t: abs(t) * np.exp(-0.5 * (t / w.sigma) ** 2) - tol
-        return float(optimize.brentq(f, t0 / 2, 4 * t0))
-    return w.radius  # bump
+    if w.kind == "bump":
+        return w.radius
+    if w.kind != "hermite1":
+        raise HypothesisError("a support radius requires a real window")
+    c = 2.0 * (math.log(w.sigma) - math.log(tol))  # sigma / tol may overflow
+    if c <= 1.0:
+        raise ValidationError(f"hermite1 window of sigma {w.sigma:g} is below {tol:g} everywhere")
+    if c < 700.0:  # exp(-c) a normal double
+        y = -special.lambertw(-math.exp(-c), -1).real
+    else:
+        # y = c + ln y contracts by 1/y < 1/700: five steps from y = c leave
+        # a relative error below 1e-16
+        y = c
+        for _ in range(5):
+            y = c + math.log(y)
+    T = w.sigma * math.sqrt(y)
+    if T == math.inf:
+        raise ValidationError(f"hermite1 window of sigma {w.sigma:g} has no finite support radius")
+    return T
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,21 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wrtkit
 from wrtkit import _pool, calibrate
 from wrtkit import io as wio
 from wrtkit.calibrate import calibrate_constant
 from wrtkit.cli import build_parser, main, parse_window
-from wrtkit.errors import ValidationError
+from wrtkit.errors import ValidationError, WrtError
 from wrtkit.fields import ScalarField, gaussian_phantom, make_grid
 from wrtkit.forward import (PolarWRT, WRTData, analytic_wrt_data, polar_vset, uniform_circle,
                             v1_line_vset, windowed_ray_transform, wrt_polar_perp)
@@ -392,19 +395,32 @@ _VALUE = st.one_of(st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e
                    st.floats(-10.0, 10.0))
 
 
+# flags on which the forward runs
+_FORWARD_COUNTS = {"--ndirs": 2, "--nr": 2, "--nv1": 4, "--nrho": 2, "--ntheta": 2,
+                   "--quad-panels": 2}
+_FORWARD_VALUES = {"--rmin": 0.5, "--rmax": 1.0, "--jitter": 0.0, "--v1max": 1.0,
+                   "--vprime": 0.0, "--rho-min": 0.5, "--rho-max": 1.0, "--extent": 4.0,
+                   "--center": 0.0}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(vmode=st.sampled_from(["polar", "v1-line", "perp"]),
+       window=st.tuples(st.sampled_from(["gaussian", "hermite1", "bump"]), _VALUE).map(
+           lambda kv: f"{kv[0]}:{kv[1]}"),
        counts=st.fixed_dictionaries({f: _COUNT for f in (
            "--ndirs", "--nr", "--nv1", "--nrho", "--ntheta", "--quad-panels")}),
        values=st.fixed_dictionaries({f: _VALUE for f in (
            "--rmin", "--rmax", "--jitter", "--v1max", "--vprime", "--rho-min", "--rho-max",
            "--extent", "--center")}))
-def test_forward_argv_property(vmode, counts, values):
+@example("polar", "hermite1:1e+300", _FORWARD_COUNTS, _FORWARD_VALUES)
+@example("perp", "hermite1:1e-320", _FORWARD_COUNTS, _FORWARD_VALUES)
+def test_forward_argv_property(vmode, window, counts, values):
     # exit 0 with a dataset that has no empty axis, or exit 1 or 2 with one
-    # error line; never an exception
+    # error line; never an exception.  Two examples reach the forward with
+    # the extreme hermite1 sigmas, which most drawn flags stop short of.
     with tempfile.TemporaryDirectory() as tmp:
         spec, out = _phantom_file(pathlib.Path(tmp)), os.path.join(tmp, "d")
-        argv = ["forward", "--phantom", spec, "--window", "gaussian:1.0", "--vmode", vmode,
+        argv = ["forward", "--phantom", spec, "--window", window, "--vmode", vmode,
                 "--shape", "4", "--out", out]
         argv += [f"{k}={v}" for k, v in {**counts, **values}.items()]
         err = io.StringIO()
@@ -669,6 +685,94 @@ def test_bad_shape_entry_exit_1(tmp_path, capsys, fmt, shape):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "shape entry" in err
+
+
+
+_META_VALUE = st.one_of(
+    st.sampled_from([None, True, 0, -1, 1.5, np.nan, np.inf, 1e300, 1e-320, "x", "", "C", [],
+                     [None], [1, 2], [[1, 2]], [[[1.0]]], {}, {"a": 1}, "<deleted>"]),
+    st.lists(st.one_of(st.none(), st.floats(-10.0, 10.0)), max_size=4))
+
+
+def _meta_paths(obj, prefix=()):
+    """Key paths into a meta object: every dict key, and the first two
+    entries of every list."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj[:2])
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _meta_paths(v, prefix + (k,))
+
+
+def _holds(obj, key):
+    return (isinstance(obj, dict) and key in obj) or (
+        isinstance(obj, list) and isinstance(key, int) and key < len(obj))
+
+
+@pytest.fixture(scope="module")
+def meta_inputs(invert_inputs, tmp_path_factory):
+    """A dataset of each format, with the command that reads it."""
+    d = tmp_path_factory.mktemp("meta")
+    wio.write_gf1(str(d / "gf1"), ScalarField(make_grid(2, 8, 4.0), np.ones((8, 8))))
+    wio.write_pss1(str(d / "pss1"), extract_polar_spectrum(wio.read_wrt1(invert_inputs["t2"]),
+                                                           np.linspace(0.0, 2.0, 4)))
+    return {"gf1": (str(d / "gf1"), lambda p, out: ["compare", p, p, "--pgm", out]),
+            "pss1": (str(d / "pss1"), None),
+            **{m: (invert_inputs[m], lambda p, out, m=m: [
+                "invert", "--method", m, "--in", p, "--shape", "4", "--extent", "4",
+                "--lmax", "1", "--out", out]) for m in ("t1", "t2", "slice", "mellin")}}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["gf1", "pss1", "t1", "t2", "slice", "mellin"]), data=st.data())
+def test_mutated_meta_property(meta_inputs, case, data):
+    # one to three meta entries of a valid dataset set to drawn values (or
+    # deleted): the command that reads it exits 0, or 1 or 2 with one error
+    # line; never an exception.  pss1, which no command reads, through
+    # read_pss1: a dataset or a WrtError.
+    src, command = meta_inputs[case]
+    meta = json.loads(pathlib.Path(src, "meta.json").read_text())
+    paths = sorted(_meta_paths(meta), key=repr)
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        parent = meta  # the entry's container, unless an earlier edit removed the entry
+        for k in path[:-1]:
+            parent = parent[k] if _holds(parent, k) else None
+        if _holds(parent, path[-1]):
+            value = data.draw(_META_VALUE)
+            if value == "<deleted>":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = json.loads(json.dumps(value))  # not the drawn object
+    with tempfile.TemporaryDirectory() as tmp:
+        d, out = os.path.join(tmp, "d"), os.path.join(tmp, "out")
+        shutil.copytree(src, d)
+        pathlib.Path(d, "meta.json").write_text(json.dumps(meta))
+        if command is None:
+            try:
+                wio.read_pss1(d)
+            except WrtError:
+                pass
+            return
+        rc, err = _run(command(d, out))
+        assert rc in (0, 1, 2)
+        assert not rc or (len(err) == 1 and err[0].startswith("error: "))
+        assert bool(rc) != os.path.exists(out)
+
+
+def test_import_loads_neither_scipy_optimize_nor_stats():
+    # the package imports scipy.special and scipy.ndimage only: scipy.optimize
+    # took import wrtkit from 0.42 to 0.55 s and its resident memory from 57
+    # to 80 MB (2-core x86-64, scipy 1.17), and fields._DiskProfile keeps
+    # scipy.stats out for the same reason
+    src = str(pathlib.Path(wrtkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, wrtkit, wrtkit.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "wrtkit.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"],
+                                                          ["scipy", "stats"])]
 
 
 def test_selftest_inject_fault(capsys):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from wrtkit import (
+    HypothesisError,
     ValidationError,
     analytic_signal_window,
     bump_window,
@@ -81,6 +84,39 @@ def test_support_radius_and_cutoff():
     wh = hermite1_window(0.7)
     Th = window_support_radius(wh, tol=1e-12)
     assert abs(window_eval(wh, Th * 1.001)) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14, 1e-15])
+def test_hermite1_support_radius_is_the_outer_root(tol):
+    # |h(T)| = tol, and |h| < tol beyond T, from sigma 1e-8 to 1e8
+    for sigma in np.geomspace(1e-8, 1e8, 33):
+        s = float(sigma)
+        T = window_support_radius(hermite1_window(s), tol=tol)
+        assert T > s
+        assert T * math.exp(-0.5 * (T / s) ** 2) == pytest.approx(tol, rel=1e-13)
+        t = T * (1.0 + np.geomspace(1e-9, 10.0, 50))
+        assert np.all(np.abs(window_eval(hermite1_window(s), t)) < tol)
+
+
+@pytest.mark.parametrize("sigma", [1e-320, 1e-15, 1e200, 1e300, 1e308])
+@pytest.mark.parametrize("tol", [1e-14, 1e-15])
+def test_hermite1_support_radius_at_extreme_sigma(sigma, tol):
+    # a finite T >= 0, or ValidationError where |h| < tol everywhere (sigma
+    # <= tol sqrt(e)) or T overflows; no other exception
+    try:
+        T = window_support_radius(hermite1_window(sigma), tol=tol)
+    except ValidationError:
+        assert sigma <= tol * math.sqrt(math.e) or sigma > 1e306
+        return
+    assert 0.0 <= T < math.inf
+    # ln|h(T)| = ln tol; in logs, as exp(-(T/sigma)^2 / 2) is subnormal at 1e300
+    y = (T / sigma) ** 2
+    assert math.log(sigma) + 0.5 * (math.log(y) - y) == pytest.approx(math.log(tol), abs=1e-12)
+
+
+def test_support_radius_needs_a_real_window():
+    with pytest.raises(HypothesisError):
+        window_support_radius(analytic_signal_window())
 
 
 def test_parity_flags():
