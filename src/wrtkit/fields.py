@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError, ZeroReferenceError
 
@@ -191,6 +190,8 @@ class PhantomSpec:
             if self.kind == "smoothed-disk":
                 if n != 2:
                     raise ValidationError("smoothed-disk spectrum implemented for n=2")
+                from scipy import special
+
                 R, s, amp = c["radius"], c["smoothing"], c["amplitude"]
                 disk = np.where(k > 0, 2.0 * np.pi * R * special.j1(R * np.where(k > 0, k, 1.0)) / np.where(k > 0, k, 1.0), np.pi * R**2)
                 out += amp * disk * np.exp(-0.5 * s**2 * k2) * phase
@@ -279,9 +280,10 @@ class _DiskProfile:
 
     The profile P(r) = amp P(|x + s g| <= R), g a standard normal, is the
     noncentral chi-square CDF amp chndtr((R / s)^2, 2, (r / s)^2) (what
-    stats.ncx2.cdf computes; importing scipy.stats would double the
-    package's import time).  It is tabulated once on a uniform r grid of
-    step s / 1000 over [R - (tail + 1) s, clip radius] (from 0 when R is
+    stats.ncx2.cdf computes, without scipy.stats).  scipy.special is
+    imported here, when the first disk's tables are built, so ``import
+    wrtkit`` loads no scipy module.  It is tabulated once on a uniform r
+    grid of step s / 1000 over [R - (tail + 1) s, clip radius] (from 0 when R is
     smaller), with the closed-form slope dP/dr = -amp (R / s^2)
     e^{-(r - R)^2 / 2 s^2} i1e(r R / s^2), and read by cubic Hermite
     interpolation: within 4e-15 amp of chndtr for R / s up to 20, at most
@@ -290,6 +292,8 @@ class _DiskProfile:
     """
 
     def __init__(self, c):
+        from scipy import special
+
         R, s, amp = c["radius"], c["smoothing"], c["amplitude"]
         self.start = max(0.0, R - s * (_TAIL + 1.0))
         self.end = _disk_clip_radius(c)

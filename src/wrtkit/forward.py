@@ -14,7 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import _pool
 from .errors import NumericalError, ValidationError
@@ -206,18 +205,27 @@ def _perp_axes(rho, theta):
     return rho, theta
 
 
-def _panel_count(quad, T, v_norm, feature):
-    """Panels of a real window's rule on its support [-T, T] for a ray of
+def _panels_needed(quad, T, v_norm, feature):
+    """Panels a real window's rule on its support [-T, T] needs for a ray of
     length |v|.  ``feature`` is the narrowest spatial length scale of the
     source; a long v squeezes it into a t-interval of width feature / |v|,
-    and the panel count is refined (up to ``quad.max_panels``) to resolve it.
-    """
-    panels = quad.panels
-    if quad.max_panels is not None and v_norm:
-        delta = feature / v_norm  # 0 when |v| overflows: refine up to the cap
-        needed = np.inf if delta == 0 else np.ceil(4.0 * T / (quad.nodes * delta))
-        panels = int(min(quad.max_panels, max(panels, needed)))
-    return panels
+    and when ``quad.max_panels`` is set the count ``quad.panels`` is refined
+    to resolve it.  inf when |v| overflows or the count exceeds the largest
+    double."""
+    if quad.max_panels is None or not v_norm:
+        return quad.panels
+    delta = float(feature) / v_norm
+    if delta == 0.0:
+        return np.inf
+    # 4 T / (nodes delta) in Python floats, which overflow to inf without a
+    # warning, grouped so that only a count above the largest double does
+    return max(quad.panels, float(np.ceil(4.0 * (float(T) / (quad.nodes * delta)))))
+
+
+def _panel_count(quad, T, v_norm, feature):
+    """Panels of a real window's rule on [-T, T] for a ray of length |v|:
+    :func:`_panels_needed`, capped at ``quad.max_panels``."""
+    return int(min(quad.max_panels or quad.panels, _panels_needed(quad, T, v_norm, feature)))
 
 
 def _time_nodes(w, quad, T, panels):
@@ -232,15 +240,25 @@ def _time_nodes(w, quad, T, panels):
     return t, hw
 
 
-def _node_rules(w, quad, norms, feature):
+def _node_rules(w, quad, norms, feature, stacklevel):
     """The node rule of each ray length |v| in ``norms``, built on the caller
     once per distinct panel count, so pool threads share it.  The
-    analytic-signal kernel has one rule (s, ws) on [0, 1] for all rays."""
+    analytic-signal kernel has one rule (s, ws) on [0, 1] for all rays.
+    Warns once when ``quad.max_panels`` caps the longest ray's count: its
+    panels are then wider than the source's narrowest feature, which they
+    can miss (0 for a wide window, with no other sign)."""
     if not w.is_real:
         return [gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)] * len(norms)
     T = window_support_radius(w, tol=1e-14)
     counts = [_panel_count(quad, T, float(r), feature) for r in norms]
     rules = {p: _time_nodes(w, quad, T, p) for p in set(counts)}
+    if counts:  # the count needed grows with |v|
+        needed = _panels_needed(quad, T, float(np.max(norms)), feature)
+        if needed > max(counts):
+            warnings.warn(f"the forward's rule needs {needed:.6g} panels to resolve the "
+                          f"source's narrowest feature on its longest ray, but max_panels "
+                          f"caps it at {max(counts)}: the values may miss the source",
+                          stacklevel=stacklevel)
     return [rules[p] for p in counts]
 
 
@@ -288,6 +306,8 @@ def _ray_source(f):
         raise ValidationError("source must be a PhantomSpec or ScalarField")
     if np.iscomplexobj(f.values):
         raise ValidationError("the forward's source field must be real, not complex")
+    from scipy import ndimage
+
     g = f.grid
     coef = ndimage.spline_filter(f.values, 3, mode="constant")  # map_coordinates' prefilter
     # B-spline weights are >= 0 and sum to 1, so beyond the 2-cell stencil of
@@ -406,7 +426,8 @@ def _gaussian_column(comps, axes, v, t, hw):
     threads."""
     out = np.zeros((int(np.prod([x.size for x in axes[:-1]])), axes[-1].size))
     for c, s, amp, r in comps:
-        d = [x[:, None] - ci + t * vi for x, ci, vi in zip(axes, c, v)]
+        with np.errstate(over="ignore"):  # a node past the largest double is inf, never live
+            d = [x[:, None] - ci + t * vi for x, ci, vi in zip(axes, c, v)]
         live = np.logical_and.reduce([np.any(np.abs(di) <= r, axis=0) for di in d])
         if not live.any():
             continue
@@ -429,7 +450,8 @@ def _spline_column(coef, ibox, g, axes, v, t, hw):
     as a batch of per-node GEMMs, each cut to m n k <= 2^19 so that OpenBLAS
     runs it on one thread and the pool workers do not contend for its
     threads, in blocks of nodes whose temporaries stay near 4 MB."""
-    x = [(xa[:, None] + t * vi - o) / d for xa, vi, o, d in zip(axes, v, g.origin, g.spacing)]
+    with np.errstate(over="ignore"):  # a node past the largest double is inf, never inside
+        x = [(xa[:, None] + t * vi - o) / d for xa, vi, o, d in zip(axes, v, g.origin, g.spacing)]
     inside = [(xi >= lo) & (xi <= hi) for xi, lo, hi in zip(x, *ibox)]
     live = np.flatnonzero(np.logical_and.reduce([i.any(axis=0) for i in inside]))
     M, K = [xa.size for xa in axes], coef.shape
@@ -508,10 +530,10 @@ def _columns(src, w, U, vectors, quad):
     _warn_unresolved_pole(w, norms, U.shape[0], 4)
     UT, VT = U.T.copy(), vectors.T.copy()  # column-major rays: (rays, n) math ran 4-8x faster
     return _ray_columns(src, w, quad, norms, U.shape[0],
-                        lambda c, m: (np.take(UT, m, axis=1).T, np.take(VT, c, axis=1).T)).T
+                        lambda c, m: (np.take(UT, m, axis=1).T, np.take(VT, c, axis=1).T), 4).T
 
 
-def _ray_columns(src, w, quad, norms, M, rays):
+def _ray_columns(src, w, quad, norms, M, rays, stacklevel):
     """P_h f, (len(norms), M), ray by ray on columns j of M rays with |v| =
     norms[j]; rays(c, m) gives the paired rays (U, V) of column indices c
     and row indices m.  One block of at most _BLOCK rays at a time, the
@@ -519,8 +541,9 @@ def _ray_columns(src, w, quad, norms, M, rays):
     (:func:`_shares`), so more workers make no more, smaller calls; each ray
     is reduced by itself, so no value depends on the worker count or the run
     size.  The key pass and the runs go on pool threads, so they call no
-    name perfbench's layer tracer wraps."""
-    rules = _node_rules(w, quad, norms, src.feature)
+    name perfbench's layer tracer wraps.  ``stacklevel`` (seen from here)
+    is the caller a capped refinement warns at."""
+    rules = _node_rules(w, quad, norms, src.feature, stacklevel + 1)
     out = np.zeros((len(norms), M), dtype=float if w.is_real else complex)
 
     def run(shares):  # _pool.map hands each worker a list of one share of planned calls
@@ -627,7 +650,7 @@ def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
 def _factored_columns(src, w, u_grid, vectors, quad):
     """The factored route of windowed_ray_transform: one v column per call of
     src.factored, contiguous ranges of columns per pool worker."""
-    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src.feature)
+    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src.feature, 4)
     axes = [u_grid.axis_coords(i) for i in range(u_grid.n)]
     out = np.zeros((vectors.shape[0], u_grid.size))
 
@@ -751,7 +774,7 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
         r = np.take(rho, c)
         return (np.take(e, m, axis=1) * r).T, (np.take(perp, m, axis=1) * r).T
 
-    return PolarWRT(rho, theta, w, _ray_columns(src, w, quad, rho, theta.size, rays))
+    return PolarWRT(rho, theta, w, _ray_columns(src, w, quad, rho, theta.size, rays, 3))
 
 
 def fourier_identity_residual(data, f_spec, band=None):

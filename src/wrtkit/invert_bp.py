@@ -30,10 +30,10 @@ for n = 2 (uniform direction weights on S^1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, special
 
 from . import _pool
 from .errors import HypothesisError, ValidationError
@@ -71,7 +71,7 @@ class BPParams:
 def paper_constant_t1(w, n):
     """Verbatim statement constant: pi^-(n+1)/2 Gamma(n/2) / int |hhat(-t)|^2 dt."""
     c = window_constants(w)
-    return np.pi ** (-(n + 1) / 2.0) * special.gamma(n / 2.0) / c.c_hat_full
+    return np.pi ** (-(n + 1) / 2.0) * math.gamma(n / 2.0) / c.c_hat_full
 
 
 def theory_constant_t1(w, n):
@@ -82,7 +82,7 @@ def theory_constant_t1(w, n):
     the ratio to the verbatim statement constant is sqrt(pi).
     """
     c = window_constants(w)
-    return special.gamma(n / 2.0) / (np.pi ** (n / 2.0) * c.c_hat_full)
+    return math.gamma(n / 2.0) / (np.pi ** (n / 2.0) * c.c_hat_full)
 
 
 def reconstruct_t1(data, w, grid, params=BPParams()):
@@ -207,6 +207,8 @@ def _backproject(data, rows, weights, w, pad):
 def _resample(values, src_grid, dst_grid):
     if dst_grid == src_grid:
         return values
+    from scipy import ndimage
+
     idx = src_grid.coord_to_index(dst_grid.points())
     out = ndimage.map_coordinates(values, idx.T, order=3, mode="nearest")
     return out.reshape(dst_grid.shape)

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import HypothesisError, ValidationError
 from .fields import Grid, ScalarField
@@ -76,7 +75,7 @@ def apodization_weights(kind, v1, V):
         except (IndexError, ValueError):
             raise ValidationError("kaiser apodization syntax: kaiser:BETA")
         x = np.clip(1.0 - (v1 / V) ** 2, 0.0, None)
-        return special.i0(beta * np.sqrt(x)) / special.i0(beta)
+        return np.i0(beta * np.sqrt(x)) / np.i0(beta)
     raise ValidationError(f"unknown apodization {kind!r}")
 
 

@@ -44,7 +44,10 @@ class QuadratureParams:
 
 
 def gauss_legendre_panels(a, b, panels, nodes):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
+    """Nodes and weights of a composite Gauss-Legendre rule on [a, b], whose
+    length b - a must be a finite double (else ValidationError)."""
+    if not math.isfinite(float(b) - float(a)):
+        raise ValidationError(f"a quadrature interval [{a:g}, {b:g}] needs a finite length")
     x, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1], edges[1:]

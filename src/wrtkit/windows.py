@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import HypothesisError, ValidationError
 from .quad import _exp_flushed, gauss_legendre_panels
@@ -174,10 +173,14 @@ def window_support_radius(w, tol=1e-14):
     is the root y > 1 of y - ln y = c, c = 2 ln(sigma/tol), that is
     y = -W_{-1}(-exp(-c)).  There is no root when sigma <= tol sqrt(e)
     (c <= 1), where |h| < tol everywhere: ValidationError, as when T
-    overflows (sigma above about 4.7e306).
+    overflows (hermite1 sigma above about 4.7e306, gaussian sigma above
+    about 2.2e307 at tol = 1e-14).
     """
     if w.kind == "gaussian":
-        return w.sigma * np.sqrt(2.0 * np.log(1.0 / tol))
+        T = float(w.sigma) * float(np.sqrt(2.0 * np.log(1.0 / tol)))  # inf, unwarned, on overflow
+        if T == math.inf:
+            raise ValidationError(f"gaussian window of sigma {w.sigma:g} has no finite support radius")
+        return T
     if w.kind == "bump":
         return w.radius
     if w.kind != "hermite1":
@@ -186,6 +189,8 @@ def window_support_radius(w, tol=1e-14):
     if c <= 1.0:
         raise ValidationError(f"hermite1 window of sigma {w.sigma:g} is below {tol:g} everywhere")
     if c < 700.0:  # exp(-c) a normal double
+        from scipy import special
+
         y = -special.lambertw(-math.exp(-c), -1).real
     else:
         # y = c + ln y contracts by 1/y < 1/700: five steps from y = c leave

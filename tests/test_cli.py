@@ -414,10 +414,16 @@ _FORWARD_VALUES = {"--rmin": 0.5, "--rmax": 1.0, "--jitter": 0.0, "--v1max": 1.0
            "--extent", "--center")}))
 @example("polar", "hermite1:1e+300", _FORWARD_COUNTS, _FORWARD_VALUES)
 @example("perp", "hermite1:1e-320", _FORWARD_COUNTS, _FORWARD_VALUES)
+@example("polar", "gaussian:2e307", _FORWARD_COUNTS, _FORWARD_VALUES)
+@example("v1-line", "gaussian:1e308", _FORWARD_COUNTS, _FORWARD_VALUES)
+@example("perp", "bump:1e308", _FORWARD_COUNTS, _FORWARD_VALUES)
+@example("polar", "hermite1:4e306", _FORWARD_COUNTS, _FORWARD_VALUES)
 def test_forward_argv_property(vmode, window, counts, values):
     # exit 0 with a dataset that has no empty axis, or exit 1 or 2 with one
-    # error line; never an exception.  Two examples reach the forward with
-    # the extreme hermite1 sigmas, which most drawn flags stop short of.
+    # error line; never an exception.  Six examples reach the forward with
+    # window parameters near the extremes of a double, which most drawn
+    # flags stop short of: tiny or huge hermite1 sigmas, and a support
+    # radius T or an interval [-T, T] that overflows.
     with tempfile.TemporaryDirectory() as tmp:
         spec, out = _phantom_file(pathlib.Path(tmp)), os.path.join(tmp, "d")
         argv = ["forward", "--phantom", spec, "--window", window, "--vmode", vmode,
@@ -759,20 +765,46 @@ def test_mutated_meta_property(meta_inputs, case, data):
         assert bool(rc) != os.path.exists(out)
 
 
-def test_import_loads_neither_scipy_optimize_nor_stats():
-    # the package imports scipy.special and scipy.ndimage only: scipy.optimize
-    # took import wrtkit from 0.42 to 0.55 s and its resident memory from 57
-    # to 80 MB (2-core x86-64, scipy 1.17), and fields._DiskProfile keeps
-    # scipy.stats out for the same reason
+def _fresh_modules(code, cwd=None):
+    """The sorted names in sys.modules after ``code`` ran in a fresh interpreter
+    that imports wrtkit from this checkout; ``code`` ends by printing them."""
     src = str(pathlib.Path(wrtkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, wrtkit, wrtkit.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_import_loads_no_scipy():
+    # each route imports the scipy subpackage it calls inside the function
+    # that calls it: scipy.ndimage and the scipy.special it pulls in took
+    # import wrtkit, wrtkit.cli from 0.17 to 0.42 s (2-core x86-64, scipy
+    # 1.17), which every CLI command pays
+    loaded = _fresh_modules("import sys, wrtkit, wrtkit.cli; print(*sorted(sys.modules))")
     assert "wrtkit.cli" in loaded
-    assert not [m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"],
-                                                          ["scipy", "stats"])]
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_mellin_pipeline_loads_no_scipy(tmp_path):
+    # phantom -> perp forward (bump window) -> Mellin inversion -> compare,
+    # each through the CLI's main in one fresh interpreter: no step calls scipy
+    spec = _phantom_file(tmp_path, sigma=0.3, center=(0.8, 0.0))
+    grid = ["--shape", "16", "--extent", "4"]
+    argvs = [["phantom", "--spec", spec, *grid, "--out", "ref"],
+             ["forward", "--phantom", spec, "--window", "bump:2.0", "--vmode", "perp",
+              "--rho-min", "1e-6", "--rho-max", "4", "--nrho", "64", "--ntheta", "16",
+              "--quad-panels", "8", "--out", "perp"],
+             ["invert", "--method", "mellin", "--in", "perp", "--lmax", "4", *grid,
+              "--out", "rec"],
+             ["compare", "rec", "ref"]]
+    code = ("import contextlib, io, sys, wrtkit.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert wrtkit.cli.main(argv) == 0, argv\n"
+            "print(*sorted(sys.modules))")
+    loaded = _fresh_modules(code, cwd=tmp_path)
+    assert "wrtkit.invert_mellin" in loaded and (tmp_path / "rec").exists()
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def test_selftest_inject_fault(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tracemalloc
 import warnings
@@ -604,6 +605,40 @@ def test_analytic_signal_warns_once_where_its_pole_is_not_resolved():
     with pytest.warns(UserWarning, match=r"^3 analytic-signal rays") as record:
         wrt_columns(spec, w, np.zeros((3, 2)), [[1e-3, 0.0], [0.0, 0.5]])
     assert len(record) == 1
+
+
+@pytest.mark.parametrize("w, needed", [(gaussian_window(1e8), "2.86767e+08"),
+                                        (hermite1_window(1e8), "3.67661e+08")])
+def test_capped_refinement_warns_once_with_the_panels_needed_and_used(w, needed):
+    # sigma = 1e8: 256 panels on [-T, T] are far wider than the phantom, whose
+    # rays the nodes all miss, so the values read exactly 0
+    spec, grid = gaussian_phantom((0.4, -0.2), 0.7), make_grid(2, 8, 8.0)
+    vset = polar_vset(uniform_circle(4)[0], [1.0])
+    with pytest.warns(UserWarning, match=f"needs {re.escape(needed)} panels.*caps it at 256") as record:
+        data = windowed_ray_transform(spec, w, grid, vset)
+    assert len(record) == 1 and record[0].filename == __file__
+    assert np.all(data.values == 0.0)
+    with pytest.warns(UserWarning, match="caps it at 256") as record:
+        wrt_polar_perp(spec, w, np.geomspace(0.5, 1.0, 4), 2.0 * np.pi * np.arange(4) / 4)
+    assert len(record) == 1 and record[0].filename == __file__
+    with warnings.catch_warnings():  # no cap, or one that does not bind: silent
+        warnings.simplefilter("error")
+        windowed_ray_transform(spec, w, grid, vset, QuadratureParams(max_panels=None))
+        windowed_ray_transform(spec, gaussian_window(1.0), grid, vset)
+
+
+@pytest.mark.parametrize("source", ["phantom", "field"])
+def test_far_nodes_of_a_wide_window_do_not_overflow(source):
+    # T = 8e307 and |v| = 4: the factored route's outer nodes u + t v are
+    # past the largest double, beyond every source box (RuntimeWarnings fail
+    # tier-1)
+    spec, grid = gaussian_phantom((0.4, -0.2), 0.7), make_grid(2, 8, 8.0)
+    f = spec if source == "phantom" else sample_phantom(spec, grid)
+    vset = polar_vset(uniform_circle(4)[0], [4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the capped refinement
+        data = windowed_ray_transform(f, bump_window(8e307), grid, vset)
+    assert np.all(np.isfinite(data.values))
 
 
 def test_clipped_forward_smoothed_disk():

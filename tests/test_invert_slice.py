@@ -75,6 +75,19 @@ def test_apodization_weights():
         apodization_weights("boxcar", v1, 2.0)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, 6.0, 8.0, 50.0, 700.0])
+def test_kaiser_weights_match_scipy_i0(beta):
+    # the weights take numpy's i0, so the route imports no scipy; it stays
+    # within 1e-15 relative of scipy.special.i0's Cephes values
+    from scipy import special
+
+    v1 = np.linspace(-2.0, 2.0, 2001)
+    x = np.clip(1.0 - (v1 / 2.0) ** 2, 0.0, None)
+    want = special.i0(beta * np.sqrt(x)) / special.i0(beta)
+    got = apodization_weights(f"kaiser:{beta}", v1, 2.0)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
 def test_params_validation():
     u1 = 0.25 * np.arange(-8, 8)
     v1 = symmetric_offset_grid(2.0, 0.5)

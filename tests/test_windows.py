@@ -114,6 +114,26 @@ def test_hermite1_support_radius_at_extreme_sigma(sigma, tol):
     assert math.log(sigma) + 0.5 * (math.log(y) - y) == pytest.approx(math.log(tol), abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [2e307, 1e308, 1.7e308])
+def test_gaussian_support_radius_that_overflows_is_rejected(sigma):
+    # T = sigma sqrt(2 ln(1 / tol)) is 8.03 sigma at tol = 1e-14: finite at
+    # 2e307, past the largest double from about 2.2e307 on
+    if sigma < 2.2e307:
+        T = window_support_radius(gaussian_window(sigma))
+        assert T == pytest.approx(sigma * math.sqrt(2.0 * math.log(1e14)), rel=1e-15)
+        return
+    with pytest.raises(ValidationError, match="no finite support radius"):
+        window_support_radius(gaussian_window(sigma))
+
+
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)])
+def test_quadrature_interval_needs_a_finite_length(a, b):
+    with pytest.raises(ValidationError, match="finite length"):
+        gauss_legendre_panels(a, b, 4, 8)
+    t, wt = gauss_legendre_panels(-0.5e308, 0.5e308, 4, 8)
+    assert np.all(np.isfinite(t)) and np.sum(wt) == pytest.approx(1e308, rel=1e-14)
+
+
 def test_support_radius_needs_a_real_window():
     with pytest.raises(HypothesisError):
         window_support_radius(analytic_signal_window())
