@@ -16,6 +16,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -471,6 +472,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    formatwarning = warnings.formatwarning  # a caller that records warnings still gets them
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"  # one stderr line
     try:
         args = parser.parse_args(argv)
         _pool.limit = _pool.requested(args.threads)  # --threads, else WRTKIT_THREADS; 0: auto
@@ -483,6 +486,7 @@ def main(argv=None):
         return EXIT_USAGE
     finally:
         _pool.limit = None  # an in-process caller's next command reads its own setting
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ __all__ = [
 @dataclass(frozen=True)
 class SliceParams:
     """Slice parameter ``a`` and the ``apodization`` of the v1 integral
-    ('hann', 'none' or 'kaiser:BETA')."""
+    ('hann', 'none' or 'kaiser:BETA' with BETA in [0, 700])."""
 
     a: float = 0.0
     apodization: str = "hann"
@@ -74,6 +74,8 @@ def apodization_weights(kind, v1, V):
             beta = float(kind.split(":", 1)[1])
         except (IndexError, ValueError):
             raise ValidationError("kaiser apodization syntax: kaiser:BETA")
+        if not 0.0 <= beta <= 700.0:  # NaN fails too; i0(beta) overflows above about 713
+            raise ValidationError(f"kaiser beta must be finite and in [0, 700], got {beta}")
         x = np.clip(1.0 - (v1 / V) ** 2, 0.0, None)
         return np.i0(beta * np.sqrt(x)) / np.i0(beta)
     raise ValidationError(f"unknown apodization {kind!r}")
@@ -88,15 +90,20 @@ def symmetric_offset_grid(V, step):
     return (k + 0.5) * step
 
 
+def _uniform_step(name, x, at_least):
+    """The step of grid x, which must hold at_least samples, uniform to rtol 1e-10."""
+    if x.size < at_least or not np.allclose(np.diff(x), x[1] - x[0], rtol=1e-10, atol=0.0):
+        raise ValidationError(f"{name} grid must be uniform with at least {at_least} samples")
+    return x[1] - x[0]
+
+
 def make_slice_dataset(f, w, u1, u2, v1, vprime=0.0,
                        quad=QuadratureParams(panels=8, max_panels=None)):
     """Forward-simulate a full-mode dataset: WRTData on the (u1, u2) grid
     with the v1-line vset (v1, vprime); u1 and u2 must be uniform."""
     u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
-    for name, u in (("u1", u1), ("u2", u2)):
-        if u.size < 2 or not np.allclose(np.diff(u), u[1] - u[0], rtol=1e-10, atol=0.0):
-            raise ValidationError(f"{name} grid must be uniform with at least 2 samples")
-    grid = Grid((u1.size, u2.size), (u1[0], u2[0]), (u1[1] - u1[0], u2[1] - u2[0]))
+    steps = (_uniform_step("u1", u1, 2), _uniform_step("u2", u2, 2))
+    grid = Grid((u1.size, u2.size), (u1[0], u2[0]), steps)
     return windowed_ray_transform(f, w, grid, v1_line_vset(v1, [vprime]), quad)
 
 
@@ -112,53 +119,41 @@ def make_restricted_dataset(f, w, u1, v1, vprimes,
 
 def _extract(u1, v1, blocks, w, p):
     """sigma and |sigma| P_hat(sigma, a sigma) / (2 pi h(a)) per block blocks[:, :, j] on
-    v1 x u1, P_hat the continuous FT in (u1, v1) of the apodized block, linear in tau
-    between the DFT bins around a sigma: only those bins are summed over v1, then one FFT
-    along u1.  Needs uniform u1 (>= 5 samples), v1 uniform and symmetric about 0 (so it
-    spans (-V, V)), and a sigma inside the sampled tau band."""
-    du, dv = np.diff(u1), np.diff(v1)
-    if u1.size < 5 or not np.allclose(du, du[0], rtol=1e-10, atol=0.0):
-        raise ValidationError("u1 grid must be uniform with at least 5 samples")
+    v1 x u1, P_hat the continuous FT in (u1, v1) of the apodized block, linear in tau between
+    the whole tau steps around a sigma: each v1 row's real FFT along u1 is added into the
+    sigma >= 0 rows, sigma < 0 by conjugate symmetry.  Needs uniform u1 (>= 5 samples), v1
+    uniform and symmetric about 0 (so it spans (-V, V)), and a sigma inside the tau band."""
+    du = _uniform_step("u1", u1, 5)
     if not w.is_real or np.iscomplexobj(blocks):  # complex data come from a complex window
         raise HypothesisError("inversion requires a real window and real data")
     ha = complex(np.asarray(window_eval(w, float(p.a))))
     if abs(ha) <= 1e-12:
         raise HypothesisError(f"window vanishes at a = {p.a}")
-    if v1.size < 2 or not np.allclose(dv, dv[0], rtol=1e-10, atol=0.0):
-        raise ValidationError("v1 grid must be uniform with at least 2 samples")
-    if abs(v1[0] + v1[-1]) > 1e-9 * abs(dv[0]):
+    dv = _uniform_step("v1", v1, 2)
+    if abs(v1[0] + v1[-1]) > 1e-9 * abs(dv):
         raise ValidationError("v1 grid must be symmetric about 0")
     if not np.all(np.isfinite([blocks.min(), blocks.max()])):  # NaN propagates; no temporary
         raise ValidationError("slice data contain non-finite values")
-    fgrid = Grid((u1.size, v1.size), (u1[0], v1[0]), (du[0], dv[0])).frequency_grid()
+    fgrid = Grid((u1.size, v1.size), (u1[0], v1[0]), (du, dv)).frequency_grid()
     sigma, tau = fgrid.axis_coords(0), fgrid.axis_coords(1)
-    pos = (p.a * sigma - tau[0]) / fgrid.spacing[1]  # tau index of a sigma
+    dsigma, dtau = fgrid.spacing
+    pos = (p.a * sigma - tau[0]) / dtau  # tau index of a sigma
     if pos.min() < -1e-9 or pos.max() > tau.size - 1 + 1e-9:
         raise ValidationError("a * sigma leaves the v1 Nyquist band; refine v1")
-    i0 = np.clip(np.floor(pos), 0, tau.size - 2).astype(int)  # order-1 interpolation weights
-    frac = np.clip(pos - i0, 0.0, 1.0)
-    bins = np.unique(np.concatenate([i0[frac < 1], i0[frac > 0] + 1]))
-    # DFT twiddles from integer turns, so large bin x sample products stay exact
-    turns = ((bins[:, None] - v1.size // 2) * np.arange(v1.size)) % v1.size / v1.size
-    apod = apodization_weights(p.apodization, v1, abs(v1[0]) + 0.5 * dv[0])
-    E = np.exp(-2j * np.pi * turns) * (np.exp(-1j * tau[bins] * v1[0])[:, None] * apod * dv[0])
-    X = blocks.reshape(v1.size, -1)
-    k = (np.arange(sigma.size) - sigma.size // 2) % sigma.size  # DFT index of sigma
-    out = np.zeros((sigma.size, blocks.shape[2]), dtype=complex)
-    step = max(1, 2**15 // X.shape[1])  # bins per chunk: R and Y hold 1 MiB together
-    R = np.empty((2 * min(step, bins.size), X.shape[1]))
-    Y = np.empty((min(step, bins.size), X.shape[1]), dtype=complex)
-    for s in range(0, bins.size, step):
-        c = min(step, bins.size - s)
-        np.matmul(np.vstack([E.real[s:s + c], E.imag[s:s + c]]), X, out=R[:2 * c])  # X stays real
-        Y[:c].real, Y[:c].imag = R[:c], R[c:2 * c]
-        Z = Y[:c].reshape(c, sigma.size, -1)
-        np.fft.fft(Z, axis=1, out=Z)
-        for b, wt in ((np.searchsorted(bins, i0), 1 - frac), (np.searchsorted(bins, i0 + 1), frac)):
-            r = (wt > 0) & (b >= s) & (b < s + step)
-            out[r] += wt[r, None] * Z[b[r] - s, k[r]]
-    scale = np.exp(-1j * sigma * u1[0]) * du[0] * np.abs(sigma) / (2.0 * np.pi * ha)
-    return sigma, scale[:, None] * out
+    half = u1.size // 2  # the rfft's rows are sigma = 0, dsigma, ..., half dsigma
+    m, frac = np.divmod(p.a * dsigma * np.arange(half + 1) / dtau, 1.0)  # a sigma in tau steps
+    # e^{-i tau v1} at tau = m dtau from integer turns, so large m x sample products stay exact
+    turns = (m.astype(int) * np.arange(v1.size)[:, None]) % v1.size / v1.size
+    E = np.exp(-2j * np.pi * turns) * np.exp(-1j * m * dtau * v1[0])
+    apod = apodization_weights(p.apodization, v1, abs(v1[0]) + 0.5 * dv)
+    # order-1 interpolation to (m + frac) dtau; e^{-i tau v1} at (m + 1) dtau is E e^{-i dtau v1}
+    W = E * (1 - frac + frac * np.exp(-1j * dtau * v1)[:, None]) * (apod * dv)[:, None]
+    rows = np.zeros((half + 1, blocks.shape[2]), dtype=complex)
+    for row, wv in zip(blocks, W):  # the data are read once, one v1 row at a time
+        rows += wv[:, None] * np.fft.rfft(row, axis=0)
+    out = np.concatenate([rows[half:0:-1].conj(), rows[:u1.size - half]])
+    out *= (np.exp(-1j * sigma * u1[0]) * du * np.abs(sigma) / (2.0 * np.pi * ha))[:, None]
+    return sigma, out
 
 
 def _dc_even_extrapolate(vals, sigma):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,10 @@ def test_slice_rejects_its_malformed_inputs(invert_inputs, tmp_path, dataset, co
     ("slice", ["--slice-a", "nan"]),
     ("slice", ["--slice-a", "inf"]),
     ("mellin", ["--mellin-T", "0.01"]),
+    ("slice", ["--apodize", "kaiser:800"]),
+    ("slice", ["--apodize", "kaiser:nan"]),
+    ("slice", ["--apodize", "kaiser:inf"]),
+    ("slice", ["--apodize", "kaiser:-1"]),
 ])
 def test_bad_invert_arguments_exit_1(invert_inputs, tmp_path, method, argv):
     out = tmp_path / "r"
@@ -765,14 +770,22 @@ def test_mutated_meta_property(meta_inputs, case, data):
         assert bool(rc) != os.path.exists(out)
 
 
-def _fresh_modules(code, cwd=None):
-    """The sorted names in sys.modules after ``code`` ran in a fresh interpreter
-    that imports wrtkit from this checkout; ``code`` ends by printing them."""
+def _fresh(args, cwd=None):
+    """The completed run of ``python args`` in a fresh interpreter that imports
+    wrtkit from this checkout."""
     src = str(pathlib.Path(wrtkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
-                          text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True)
+
+
+def _fresh_modules(code, cwd=None):
+    """The sorted names in sys.modules after ``code`` ran in a fresh interpreter;
+    ``code`` ends by printing them."""
+    run = _fresh(["-c", code], cwd)
+    run.check_returncode()
+    return run.stdout.split()
 
 
 def test_import_loads_no_scipy():
@@ -805,6 +818,31 @@ def test_mellin_pipeline_loads_no_scipy(tmp_path):
     loaded = _fresh_modules(code, cwd=tmp_path)
     assert "wrtkit.invert_mellin" in loaded and (tmp_path / "rec").exists()
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+_CAPPED_FORWARD = ["forward", "--window", "gaussian:1e8", "--shape", "8", "--extent", "4",
+                   "--ndirs", "4", "--nr", "1"]
+
+
+def test_cli_warning_is_one_stderr_line(tmp_path):
+    # the capped-refinement warning of a sigma = 1e8 window; in a fresh process,
+    # since pytest records warnings rather than letting them reach stderr
+    run = _fresh(["-m", "wrtkit.cli", *_CAPPED_FORWARD, "--phantom", _phantom_file(tmp_path),
+                  "--out", str(tmp_path / "d")])
+    assert run.returncode == 0, run.stderr
+    err = run.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and "max_panels" in err[0]
+
+
+def test_cli_warnings_stay_recordable(tmp_path):
+    # an in-process caller that records warnings (the benchmark counts them) still
+    # gets each one, and main leaves the warning format as it found it
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning, match="max_panels"):
+        rc, err = _run([*_CAPPED_FORWARD, "--phantom", _phantom_file(tmp_path),
+                        "--out", str(tmp_path / "d")])
+    assert rc == 0 and err == []
+    assert warnings.formatwarning is formatwarning
 
 
 def test_selftest_inject_fault(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ def test_kaiser_weights_match_scipy_i0(beta):
     want = special.i0(beta * np.sqrt(x)) / special.i0(beta)
     got = apodization_weights(f"kaiser:{beta}", v1, 2.0)
     assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", ["800", "713.5", "nan", "inf", "-inf", "-1"])
+def test_kaiser_beta_outside_0_700_rejected(beta):
+    # i0(beta) overflows above about 713, and inf / inf left NaN weights
+    with pytest.raises(ValidationError, match=r"\[0, 700\]"):
+        SliceParams(apodization=f"kaiser:{beta}")
+    with pytest.raises(ValidationError, match=r"\[0, 700\]"):
+        apodization_weights(f"kaiser:{beta}", symmetric_offset_grid(2.0, 0.25), 2.0)
 
 
 def test_params_validation():
@@ -303,6 +313,23 @@ def test_restricted_extraction_matches_the_per_block_reference(a, apodization, n
     sigma, want = _reference_extract(u1, v1, vals, w, a, apodization)
     assert np.array_equal(got.sigma, sigma)
     assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_slice_extract_memory_stays_far_below_the_data(a):
+    # the benchmark's slice geometry, 400 u1 x 32 u2 x 96 v1: its real data are
+    # 9.8 MB, and an rfft of them all along u1 would hold 9.9 MB; one v1 row's is 0.1 MB
+    u1, v1 = 0.5 * np.arange(-200, 200), symmetric_offset_grid(16.0, 1.0 / 3.0)
+    rows = np.random.default_rng(5).standard_normal((v1.size, u1.size * 32))
+    data = WRTData(Grid((u1.size, 32), (u1[0], -8.0), (0.5, 0.5)), v1_line_vset(v1, [0.0]),
+                   gaussian_window(2.0), rows.T)  # v-major already: not copied
+    tracemalloc.start()
+    try:
+        slice_extract(data, SliceParams(a=a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
