@@ -33,6 +33,7 @@ from .forward import (
     WRTData,
     analytic_wrt_data,
     analytic_wrt_gaussian,
+    analytic_wrt_perp,
     fourier_identity_residual,
     full_grid_vset,
     polar_vset,

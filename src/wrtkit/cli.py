@@ -37,6 +37,7 @@ from .forward import (
     PolarWRT,
     analytic_wrt_data,
     analytic_wrt_gaussian,
+    analytic_wrt_perp,
     polar_vset,
     uniform_circle,
     v1_line_vset,
@@ -158,38 +159,36 @@ def cmd_forward(args):
     src = _forward_source(args)
     w = parse_window(args.window)
     quad = QuadratureParams(panels=args.quad_panels)
+    # --oracle: the closed form first, so a source or window it does not cover writes nothing
     if args.vmode == "perp":
-        if args.oracle:
-            raise ValidationError("--oracle has no closed form for perp data")
         if not 0 < args.rho_min < args.rho_max < np.inf:
             raise ValidationError("perp radii need 0 < --rho-min < --rho-max < inf")
         if args.nrho < 2 or args.ntheta < 1:
             raise ValidationError("perp data needs --nrho >= 2 and --ntheta >= 1")
         rho = np.geomspace(args.rho_min, args.rho_max, args.nrho)
         theta = 2.0 * np.pi * np.arange(args.ntheta) / args.ntheta
+        want = analytic_wrt_perp(src, w, rho, theta).values if args.oracle else None
         data = wrt_polar_perp(src, w, rho, theta, quad)
-        _write(wio.write_wrt1, args.out, data)
-        _report(args, {"out": args.out, "shape": list(data.values.shape)},
-                [f"wrote {args.out}: perp data {data.values.shape}"])
-        return EXIT_OK
-    grid = _out_grid(args, 2)
-    if args.vmode == "polar":
-        if not 0 < args.rmin <= args.rmax < np.inf:
-            raise ValidationError("polar radii need 0 < --rmin <= --rmax < inf")
-        if args.ndirs < 1 or args.nr < 1:
-            raise ValidationError("polar vset needs --ndirs >= 1 and --nr >= 1")
-        dirs, _ = uniform_circle(args.ndirs, jitter=args.jitter, seed=args.seed)
-        vset = polar_vset(dirs, np.geomspace(args.rmin, args.rmax, args.nr))
-    else:  # v1-line
-        if args.nv1 < 2 or args.nv1 % 2:
-            raise ValidationError("--nv1 must be even and at least 2")
-        v1 = symmetric_offset_grid(args.v1max, 2.0 * args.v1max / args.nv1)
-        vset = v1_line_vset(v1, [args.vprime])
-    # the closed form first: a source or window it does not cover writes nothing
-    want = analytic_wrt_data(src, w, grid, vset).values if args.oracle else None
-    data = windowed_ray_transform(src, w, grid, vset, quad)
+        what = f"perp data {data.values.shape}"
+    else:
+        grid = _out_grid(args, 2)
+        if args.vmode == "polar":
+            if not 0 < args.rmin <= args.rmax < np.inf:
+                raise ValidationError("polar radii need 0 < --rmin <= --rmax < inf")
+            if args.ndirs < 1 or args.nr < 1:
+                raise ValidationError("polar vset needs --ndirs >= 1 and --nr >= 1")
+            dirs, _ = uniform_circle(args.ndirs, jitter=args.jitter, seed=args.seed)
+            vset = polar_vset(dirs, np.geomspace(args.rmin, args.rmax, args.nr))
+        else:  # v1-line
+            if args.nv1 < 2 or args.nv1 % 2:
+                raise ValidationError("--nv1 must be even and at least 2")
+            v1 = symmetric_offset_grid(args.v1max, 2.0 * args.v1max / args.nv1)
+            vset = v1_line_vset(v1, [args.vprime])
+        want = analytic_wrt_data(src, w, grid, vset).values if args.oracle else None
+        data = windowed_ray_transform(src, w, grid, vset, quad)
+        what = f"{data.values.shape[0]}x{data.values.shape[1]} values"
     _write(wio.write_wrt1, args.out, data)
-    lines = [f"wrote {args.out}: {data.values.shape[0]}x{data.values.shape[1]} values"]
+    lines = [f"wrote {args.out}: {what}"]
     payload = {"out": args.out, "shape": list(data.values.shape)}
     if args.oracle:
         dev = float(np.max(np.abs(data.values - want)))

@@ -48,6 +48,7 @@ __all__ = [
     "wrt_columns",
     "analytic_wrt_gaussian",
     "analytic_wrt_data",
+    "analytic_wrt_perp",
     "wrt_polar_perp",
     "fourier_identity_residual",
 ]
@@ -526,10 +527,8 @@ def _warn_unresolved_pole(w, norms, rays_each, stacklevel):
 
 def _columns(src, w, U, vectors, quad):
     """wrt_columns on a checked source: column j holds the rays (U[m], vectors[j])."""
-    norms = np.linalg.norm(vectors, axis=1)
-    _warn_unresolved_pole(w, norms, U.shape[0], 4)
     UT, VT = U.T.copy(), vectors.T.copy()  # column-major rays: (rays, n) math ran 4-8x faster
-    return _ray_columns(src, w, quad, norms, U.shape[0],
+    return _ray_columns(src, w, quad, np.linalg.norm(vectors, axis=1), U.shape[0],
                         lambda c, m: (np.take(UT, m, axis=1).T, np.take(VT, c, axis=1).T), 4).T
 
 
@@ -542,7 +541,8 @@ def _ray_columns(src, w, quad, norms, M, rays, stacklevel):
     is reduced by itself, so no value depends on the worker count or the run
     size.  The key pass and the runs go on pool threads, so they call no
     name perfbench's layer tracer wraps.  ``stacklevel`` (seen from here)
-    is the caller a capped refinement warns at."""
+    is the caller an unresolved pole or a capped refinement warns at."""
+    _warn_unresolved_pole(w, norms, M, stacklevel + 1)
     rules = _node_rules(w, quad, norms, src.feature, stacklevel + 1)
     out = np.zeros((len(norms), M), dtype=float if w.is_real else complex)
 
@@ -766,15 +766,25 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:
         raise ValidationError("perpendicular polar transform is n=2 only")
     _warn_cut_field(f, w)
-    _warn_unresolved_pole(w, rho, theta.size, 3)
+    return PolarWRT(rho, theta, w,
+                    _ray_columns(src, w, quad, rho, theta.size, _perp_rays(rho, theta), 3))
+
+
+def _perp_rays(rho, theta):
+    """rays(c, m), the paired rays (U, V) of rho indices c and theta indices m,
+    (len(c), 2) each: u = rho e(theta), v = rho e(theta)^perp."""
     e = np.stack([np.cos(theta), np.sin(theta)])
     perp = np.stack([-e[1], e[0]])
+    return lambda c, m: ((np.take(e, m, axis=1) * np.take(rho, c)).T,
+                         (np.take(perp, m, axis=1) * np.take(rho, c)).T)
 
-    def rays(c, m):  # u = rho e(theta), v = rho e(theta)^perp, column-major as in _columns
-        r = np.take(rho, c)
-        return (np.take(e, m, axis=1) * r).T, (np.take(perp, m, axis=1) * r).T
 
-    return PolarWRT(rho, theta, w, _ray_columns(src, w, quad, rho, theta.size, rays, 3))
+def analytic_wrt_perp(f, w, rho, theta):
+    """PolarWRT filled from :func:`analytic_wrt_gaussian` on the rays of
+    :func:`wrt_polar_perp`, with the same restrictions and grid checks."""
+    rho, theta = _perp_axes(rho, theta)
+    rays = _perp_rays(rho, theta)(*np.divmod(np.arange(rho.size * theta.size), theta.size))
+    return PolarWRT(rho, theta, w, analytic_wrt_gaussian(f, w, *rays).reshape(rho.size, -1))
 
 
 def fourier_identity_residual(data, f_spec, band=None):

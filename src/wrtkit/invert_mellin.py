@@ -23,10 +23,9 @@ integral at abscissa t > 1:
     f_l(r) = (1 / 2 pi i) int_{t - iT}^{t + iT} r^{-s} Mg_l(s) / MH_l(s) ds
 
 realized with Tikhonov-regularized division (the kernel spectrum
-oscillates and decays along the line).  Odd windows are rejected: for
-them H_0 = 0 identically, so the circular mean of f cannot be
-recovered.  The full reconstruction additionally insists on a compactly
-supported window, matching the identity's hypotheses exactly.
+oscillates and decays along the line).  The full reconstruction takes
+any real window that is not odd: for an odd one H_0 = 0 identically, so
+the circular mean of f cannot be recovered (H_l for l != 0 is not 0).
 """
 
 from __future__ import annotations
@@ -142,19 +141,8 @@ def circular_decompose(g, L):
     return HarmonicSeries(ls, g.rho, coefs)
 
 
-def _check_not_odd(w):
-    if not w.is_real:
-        raise HypothesisError("harmonic kernel needs a real window")
-    if w.parity == "odd":
-        raise HypothesisError(
-            "window hypothesis violated: h is odd, so the harmonic kernel H_0 "
-            "is identically zero and the circular mean of f cannot be recovered"
-        )
-
-
 def kernel_H(w, l, r_grid):
-    """Pointwise H_l(r) on r_grid as a complex array (0 for r >= 1)."""
-    _check_not_odd(w)
+    """Pointwise H_l(r), any window, on positive r_grid as a complex array (0 for r >= 1)."""
     r = np.asarray(r_grid, dtype=float)
     if np.any(r <= 0):
         raise ValidationError("kernel radii must be positive")
@@ -232,12 +220,12 @@ def mellin_kernel_line(w, l, t, y_grid):
     MH_l(s) = int_0^{pi/2} [h(tan psi) e^{+i l psi} + h(-tan psi) e^{-i l psi}]
               cos^{s-2}(psi) d psi;
     the substitution removes the 1/sqrt(1 - r^2) endpoint singularity, and
-    for compactly supported h the integrand vanishes beyond
-    psi = arctan(support radius).  The real factor cos^{t-2}(psi) goes with
-    the node weights; the sum with cos^{iy}(psi) = e^{i y ln cos psi} runs
-    one block of y at a time (_exp_product).  t must be finite.
+    the rule stops at psi = arctan(support radius), beyond which |h| <
+    1e-15 (:func:`~wrtkit.windows.window_support_radius`, which rejects a
+    complex window: HypothesisError).  The real factor cos^{t-2}(psi) goes
+    with the node weights; the sum with cos^{iy}(psi) = e^{i y ln cos psi}
+    runs one block of y at a time (_exp_product).  t must be finite.
     """
-    _check_not_odd(w)
     y = np.asarray(y_grid, dtype=float)
     if not np.isfinite(t):
         raise ValidationError("Mellin abscissa t must be finite")
@@ -295,26 +283,29 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
             "kernel spectrum too small; inversion ill-posed on this band"
         )
     lam = lam if lam is not None else (1e-6 * hmax) ** 2
-    Q = Mg.values * np.conj(MH.values) / (absH**2 + lam)
-    wy = trapezoid_weights(Mg.y)
-    return r ** (-t) * _exp_product(wy * Q, Mg.y, -np.log(r), over_y=True) / (2.0 * np.pi)
+    # Q w_y built in place: one complex and one real (K, Ny) array
+    absH *= absH
+    absH += lam
+    Q = np.conj(MH.values)
+    Q *= Mg.values
+    Q /= absH
+    Q *= trapezoid_weights(Mg.y)
+    return r ** (-t) * _exp_product(Q, Mg.y, -np.log(r), over_y=True) / (2.0 * np.pi)
 
 
 def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
     """Truncated harmonic series reconstruction on a Cartesian grid.
 
-    Needs PolarWRT data (checked first) and a compactly supported, not-odd
-    window (the smooth bump); use the backprojection or spectral routes else.
+    Needs PolarWRT data (checked first) and a real window that is not odd
+    (HypothesisError): for an odd window H_0 = 0, so the circular mean of f
+    is lost.
     """
     if not isinstance(g, PolarWRT):
         raise ValidationError("harmonic-series inversion consumes perp (PolarWRT) data")
-    if w.parity == "odd":
-        _check_not_odd(w)
-    if not (w.is_real and w.is_compactly_supported):
+    if not w.is_real or w.parity == "odd":
         raise HypothesisError(
-            "harmonic-series inversion requires a compactly supported, "
-            "not-odd window; use the backprojection or spectral inversions "
-            "for non-compact windows"
+            "harmonic-series inversion needs a real window that is not odd: for an odd h "
+            "the harmonic kernel H_0 is identically zero and the circular mean of f is lost"
         )
     if grid.n != 2:
         raise ValidationError("harmonic-series inversion is n = 2 only")

@@ -61,10 +61,6 @@ class WindowSpec:
         return self.kind != "analytic-signal"
 
     @property
-    def is_compactly_supported(self):
-        return self.kind == "bump"
-
-    @property
     def parity(self):
         """'even', 'odd' or 'none'."""
         if self.kind in ("gaussian", "bump"):

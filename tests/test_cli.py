@@ -119,15 +119,36 @@ def _perp_data(tmp_path, spec):
     return data
 
 
-def test_mellin_rejects_noncompact_window_exit_2(tmp_path, capsys):
-    spec = _phantom_file(tmp_path, sigma=0.3, center=(1.0, 0.0))
-    data = _perp_data(tmp_path, spec)
-    rc = main([
-        "invert", "--method", "mellin", "--in", data, "--window", "gaussian:1.0",
-        "--lmax", "2", "--shape", "16", "--extent", "4", "--out", str(tmp_path / "r"),
-    ])
-    assert rc == 2
-    assert "compactly supported" in capsys.readouterr().err
+def test_perp_oracle_then_mellin_with_a_noncompact_window(tmp_path, capsys):
+    # a gaussian phantom and a gaussian window: --oracle checks the perp forward
+    # against the closed form, and the Mellin route inverts data of a window
+    # without compact support
+    spec = _phantom_file(tmp_path, sigma=0.3, center=(0.8, 0.0))
+    data, rec, ref = (str(tmp_path / k) for k in ("perp", "rec", "ref"))
+    argv = ["forward", "--phantom", spec, "--window", "gaussian:1.0", "--vmode", "perp",
+            "--rho-min", "1e-6", "--rho-max", "4", "--nrho", "256", "--ntheta", "32",
+            "--quad-panels", "16", "--out", data]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {data}: perp data (256, 32)\n"
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"out": data, "shape": [256, 32]}
+    assert main(argv + ["--oracle", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["oracle_max_deviation", "out", "shape"]
+    assert payload["oracle_max_deviation"] <= 1e-12
+    grid = ["--shape", "32", "--extent", "4"]
+    assert main(["phantom", "--spec", spec, *grid, "--out", ref]) == 0
+    assert main(["invert", "--method", "mellin", "--in", data, "--lmax", "8", *grid,
+                 "--out", rec]) == 0
+    capsys.readouterr()
+    assert main(["compare", rec, ref, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rel_l2"] < 0.01
+    # a window without the closed form: --oracle fails before anything is written
+    out = tmp_path / "none"
+    for window in ("bump:2.0", "hermite1:1.0"):
+        assert main([*argv[:4], window, *argv[5:-1], str(out), "--oracle"]) == 1
+        assert _one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_mellin_rejects_odd_window_exit_2(tmp_path, capsys):
@@ -799,16 +820,21 @@ def test_import_loads_no_scipy():
 
 
 def test_mellin_pipeline_loads_no_scipy(tmp_path):
-    # phantom -> perp forward (bump window) -> Mellin inversion -> compare,
-    # each through the CLI's main in one fresh interpreter: no step calls scipy
+    # phantom -> perp forward (bump window; gaussian window with --oracle) ->
+    # Mellin inversion of each -> compare, each through the CLI's main in one
+    # fresh interpreter: no step calls scipy
     spec = _phantom_file(tmp_path, sigma=0.3, center=(0.8, 0.0))
     grid = ["--shape", "16", "--extent", "4"]
+    perp = ["--vmode", "perp", "--rho-min", "1e-6", "--rho-max", "4", "--nrho", "64",
+            "--ntheta", "16", "--quad-panels", "8"]
     argvs = [["phantom", "--spec", spec, *grid, "--out", "ref"],
-             ["forward", "--phantom", spec, "--window", "bump:2.0", "--vmode", "perp",
-              "--rho-min", "1e-6", "--rho-max", "4", "--nrho", "64", "--ntheta", "16",
-              "--quad-panels", "8", "--out", "perp"],
+             ["forward", "--phantom", spec, "--window", "bump:2.0", *perp, "--out", "perp"],
+             ["forward", "--phantom", spec, "--window", "gaussian:1.0", *perp, "--oracle",
+              "--out", "perpg"],
              ["invert", "--method", "mellin", "--in", "perp", "--lmax", "4", *grid,
               "--out", "rec"],
+             ["invert", "--method", "mellin", "--in", "perpg", "--lmax", "4", *grid,
+              "--out", "recg"],
              ["compare", "rec", "ref"]]
     code = ("import contextlib, io, sys, wrtkit.cli\n"
             f"for argv in {argvs!r}:\n"
@@ -816,7 +842,8 @@ def test_mellin_pipeline_loads_no_scipy(tmp_path):
             "        assert wrtkit.cli.main(argv) == 0, argv\n"
             "print(*sorted(sys.modules))")
     loaded = _fresh_modules(code, cwd=tmp_path)
-    assert "wrtkit.invert_mellin" in loaded and (tmp_path / "rec").exists()
+    assert "wrtkit.invert_mellin" in loaded
+    assert (tmp_path / "rec").exists() and (tmp_path / "recg").exists()
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
@@ -918,8 +945,8 @@ def test_forward_from_a_gf1_field(tmp_path, capsys):
                                   got.u_grid, got.vset, QuadratureParams(panels=4))
     assert np.array_equal(got.values, want.values)
     capsys.readouterr()
-    # a sampled field has no closed form, nor has perp data: --oracle fails
-    # before anything is written
+    # a sampled field has no closed form: --oracle fails before anything is
+    # written, in either vmode
     out = tmp_path / "oracle"
     for vmode in ("polar", "perp"):
         assert main(argv + ["--vmode", vmode, "--oracle", "--out", str(out)]) == 1

@@ -15,6 +15,7 @@ from wrtkit import (
     analytic_signal_window,
     analytic_wrt_data,
     analytic_wrt_gaussian,
+    analytic_wrt_perp,
     bump_window,
     fourier_identity_residual,
     full_grid_vset,
@@ -186,12 +187,15 @@ def test_wrt_polar_perp_matches_oracle():
     rho = np.geomspace(0.3, 2.0, 8)
     theta = 2.0 * np.pi * np.arange(4) / 4
     g = wrt_polar_perp(spec, w, rho, theta, QuadratureParams(panels=8))
+    closed = analytic_wrt_perp(spec, w, rho, theta)
+    assert np.array_equal(closed.rho, g.rho) and np.array_equal(closed.theta, g.theta)
     for i, r in enumerate(rho):
         for k, th in enumerate(theta):
             u = np.array([[r * np.cos(th), r * np.sin(th)]])
             v = np.array([[-r * np.sin(th), r * np.cos(th)]])
             want = float(np.squeeze(analytic_wrt_gaussian(spec, w, u, v)))
             assert g.values[i, k] == pytest.approx(want, abs=1e-10)
+            assert closed.values[i, k] == pytest.approx(want, rel=1e-14)
 
 
 def test_polar_wrt_validation():
@@ -602,9 +606,10 @@ def test_analytic_signal_warns_once_where_its_pole_is_not_resolved():
     with pytest.warns(UserWarning, match=r"^80 analytic-signal rays have \|v\| < 1e-2") as record:
         wrt_polar_perp(spec, w, rho, theta)
     assert len(record) == 1 and "99 % at 1e-6" in str(record[0].message)
+    assert record[0].filename == __file__  # reported at the caller's line
     with pytest.warns(UserWarning, match=r"^3 analytic-signal rays") as record:
         wrt_columns(spec, w, np.zeros((3, 2)), [[1e-3, 0.0], [0.0, 0.5]])
-    assert len(record) == 1
+    assert len(record) == 1 and record[0].filename == __file__
 
 
 @pytest.mark.parametrize("w, needed", [(gaussian_window(1e8), "2.86767e+08"),

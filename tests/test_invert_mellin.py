@@ -9,6 +9,8 @@ from wrtkit import (
     HypothesisError,
     NumericalError,
     ValidationError,
+    analytic_signal_window,
+    analytic_wrt_perp,
     bump_window,
     gaussian_mixture_phantom,
     gaussian_phantom,
@@ -35,7 +37,7 @@ from wrtkit.invert_mellin import (
     recover_fl,
     _exp_product,
 )
-from wrtkit.quad import QuadratureParams, gauss_legendre_panels
+from wrtkit.quad import QuadratureParams, gauss_legendre_panels, trapezoid_weights
 from wrtkit.windows import window_support_radius
 
 SIG, RHO0 = 0.23, 1.4
@@ -130,26 +132,35 @@ def test_kernel_even_window_is_chebyshev_real():
     assert np.allclose(outside, 0.0)
 
 
-def test_kernel_line_matches_direct_quadrature():
-    # MH_l(s) = int_0^1 x^{s-2} K_l(x) dx at s = t (real)
-    t = 1.8
-    for l in (0, 2):
-        line = mellin_kernel_line(WINDOW, l, t, np.array([-1.0, 0.0, 1.0]))
+@pytest.mark.parametrize("w, l", [(WINDOW, 0), (WINDOW, 2), (gaussian_window(1.0), 0),
+                                  (gaussian_window(1.0), 2), (hermite1_window(1.0), 1)],
+                         ids=["bump-0", "bump-2", "gaussian-0", "gaussian-2", "hermite1-1"])
+def test_kernel_line_matches_direct_quadrature(w, l):
+    # MH_l(s) = int_0^1 x^{s-2} K_l(x) dx at s = t (real); H_l is real for an
+    # even window and imaginary for an odd one
+    t, unit = 1.8, 1j if w.parity == "odd" else 1.0
+    got = mellin_kernel_line(w, l, t, np.array([-1.0, 0.0, 1.0])).values[1] / unit
 
-        def ig(x):
-            k = kernel_H(WINDOW, l, np.array([x]))[0]
-            return (x ** (t - 1.0) * k).real
+    def ig(x):
+        k = kernel_H(w, l, np.array([x]))[0] / unit
+        return (x ** (t - 1.0) * k).real
 
-        want, _ = integrate.quad(ig, 1e-9, 1.0 - 1e-12, limit=800)
-        assert line.values[1].real == pytest.approx(want, rel=1e-8)
-        assert abs(line.values[1].imag) < 1e-12 * abs(want)
+    want, _ = integrate.quad(ig, 1e-9, 1.0 - 1e-12, limit=800)
+    assert got.real == pytest.approx(want, rel=1e-8)
+    assert abs(got.imag) < 1e-12 * abs(want)
 
 
-def test_odd_window_rejected():
+def test_odd_window_rejected(perp_data):
+    # h odd: h(g) + h(-g) = 0 exactly, so H_0 = 0, while H_1 = 2i h(g) / r is not
+    w, r, y = hermite1_window(1.0), np.linspace(0.05, 0.95, 19), np.array([-1.0, 0.0, 1.0])
+    assert np.array_equal(kernel_H(w, 0, r), np.zeros(r.size))
+    assert np.all(np.abs(kernel_H(w, 1, r)) > 0)
+    line = mellin_kernel_line(w, [0, 1], 2.0, y).values
+    assert np.array_equal(line[0], np.zeros(3)) and np.all(np.abs(line[1]) > 0)
     with pytest.raises(HypothesisError, match="odd"):
-        kernel_H(hermite1_window(1.0), 0, np.array([0.5]))
-    with pytest.raises(HypothesisError):
-        mellin_kernel_line(hermite1_window(1.0), 0, 2.0, np.array([-1.0, 0.0, 1.0]))
+        reconstruct_mellin(perp_data, w, 4, make_grid(2, 16, 4.0))
+    with pytest.raises(HypothesisError, match="real window"):
+        mellin_kernel_line(analytic_signal_window(), 0, 2.0, y)
 
 
 def test_convolution_identity(perp_data):
@@ -213,12 +224,30 @@ def test_recover_fl_ill_posed_band():
         recover_fl(Mg, MH, 2.0, np.array([0.5, 1.0]))
 
 
-def test_reconstruct_requires_compact_not_odd_window(perp_data):
+def test_reconstruct_requires_a_real_not_odd_window(perp_data):
     grid = make_grid(2, 16, 4.0)
-    with pytest.raises(HypothesisError, match="compactly supported"):
-        reconstruct_mellin(perp_data, gaussian_window(1.0), 4, grid)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="real window"):
+        reconstruct_mellin(perp_data, analytic_signal_window(), 4, grid)
+    with pytest.raises(HypothesisError, match="odd"):
         reconstruct_mellin(perp_data, hermite1_window(1.0), 4, grid)
+    # a window without compact support is taken
+    assert np.all(np.isfinite(reconstruct_mellin(perp_data, gaussian_window(1.0), 4, grid).values))
+
+
+def test_reconstruct_closed_form_perp_data_with_gaussian_windows():
+    # closed-form perp data need a gaussian window, which has no compact
+    # support: Mellin reads the bump's error on them, and the bump's image
+    spec = gaussian_mixture_phantom([((0.6, -0.3), 0.35, 1.0), ((-0.5, 0.4), 0.45, 0.7)])
+    rho, theta = np.geomspace(1e-6, 8.0, 512), 2.0 * np.pi * np.arange(64) / 64
+    grid = make_grid(2, 64, 8.0)
+    ref = sample_phantom(spec, grid)
+    bump = wrt_polar_perp(spec, WINDOW, rho, theta, QuadratureParams(panels=16))
+    for L in (16, 24):
+        want = reconstruct_mellin(bump, WINDOW, L, grid).values
+        for w in (gaussian_window(1.0), gaussian_window(0.5)):
+            rec = reconstruct_mellin(analytic_wrt_perp(spec, w, rho, theta), w, L, grid)
+            assert rel_l2_error(rec, ref) <= 5e-4
+            assert np.linalg.norm(rec.values - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_reconstruct_two_bump(perp_data):
@@ -475,6 +504,27 @@ def test_reconstruct_mellin_memory_grows_with_the_output_only(perp_data, T, mib)
     finally:
         tracemalloc.stop()
     assert peak <= mib * 2**20
+
+
+def test_recover_fl_peak_stays_within_two_lines():
+    # Q = Mg conj(MH) / (|MH|^2 + lam) w_y built in place holds one complex and
+    # one real (K, Ny) array, 1.6 lines; built through whole temporaries, 2.65
+    y, K, r = MellinParams(T=819.2).y_grid(), 25, np.geomspace(1e-3, 8.0, 32)
+    rng = np.random.default_rng(5)
+    Mg, MH = (MellinLine(2.0, y, rng.normal(size=(K, y.size)) + 1j * rng.normal(size=(K, y.size)))
+              for _ in range(2))
+    tracemalloc.start()
+    try:
+        got = recover_fl(Mg, MH, 2.0, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * Mg.values.nbytes
+    # the same operations as the out-of-place quotient, so the same bits
+    absH = np.abs(MH.values)
+    Q = Mg.values * np.conj(MH.values) / (absH**2 + (1e-6 * absH.max(axis=-1, keepdims=True)) ** 2)
+    want = r ** -2.0 * _exp_product(trapezoid_weights(y) * Q, y, -np.log(r), over_y=True)
+    assert np.array_equal(got, want / (2.0 * np.pi))
 
 
 def _transform_direct(r, f, t, y):

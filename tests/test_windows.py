@@ -145,7 +145,6 @@ def test_parity_flags():
     assert bump_window(1.0).parity == "even"
     assert analytic_signal_window().parity == "none"
     assert not analytic_signal_window().is_real
-    assert bump_window(1.0).is_compactly_supported
 
 
 def test_spec_validation():
