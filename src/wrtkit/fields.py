@@ -37,12 +37,18 @@ __all__ = [
 ]
 
 
+# The range of window parameters (WindowSpec) and grid spacings (Grid): the routes
+# form at most their cube and divide by it, and here both stay normal doubles.
+_SCALE_RANGE = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform n-dimensional sampling lattice.
 
     ``origin`` is the physical coordinate of the first sample, coordinates
     along axis i are ``origin[i] + k * spacing[i]`` for k in range(shape[i]).
+    Spacings lie in [1e-100, 1e100] (_SCALE_RANGE), a frequency grid's too.
     """
 
     shape: tuple
@@ -54,8 +60,9 @@ class Grid:
             raise ValidationError("grid shape/origin/spacing lengths differ")
         if any(s < 2 for s in self.shape):
             raise ValidationError("grid needs at least 2 samples per axis")
-        if not all(0 < d < np.inf for d in self.spacing):
-            raise ValidationError("grid spacing must be finite and strictly positive")
+        lo, hi = _SCALE_RANGE
+        if not all(lo <= d <= hi for d in self.spacing):  # NaN fails too
+            raise ValidationError(f"grid spacing must be in [{lo:g}, {hi:g}]")
         if not all(-np.inf < o < np.inf for o in self.origin):
             raise ValidationError("grid origin must be finite")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
@@ -420,7 +427,8 @@ def _exp_i_blocks(y, a, rows):
 
 def _exp_i_outer(y, a):
     """exp(i y_k a_j), (Ny, Na) complex, whole: _exp_i_blocks' one block (the
-    t2 route's per-axis phases, the Mellin recovery's blocks of radii)."""
+    t2 route's per-axis phases, the Mellin recovery's blocks of radii, the
+    slice route's e^{-i a sigma v1} over its v1 line)."""
     return next(_exp_i_blocks(y, a, y.size))[1]
 
 

@@ -182,8 +182,9 @@ def mellin_transform(r_grid, samples, t, y_grid):
     samples (Nrho,) or (K, Nrho), finite, give values (Ny,) or (K, Ny) at a
     finite t.  In u = ln r the integral is int f(e^u) e^{t u} e^{i y u} du, a
     trapezoid rule on at least two radii, one block of y at a time
-    (_exp_product).  Each row's weighted integrand must have decayed at both
-    grid ends (compact support inside the grid counts).
+    (_exp_product).  The log step of r must resolve the band: step * max|y|
+    <= pi, as e^{i y u} aliases beyond.  Each row's weighted integrand must
+    have decayed at both grid ends (compact support inside the grid counts).
     """
     r = np.asarray(r_grid, dtype=float)
     f = np.asarray(samples)
@@ -201,6 +202,11 @@ def mellin_transform(r_grid, samples, t, y_grid):
     steps = np.diff(u)
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
         raise ValidationError("Mellin transform needs a log-uniform r grid")
+    du, T = (u[-1] - u[0]) / (u.size - 1), float(np.max(np.abs(y), initial=0.0))
+    if du * T > np.pi:  # e^{i y u} aliases on these samples
+        need = int(np.ceil((u[-1] - u[0]) * T / np.pi)) + 1
+        raise ValidationError(f"the r grid's log step {du:.3g} allows a Mellin band up to "
+                              f"T = {np.pi / du:.4g}; T = {T:g} needs at least {need} radii")
     g = f * np.exp(t * u)
     mag = np.abs(np.atleast_2d(g))
     gmax, ends = mag.max(axis=1), np.maximum(mag[:, 0], mag[:, -1])

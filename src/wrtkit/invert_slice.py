@@ -8,7 +8,9 @@ where fhat1 is the FT of f in x1 only and P_hat the 2-D FT of the data
 in (u1, v1).  The v1 integral lives on a finite window [-V, V] with
 apodization, which smears the delta(t - a) of the exact identity into a
 kernel of width ~ pi / (V |sigma|); accuracy therefore improves with V.
-The taper is ``SliceParams.apodization``.
+The taper is ``SliceParams.apodization``.  P_hat is read at tau = a sigma
+exactly: an FFT along u1, then a sum over v1 against e^{-i a sigma v1},
+which the v1 samples resolve only for |a sigma| dv1 < pi.
 
 Full mode varies u2 with v2 = 0 (zeta = u2 covers all transverse
 coordinates); restricted mode keeps u on the x1-axis and varies v2
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, ValidationError
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, _exp_i_outer
 from .forward import WRTData, v1_line_vset, windowed_ray_transform, wrt_columns
 from .quad import QuadratureParams, trapezoid_weights
 from .windows import window_eval
@@ -97,19 +99,19 @@ def _uniform_step(name, x, at_least):
     return x[1] - x[0]
 
 
-def make_slice_dataset(f, w, u1, u2, v1, vprime=0.0,
-                       quad=QuadratureParams(panels=8, max_panels=None)):
+def make_slice_dataset(f, w, u1, u2, v1, vprime=0.0, quad=QuadratureParams()):
     """Forward-simulate a full-mode dataset: WRTData on the (u1, u2) grid
-    with the v1-line vset (v1, vprime); u1 and u2 must be uniform."""
+    with the v1-line vset (v1, vprime) under the rule ``quad`` (the
+    library's default refining rule unless given); u1 and u2 must be uniform."""
     u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
     steps = (_uniform_step("u1", u1, 2), _uniform_step("u2", u2, 2))
     grid = Grid((u1.size, u2.size), (u1[0], u2[0]), steps)
     return windowed_ray_transform(f, w, grid, v1_line_vset(v1, [vprime]), quad)
 
 
-def make_restricted_dataset(f, w, u1, v1, vprimes,
-                            quad=QuadratureParams(panels=8, max_panels=None)):
-    """Dataset with u restricted to the x1-axis; values (N1, Nv1, Nv')."""
+def make_restricted_dataset(f, w, u1, v1, vprimes, quad=QuadratureParams()):
+    """Dataset with u restricted to the x1-axis under the rule ``quad`` (the
+    library's default unless given); values (N1, Nv1, Nv')."""
     u1, v1, vprimes = (np.asarray(a, dtype=float) for a in (u1, v1, vprimes))
     U = np.stack([u1, np.zeros_like(u1)], axis=1)
     vectors = np.stack(np.broadcast_arrays(v1[:, None], vprimes[None, :]), axis=-1)
@@ -119,10 +121,10 @@ def make_restricted_dataset(f, w, u1, v1, vprimes,
 
 def _extract(u1, v1, blocks, w, p):
     """sigma and |sigma| P_hat(sigma, a sigma) / (2 pi h(a)) per block blocks[:, :, j] on
-    v1 x u1, P_hat the continuous FT in (u1, v1) of the apodized block, linear in tau between
-    the whole tau steps around a sigma: each v1 row's real FFT along u1 is added into the
-    sigma >= 0 rows, sigma < 0 by conjugate symmetry.  Needs uniform u1 (>= 5 samples), v1
-    uniform and symmetric about 0 (so it spans (-V, V)), and a sigma inside the tau band."""
+    v1 x u1, P_hat the continuous FT in (u1, v1) of the apodized block, read at tau = a sigma
+    from one table e^{-i a sigma v1} (fields._exp_i_outer): each v1 row's real FFT along u1 is
+    added into the sigma >= 0 rows, sigma < 0 by conjugate symmetry.  Needs uniform u1 (>= 5
+    samples), v1 uniform and symmetric about 0 (so it spans (-V, V)), and |a sigma| dv1 < pi."""
     du = _uniform_step("u1", u1, 5)
     if not w.is_real or np.iscomplexobj(blocks):  # complex data come from a complex window
         raise HypothesisError("inversion requires a real window and real data")
@@ -134,20 +136,15 @@ def _extract(u1, v1, blocks, w, p):
         raise ValidationError("v1 grid must be symmetric about 0")
     if not np.all(np.isfinite([blocks.min(), blocks.max()])):  # NaN propagates; no temporary
         raise ValidationError("slice data contain non-finite values")
-    fgrid = Grid((u1.size, v1.size), (u1[0], v1[0]), (du, dv)).frequency_grid()
-    sigma, tau = fgrid.axis_coords(0), fgrid.axis_coords(1)
-    dsigma, dtau = fgrid.spacing
-    pos = (p.a * sigma - tau[0]) / dtau  # tau index of a sigma
-    if pos.min() < -1e-9 or pos.max() > tau.size - 1 + 1e-9:
-        raise ValidationError("a * sigma leaves the v1 Nyquist band; refine v1")
+    fgrid = Grid((u1.size,), (u1[0],), (du,)).frequency_grid()
+    sigma = fgrid.axis_coords(0)
     half = u1.size // 2  # the rfft's rows are sigma = 0, dsigma, ..., half dsigma
-    m, frac = np.divmod(p.a * dsigma * np.arange(half + 1) / dtau, 1.0)  # a sigma in tau steps
-    # e^{-i tau v1} at tau = m dtau from integer turns, so large m x sample products stay exact
-    turns = (m.astype(int) * np.arange(v1.size)[:, None]) % v1.size / v1.size
-    E = np.exp(-2j * np.pi * turns) * np.exp(-1j * m * dtau * v1[0])
-    apod = apodization_weights(p.apodization, v1, abs(v1[0]) + 0.5 * dv)
-    # order-1 interpolation to (m + frac) dtau; e^{-i tau v1} at (m + 1) dtau is E e^{-i dtau v1}
-    W = E * (1 - frac + frac * np.exp(-1j * dtau * v1)[:, None]) * (apod * dv)[:, None]
+    rfft_sigma = fgrid.spacing[0] * np.arange(half + 1)
+    # strict: at |a sigma| = pi / dv1 the v1 samples alias +pi / dv1 with -pi / dv1
+    if abs(p.a) * rfft_sigma[-1] * dv >= np.pi:
+        raise ValidationError("a * sigma leaves the v1 Nyquist band; refine v1")
+    W = _exp_i_outer(v1, -p.a * rfft_sigma)
+    W *= (apodization_weights(p.apodization, v1, abs(v1[0]) + 0.5 * dv) * dv)[:, None]
     rows = np.zeros((half + 1, blocks.shape[2]), dtype=complex)
     for row, wv in zip(blocks, W):  # the data are read once, one v1 row at a time
         rows += wv[:, None] * np.fft.rfft(row, axis=0)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, ValidationError
+from .fields import _SCALE_RANGE
 from .quad import _exp_flushed, gauss_legendre_panels
 
 __all__ = [
@@ -51,10 +52,10 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown window kind {self.kind!r}")
-        if self.kind in ("gaussian", "hermite1") and not 0 < (self.sigma or 0) < np.inf:
-            raise ValidationError(f"{self.kind} window needs a finite sigma > 0")
-        if self.kind == "bump" and not 0 < (self.radius or 0) < np.inf:
-            raise ValidationError("bump window needs a finite radius > 0")
+        lo, hi = _SCALE_RANGE
+        name, value = ("radius", self.radius) if self.kind == "bump" else ("sigma", self.sigma)
+        if self.kind != "analytic-signal" and not lo <= (value or 0) <= hi:
+            raise ValidationError(f"{self.kind} window needs a {name} in [{lo:g}, {hi:g}]")
 
     @property
     def is_real(self):
@@ -168,15 +169,10 @@ def window_support_radius(w, tol=1e-14):
     |t| exp(-t^2 / 2 sigma^2) peaks at |t| = sigma, and beyond it y = (T/sigma)^2
     is the root y > 1 of y - ln y = c, c = 2 ln(sigma/tol), that is
     y = -W_{-1}(-exp(-c)).  There is no root when sigma <= tol sqrt(e)
-    (c <= 1), where |h| < tol everywhere: ValidationError, as when T
-    overflows (hermite1 sigma above about 4.7e306, gaussian sigma above
-    about 2.2e307 at tol = 1e-14).
+    (c <= 1), where |h| < tol everywhere: ValidationError.
     """
     if w.kind == "gaussian":
-        T = float(w.sigma) * float(np.sqrt(2.0 * np.log(1.0 / tol)))  # inf, unwarned, on overflow
-        if T == math.inf:
-            raise ValidationError(f"gaussian window of sigma {w.sigma:g} has no finite support radius")
-        return T
+        return float(w.sigma) * float(np.sqrt(2.0 * np.log(1.0 / tol)))
     if w.kind == "bump":
         return w.radius
     if w.kind != "hermite1":
@@ -194,10 +190,7 @@ def window_support_radius(w, tol=1e-14):
         y = c
         for _ in range(5):
             y = c + math.log(y)
-    T = w.sigma * math.sqrt(y)
-    if T == math.inf:
-        raise ValidationError(f"hermite1 window of sigma {w.sigma:g} has no finite support radius")
-    return T
+    return w.sigma * math.sqrt(y)
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,7 @@ def _slice_dataset(V):
     u2 = make_grid(1, 64, 16.0).axis_coords(0)
     v1 = symmetric_offset_grid(V, min(V / 24.0, 1.0 / 3.0))
     w = gaussian_window(2.0)
-    return make_slice_dataset(
-        gaussian_phantom((0.3, -0.2), 0.8), w, u1, u2, v1,
-        quad=QuadratureParams(panels=8, max_panels=None),
-    )
+    return make_slice_dataset(gaussian_phantom((0.3, -0.2), 0.8), w, u1, u2, v1)
 
 
 def _slice_fhat1(sigma, x2):

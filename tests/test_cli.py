@@ -548,7 +548,7 @@ def invert_inputs(tmp_path_factory):
     wio.write_wrt1(paths["slice-short"], windowed_ray_transform(
         spec, w, make_grid(2, (4, 8), 8.0), vline, QuadratureParams(panels=4)))
     wio.write_wrt1(paths["mellin"], wrt_polar_perp(
-        spec, WindowSpec("bump", radius=2.0), np.geomspace(1e-8, 4.0, 64),
+        spec, WindowSpec("bump", radius=2.0), np.geomspace(1e-8, 4.0, 256),
         2.0 * np.pi * np.arange(8) / 8, QuadratureParams(panels=4)))
     paths["t2"] = paths["t1"]
     return paths
@@ -604,6 +604,46 @@ def test_bad_invert_arguments_exit_1(invert_inputs, tmp_path, method, argv):
     rc, err = _run_invert(invert_inputs, method, argv, str(out))
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["t1", "t2"])
+@pytest.mark.parametrize("window", ["hermite1:1e200", "hermite1:1e-320", "gaussian:1e-320"])
+def test_window_parameter_outside_the_range_exit_1(invert_inputs, tmp_path, method, window):
+    # sigma outside [1e-100, 1e100]: hermite1:1e200 overflowed in sigma^3,
+    # hermite1:1e-320 divided by 0 (t1) or exited 0 (t2), and gaussian:1e-320
+    # blamed non-finite field values
+    out = tmp_path / "r"
+    rc, err = _run_invert(invert_inputs, method, ["--window", window], str(out))
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "window needs a sigma in [1e-100, 1e+100]" in err[0]
+    assert not out.exists()
+
+
+def test_u_grid_spacing_outside_the_range_exit_1(invert_inputs, tmp_path):
+    # a spacing of 1e-320 made t1's frequency axis inf x 0
+    data, out = tmp_path / "d", tmp_path / "r"
+    shutil.copytree(invert_inputs["t1"], data)
+    _edit_meta(data, lambda m: m["u_grid"].update(spacing=[1e-320, 1.0]))
+    rc, err = _run_invert({"t1": str(data)}, "t1", [], str(out))
+    assert rc == 1
+    assert len(err) == 1 and err[0] == "error: grid spacing must be in [1e-100, 1e+100]"
+    assert not out.exists()
+
+
+def test_mellin_on_a_coarse_rho_grid_exit_1(tmp_path):
+    # 128 radii on [1e-6, 4] take log steps of 0.12 > pi / 40, so e^{i y ln rho}
+    # aliases on the default band: the inversion read rel-L2 6.93 and exited 0
+    spec = _phantom_file(tmp_path)
+    data, out = str(tmp_path / "perp"), tmp_path / "rec"
+    rc, _ = _run(["forward", "--phantom", spec, "--window", "gaussian:1.0", "--vmode", "perp",
+                  "--rho-min", "1e-6", "--rho-max", "4", "--nrho", "128", "--out", data])
+    assert rc == 0
+    rc, err = _run(["invert", "--method", "mellin", "--in", data, "--lmax", "8",
+                    "--out", str(out)])
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: ")
+    assert "Mellin band up to T = 26.25; T = 40 needs at least 195 radii" in err[0]
     assert not out.exists()
 
 
@@ -825,7 +865,7 @@ def test_mellin_pipeline_loads_no_scipy(tmp_path):
     # fresh interpreter: no step calls scipy
     spec = _phantom_file(tmp_path, sigma=0.3, center=(0.8, 0.0))
     grid = ["--shape", "16", "--extent", "4"]
-    perp = ["--vmode", "perp", "--rho-min", "1e-6", "--rho-max", "4", "--nrho", "64",
+    perp = ["--vmode", "perp", "--rho-min", "1e-6", "--rho-max", "4", "--nrho", "256",
             "--ntheta", "16", "--quad-panels", "8"]
     argvs = [["phantom", "--spec", spec, *grid, "--out", "ref"],
              ["forward", "--phantom", spec, "--window", "bump:2.0", *perp, "--out", "perp"],

@@ -61,14 +61,17 @@ def _f_l(l, r):
     return out
 
 
-@pytest.fixture(scope="module")
-def perp_data():
-    rho = np.geomspace(1e-10, 4.0, 1024)
+def _perp_data(nrho):
+    rho = np.geomspace(1e-10, 4.0, nrho)
     theta = 2.0 * np.pi * np.arange(64) / 64
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g = wrt_polar_perp(_two_bump(), WINDOW, rho, theta, QuadratureParams(panels=16))
-    return g
+        return wrt_polar_perp(_two_bump(), WINDOW, rho, theta, QuadratureParams(panels=16))
+
+
+@pytest.fixture(scope="module")
+def perp_data():
+    return _perp_data(1024)
 
 
 def test_circular_decompose_exact_harmonics():
@@ -495,11 +498,14 @@ def test_exp_tables_reject_a_non_uniform_line_before_allocating(monkeypatch):
 
 @pytest.mark.parametrize("T, mib", [(40.0, 10), (200.0, 25)])
 def test_reconstruct_mellin_memory_grows_with_the_output_only(perp_data, T, mib):
-    # a whole (Ny x Nrho) table would be 25 MiB at T = 40 and 125 MiB at T = 200
+    # T = 200 needs a log-rho step <= pi / 200 on [1e-10, 4], 1,556 radii at
+    # least: it reads 2,048.  A whole (Ny x Nrho) table would be 25 MiB at
+    # T = 40 and 250 MiB at T = 200.
+    data = perp_data if T == 40.0 else _perp_data(2048)
     grid = make_grid(2, 48, 4.4)
     tracemalloc.start()
     try:
-        reconstruct_mellin(perp_data, WINDOW, 24, grid, MellinParams(T=T))
+        reconstruct_mellin(data, WINDOW, 24, grid, MellinParams(T=T))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

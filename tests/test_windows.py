@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from wrtkit import (
+    Grid,
     HypothesisError,
     ValidationError,
     analytic_signal_window,
@@ -98,32 +99,33 @@ def test_hermite1_support_radius_is_the_outer_root(tol):
         assert np.all(np.abs(window_eval(hermite1_window(s), t)) < tol)
 
 
-@pytest.mark.parametrize("sigma", [1e-320, 1e-15, 1e200, 1e300, 1e308])
-@pytest.mark.parametrize("tol", [1e-14, 1e-15])
+@pytest.mark.parametrize("sigma", [1e-320, 1e-15, 1e-100, 1e100, 1e200, 1e300, 1e308])
+@pytest.mark.parametrize("tol", [1e-14, 1e-15, 1e-300])
 def test_hermite1_support_radius_at_extreme_sigma(sigma, tol):
-    # a finite T >= 0, or ValidationError where |h| < tol everywhere (sigma
-    # <= tol sqrt(e)) or T overflows; no other exception
+    # a finite T >= 0, or ValidationError where sigma is outside [1e-100,
+    # 1e100] or |h| < tol everywhere (sigma <= tol sqrt(e)); no other
+    # exception.  tol = 1e-300 takes the fixed-point branch (c >= 700).
     try:
         T = window_support_radius(hermite1_window(sigma), tol=tol)
     except ValidationError:
-        assert sigma <= tol * math.sqrt(math.e) or sigma > 1e306
+        assert sigma <= tol * math.sqrt(math.e) or not 1e-100 <= sigma <= 1e100
         return
     assert 0.0 <= T < math.inf
-    # ln|h(T)| = ln tol; in logs, as exp(-(T/sigma)^2 / 2) is subnormal at 1e300
+    # ln|h(T)| = ln tol; in logs, as exp(-(T/sigma)^2 / 2) is subnormal at tol = 1e-300
     y = (T / sigma) ** 2
     assert math.log(sigma) + 0.5 * (math.log(y) - y) == pytest.approx(math.log(tol), abs=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [2e307, 1e308, 1.7e308])
 def test_gaussian_support_radius_that_overflows_is_rejected(sigma):
-    # T = sigma sqrt(2 ln(1 / tol)) is 8.03 sigma at tol = 1e-14: finite at
-    # 2e307, past the largest double from about 2.2e307 on
-    if sigma < 2.2e307:
-        T = window_support_radius(gaussian_window(sigma))
-        assert T == pytest.approx(sigma * math.sqrt(2.0 * math.log(1e14)), rel=1e-15)
-        return
-    with pytest.raises(ValidationError, match="no finite support radius"):
-        window_support_radius(gaussian_window(sigma))
+    # T = sigma sqrt(2 ln(1 / tol)) passes the largest double from about
+    # sigma = 2.2e307 on; a window takes sigma up to 1e100 only, where T is
+    # finite at any normal tol
+    with pytest.raises(ValidationError, match=r"sigma in \[1e-100, 1e\+100\]"):
+        gaussian_window(sigma)
+    tiny = float(np.finfo(float).tiny)
+    T = window_support_radius(gaussian_window(1e100), tol=tiny)
+    assert T == pytest.approx(1e100 * math.sqrt(2.0 * math.log(1.0 / tiny)), rel=1e-15)
 
 
 @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)])
@@ -161,6 +163,21 @@ def test_spec_validation():
             WindowSpec("hermite1", sigma=bad)
         with pytest.raises(ValidationError):
             WindowSpec("bump", radius=bad)
+
+
+def test_window_parameters_and_grid_spacings_share_one_range():
+    # [1e-100, 1e100]: a cube of a window parameter and its reciprocal stay
+    # normal doubles; the ends are in, the next decade out
+    for value in (1e-100, 1e100):
+        WindowSpec("gaussian", sigma=value), WindowSpec("hermite1", sigma=value)
+        WindowSpec("bump", radius=value), Grid((2,), (0.0,), (value,))
+        assert 0.0 < window_constants(hermite1_window(value)).c_h2 < math.inf
+    for value in (1e-101, 1e101, 1e-320, 1e200):
+        for make in (gaussian_window, hermite1_window, bump_window):
+            with pytest.raises(ValidationError, match=r"in \[1e-100, 1e\+100\]"):
+                make(value)
+        with pytest.raises(ValidationError, match=r"grid spacing must be in \[1e-100, 1e\+100\]"):
+            Grid((2,), (0.0,), (value,))
 
 
 def test_bump_ft_blocks_equal_the_full_product():
