@@ -6,8 +6,9 @@ identity holds up to a smearing kernel of width ~ pi / (V |sigma|); the
 demo shows the residual falling as V doubles, the invariance in the free
 parameter a, and a full reconstruction.  The datasets take the library's
 default quadrature rule.  Exits 1 when the residual stops falling or the
-V = 16 deviation between a = 0 and a = 0.5 exceeds 0.05 (acceptance
-criterion 5's bound).
+V = 16 deviation between a = 0 and a = 0.5 exceeds 0.001: the exact read
+gives 0.0004 here, a linear interpolation between the tau bins around
+a sigma 0.0014.
 """
 
 import sys
@@ -67,8 +68,8 @@ def main():
         rec = reconstruct_slice(spec, out)
     err = rel_l2_error(rec, sample_phantom(gaussian_phantom(CENTER, SIG), out))
     print(f"full reconstruction (V = 32) rel-L2 error: {err:.4f}")
-    if not all(b < a for a, b in zip(errs, errs[1:])) or dev > 0.05:
-        sys.exit("the residual must fall with V and the a = 0.5 deviation stay <= 0.05")
+    if not all(b < a for a, b in zip(errs, errs[1:])) or dev > 1e-3:
+        sys.exit("the residual must fall with V and the a = 0.5 deviation stay <= 0.001")
 
 
 if __name__ == "__main__":

@@ -636,12 +636,15 @@ def test_capped_refinement_warns_once_with_the_panels_needed_and_used(w, needed)
 def test_far_nodes_of_a_wide_window_do_not_overflow(source):
     # the widest bump a window takes (R = 1e100) and |v| = 1e154, about the
     # longest v whose norm a VSet forms: the factored route's outer nodes
-    # u + t v reach 1e254, beyond every source box, and in the grid index
-    # of a field sampled at spacing 1.25e-60 they are past the largest
-    # double (RuntimeWarnings fail tier-1)
-    spec, grid = gaussian_phantom((0.4, -0.2), 0.7), make_grid(2, 8, 8.0)
+    # u + t v reach 1e254, beyond every source box.  A phantom centred at
+    # x1 = -1e308 seen from a grid centred at x1 = 1e308 puts u - c + t v
+    # past the largest double, and so does the grid index of a field
+    # sampled at spacing 1.25e-60 (RuntimeWarnings fail tier-1)
+    spec = gaussian_phantom((-1e308, 0.0), 0.7)
+    grid = make_grid(2, 8, 8.0, center=(1e308, 0.0))
     if source == "field":
         spec = sample_phantom(gaussian_phantom((0.0, 0.0), 1e-60), make_grid(2, 16, 2e-59))
+        grid = make_grid(2, 8, 8.0)
     vset = polar_vset(uniform_circle(4)[0], [1e154])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the capped refinement

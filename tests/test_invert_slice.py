@@ -230,18 +230,18 @@ def test_restricted_dataset_complex_window_matches_forward():
 
 def test_a_sigma_outside_the_sampled_v1_band_rejected_in_both_modes():
     # max |sigma| = 4 pi and dv1 = 0.5: |a sigma| dv1 reaches pi exactly at a = 0.5,
-    # where the v1 samples alias +pi / dv1 with -pi / dv1
+    # where the v1 samples alias +pi / dv1 with -pi / dv1, and 1.2 pi at a = 0.6
     u1 = 0.25 * np.arange(-64, 64)
     v1 = symmetric_offset_grid(2.0, 0.5)
     w = gaussian_window(2.0)
     vals = np.ones((u1.size, v1.size, 2))
-    with pytest.raises(ValidationError, match="Nyquist"):
-        restricted_extract(u1, v1, np.array([-1.0, 1.0]), vals, w,
-                           SliceParams(a=0.5))
     data = WRTData(Grid((u1.size, 2), (u1[0], 0.0), (0.25, 1.0)), v1_line_vset(v1, [0.0]), w,
                    np.ones((2 * u1.size, v1.size)))
-    with pytest.raises(ValidationError, match="Nyquist"):
-        slice_extract(data, SliceParams(a=0.5))
+    for a in (0.5, 0.6):
+        with pytest.raises(ValidationError, match="Nyquist"):
+            restricted_extract(u1, v1, np.array([-1.0, 1.0]), vals, w, SliceParams(a=a))
+        with pytest.raises(ValidationError, match="Nyquist"):
+            slice_extract(data, SliceParams(a=a))
     assert slice_extract(data, SliceParams(a=0.375)).values.shape == (u1.size, 2)
 
 
