@@ -37,9 +37,18 @@ __all__ = [
 ]
 
 
-# The range of window parameters (WindowSpec) and grid spacings (Grid): the routes
-# form at most their cube and divide by it, and here both stay normal doubles.
+# The range of every length (_lengths): window parameters, grid spacings, |v|, radii, phantom
+# lengths.  The routes form at most a cube of one, or the square of a ratio of two, and divide
+# by it, and here both stay normal doubles.
 _SCALE_RANGE = (1e-100, 1e100)
+
+
+def _lengths(x, what):
+    """x as floats in _SCALE_RANGE (not NaN or inf), else ValidationError "{what} in [lo, hi]"."""
+    x, (lo, hi) = np.asarray(x, dtype=float), _SCALE_RANGE
+    if not np.all((x >= lo) & (x <= hi)):
+        raise ValidationError(f"{what} in [{lo:g}, {hi:g}]")
+    return x
 
 
 @dataclass(frozen=True)
@@ -60,9 +69,7 @@ class Grid:
             raise ValidationError("grid shape/origin/spacing lengths differ")
         if any(s < 2 for s in self.shape):
             raise ValidationError("grid needs at least 2 samples per axis")
-        lo, hi = _SCALE_RANGE
-        if not all(lo <= d <= hi for d in self.spacing):  # NaN fails too
-            raise ValidationError(f"grid spacing must be in [{lo:g}, {hi:g}]")
+        _lengths(self.spacing, "grid spacing must be")
         if not all(-np.inf < o < np.inf for o in self.origin):
             raise ValidationError("grid origin must be finite")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
@@ -221,10 +228,9 @@ def _component(kind, c):
         raise ValidationError(f"phantom component missing field {exc}")
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed phantom component ({exc})")
-    if not np.all(np.isfinite([*center, amp, *lengths.values()])):
-        raise ValidationError("phantom centres, amplitudes and lengths must be finite")
-    if min(lengths.values()) <= 0:
-        raise ValidationError(f"phantom {' and '.join(lengths)} must be positive")
+    if not np.all(np.isfinite([*center, amp])):
+        raise ValidationError("phantom centres and amplitudes must be finite")
+    _lengths(list(lengths.values()), f"phantom {' and '.join(lengths)} must be")
     return {"center": center, "amplitude": amp, **lengths}
 
 
@@ -232,7 +238,7 @@ def _ray_sums(spec, u, v, t, weights):
     """sum_q f(u_m + t_q v_m) weights[..., q] as (M,), rays u, v (M, n), weights
     (Q,) or (M, Q).  A gaussian's rays are reduced in place: per component one
     reused (M, Q) buffer takes k |u + t v - c|^2 = ((k |v|^2) t + 2 k b) t + k a
-    (k = -1 / 2 sigma^2, a = |u - c|^2, b = (u - c).v; |v|^2 may underflow)."""
+    (k = -1 / 2 sigma^2, a = |u - c|^2, b = (u - c).v)."""
     if spec.kind == "smoothed-disk":
         return np.vecdot(_values(spec, [ui[:, None] + vi[:, None] * t
                                         for ui, vi in zip(u.T, v.T)]), weights)
@@ -356,13 +362,9 @@ def make_grid(n, shape, extent, center=0.0):
     shape = np.broadcast_to(np.asarray(shape, dtype=int), (n,))
     extent = np.broadcast_to(np.asarray(extent, dtype=float), (n,))
     center = np.broadcast_to(np.asarray(center, dtype=float), (n,))
-    if np.any(extent <= 0):
-        raise ValidationError("grid extent must be positive")
-    if np.any(shape < 2):
+    if np.any(shape < 2):  # before the division; Grid checks the spacing it gives
         raise ValidationError("grid needs at least 2 samples per axis")
-    spacing = extent / shape
-    origin = center - extent / 2.0
-    return Grid(tuple(shape), tuple(origin), tuple(spacing))
+    return Grid(tuple(shape), tuple(center - extent / 2.0), tuple(extent / shape))
 
 
 def sample_phantom(spec, grid):
@@ -379,24 +381,36 @@ def _phased(values, fgrid, origin, s):
     return values
 
 
-def _line_step(y):
-    """The step of a y line, which is uniform (steps equal to rtol 1e-10)
-    and symmetric about 0, else ValidationError; 0.0 for a single sample."""
-    if y.ndim != 1 or y.size == 0 or not np.all(np.isfinite(y)):
-        raise ValidationError("a y line must be a non-empty, finite 1-D array")
-    if y.size == 1:
+def _uniform_step(x, name, at_least=2, symmetric=False):
+    """The step x[1] - x[0] (0.0 for one sample) of a finite 1-D line x of at least ``at_least``
+    samples, steps equal to rtol 1e-10 and, if ``symmetric``, |x[0] + x[-1]| <= 1e-9 |step|."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < at_least or not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} grid must be uniform, finite and at least {at_least} long")
+    if x.size == 1:
         return 0.0
-    d = np.diff(y)  # np.allclose(d, d[0], rtol=1e-10, atol=0.0), at a fifth of its cost:
+    d = np.diff(x)  # np.allclose(d, d[0], rtol=1e-10, atol=0.0), at a fifth of its cost:
     if not np.all(np.abs(d - d[0]) <= 1e-10 * abs(d[0])):
-        raise ValidationError("a y line needs uniform steps")
-    if abs(y[0] + y[-1]) > 1e-9 * (abs(d[0]) + 1):
-        raise ValidationError("a y line must be symmetric about 0")
-    return (y[-1] - y[0]) / (y.size - 1)
+        raise ValidationError(f"{name} grid must be uniform (steps equal to rtol 1e-10)")
+    if symmetric and abs(x[0] + x[-1]) > 1e-9 * abs(d[0]):
+        raise ValidationError(f"{name} grid must be symmetric about 0")
+    return d[0]
+
+
+def _log_line(r, name):
+    """ln r of a 1-D line r of at least two lengths whose logs rise in equal steps (rtol 1e-8)."""
+    u = np.log(_lengths(r, f"{name} must be positive lengths"))
+    if u.ndim != 1 or u.size < 2:
+        raise ValidationError(f"need a 1-d {name} of at least 2 radii")
+    steps = np.diff(u)
+    if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)):
+        raise ValidationError(f"{name} grid must be log-uniform with a positive step")
+    return u
 
 
 def _exp_i_blocks(y, a, rows):
-    """exp(i y_k a_j) for a y line (_line_step) and 1-D a, as an iterator of
-    (k, E[k:k + n]) row blocks of the (Ny, Na) table, n about rows.
+    """exp(i y_k a_j) for a symmetric y line (_uniform_step) and 1-D a, as an
+    iterator of (k, E[k:k + n]) row blocks of the (Ny, Na) table, n about rows.
 
     With groups of B = ceil(sqrt(Ny)) samples and k = qB + m, the uniform
     step dy gives e^{i y_k a} = e^{i y_qB a} e^{i m dy a}: a fine table over
@@ -406,8 +420,9 @@ def _exp_i_blocks(y, a, rows):
     in one buffer that the next block overwrites.  The line is checked
     here, before anything is allocated.
     """
-    dy = _line_step(y)
+    _uniform_step(y, "y", 1, symmetric=True)
     ny = y.size
+    dy = (y[-1] - y[0]) / max(ny - 1, 1)
     B = math.isqrt(ny - 1) + 1
     step = ny if rows >= ny else max(rows // B, 1) * B
     fine = np.exp(np.multiply.outer(dy * np.arange(B), 1j * a))  # its row m = 0 is 1

@@ -24,6 +24,8 @@ from .fields import (
     PhantomSpec,
     ScalarField,
     _disk_clip_radius,
+    _lengths,
+    _log_line,
     _ray_sums,
     _warn_undecayed,
     continuous_ft,
@@ -56,9 +58,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VSet:
-    """Parametrized set of v vectors.
+    """Parametrized set of v vectors, at least one, every |v| a length (so not v = 0).
 
-    mode 'full-grid':  vectors from an n-dim grid (zero-norm entries rejected)
+    mode 'full-grid':  vectors from an n-dim grid
     mode 'polar':      directions x radii, direction-major ordering
     mode 'v1-line':    v = (v1_k, v'), v' fixed
     """
@@ -75,10 +77,8 @@ class VSet:
         object.__setattr__(self, "vectors", vec)
         if vec.size == 0:
             raise ValidationError("VSet needs at least one vector")
-        with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected below
-            norms = np.linalg.norm(vec, axis=1)
-        if not np.all((norms > 0.0) & (norms < np.inf)):
-            raise ValidationError("VSet vectors need a finite, non-zero norm (v = 0 is not allowed)")
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected
+            _lengths(np.linalg.norm(vec, axis=1), "v vectors need a length |v|")
 
     def __len__(self):
         return self.vectors.shape[0]
@@ -92,9 +92,9 @@ def polar_vset(directions, radii):
     """Direction-major polar vset, v[k * Nr + j] = radii[j] * directions[k];
     the routes read ``radii`` as |v|, so directions must be unit vectors."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or not np.all((radii > 0) & (radii < np.inf)):
-        raise ValidationError("polar radii must be a list of finite, strictly positive numbers")
+    radii = _lengths(radii, "polar radii must be positive lengths")
+    if radii.ndim != 1:
+        raise ValidationError("polar radii must be a list of numbers")
     with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected here
         unit = np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12
     if not np.all(unit):
@@ -191,18 +191,12 @@ class PolarWRT:
 def _perp_axes(rho, theta):
     """rho and theta as float arrays on the grid PolarWRT documents, else ValidationError."""
     rho, theta = np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
+    _log_line(rho, "rho")
     nt = theta.size
-    if np.any(rho <= 0):
-        raise ValidationError("polar radii must be positive")
-    if rho.ndim != 1 or rho.size < 2 or nt < 1:
-        raise ValidationError("perp data needs a 1-d rho of at least 2 radii and 1 angle")
-    if nt & (nt - 1):
+    if nt < 1 or nt & (nt - 1):
         raise ValidationError("theta count must be a power of two")
     if theta.ndim != 1 or not np.allclose(theta, 2.0 * np.pi * np.arange(nt) / nt, 0.0, 1e-12):
         raise ValidationError("theta grid must be 2 pi k / N, k = 0, ..., N - 1")
-    steps = np.diff(np.log(rho))
-    if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)):
-        raise ValidationError("rho grid must be log-uniform with a positive step")
     return rho, theta
 
 
@@ -210,23 +204,16 @@ def _panels_needed(quad, T, v_norm, feature):
     """Panels a real window's rule on its support [-T, T] needs for a ray of
     length |v|.  ``feature`` is the narrowest spatial length scale of the
     source; a long v squeezes it into a t-interval of width feature / |v|,
-    and when ``quad.max_panels`` is set the count ``quad.panels`` is refined
-    to resolve it.  inf when |v| overflows or the count exceeds the largest
-    double."""
-    if quad.max_panels is None or not v_norm:
-        return quad.panels
+    a quarter panel at this count (``quad.panels`` at least), a finite double
+    since both are lengths in [1e-100, 1e100]."""
     delta = float(feature) / v_norm
-    if delta == 0.0:
-        return np.inf
-    # 4 T / (nodes delta) in Python floats, which overflow to inf without a
-    # warning, grouped so that only a count above the largest double does
     return max(quad.panels, float(np.ceil(4.0 * (float(T) / (quad.nodes * delta)))))
 
 
 def _panel_count(quad, T, v_norm, feature):
     """Panels of a real window's rule on [-T, T] for a ray of length |v|:
     :func:`_panels_needed`, capped at ``quad.max_panels``."""
-    return int(min(quad.max_panels or quad.panels, _panels_needed(quad, T, v_norm, feature)))
+    return int(min(quad.max_panels, _panels_needed(quad, T, v_norm, feature)))
 
 
 def _time_nodes(w, quad, T, panels):
@@ -240,21 +227,20 @@ def _node_rules(w, quad, norms, feature, stacklevel):
     """The node rule of each ray length |v| in ``norms``, built on the caller
     once per distinct panel count, so pool threads share it.  The
     analytic-signal kernel has one rule (s, ws) on [0, 1] for all rays.
-    Warns once when ``quad.max_panels`` caps the longest ray's count: its
-    panels are then wider than the source's narrowest feature, which they
-    can miss (0 for a wide window, with no other sign)."""
+    Warns once when ``quad.max_panels`` (``panels`` for an unrefined rule)
+    caps the longest ray's count: its panels are then wider than the source's
+    narrowest feature, which they can miss (0 for a wide window, no other sign)."""
     if not w.is_real:
         return [gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)] * len(norms)
     T = window_support_radius(w, tol=1e-14)
     counts = [_panel_count(quad, T, float(r), feature) for r in norms]
     rules = {p: _time_nodes(w, quad, T, p) for p in set(counts)}
-    if counts:  # the count needed grows with |v|
-        needed = _panels_needed(quad, T, float(np.max(norms)), feature)
-        if needed > max(counts):
-            warnings.warn(f"the forward's rule needs {needed:.6g} panels to resolve the "
-                          f"source's narrowest feature on its longest ray, but max_panels "
-                          f"caps it at {max(counts)}: the values may miss the source",
-                          stacklevel=stacklevel)
+    needed = _panels_needed(quad, T, float(np.max(norms)), feature)  # grows with |v|
+    if needed > max(counts):
+        warnings.warn(f"the forward's rule needs {needed:.6g} panels to resolve the "
+                      f"source's narrowest feature on its longest ray, but max_panels "
+                      f"caps it at {max(counts)}: the values may miss the source",
+                      stacklevel=stacklevel)
     return [rules[p] for p in counts]
 
 
@@ -347,7 +333,7 @@ def _ball_interval(du, V, rad):
     b = np.einsum("ij,ij->i", du, V)
     gap = np.einsum("ij,ij->i", du, du) - rad**2
     disc = b * b - v2 * gap  # of |v|^2 t^2 + 2 b t + gap
-    flat = v2 == 0.0  # |v|^2 underflowed: the ray is the point u
+    flat = v2 == 0.0  # a field's per-axis slab when v is axis-aligned: u_i never moves
     hit = np.where(flat, gap <= 0.0, disc >= 0.0)
     root, safe = np.where(flat, np.inf, np.sqrt(np.maximum(disc, 0.0))), np.where(flat, 1.0, v2)
     return np.where(hit, (-b - root) / safe, np.inf), np.where(hit, (-b + root) / safe, -np.inf)
@@ -388,13 +374,11 @@ def _analytic_sum(src, w, rule, U, V):
     Each interval is cut at t = 0, below the kernel's pole, so the pole sits
     over a panel edge; a piece [a, b] gets the panels of ``rule`` (s, ws),
     max(panels, 64) of them on [0, 1], and is (b - a) src.sums(U + a V,
-    (b - a) V, s, ws h(a + (b - a) s)), all pieces in one call.  A ray with
-    an unbounded interval (|v|^2 underflowed inside the support) is the point
-    u: one node of weight 1/2, f(u) hhat(0).  The panels resolve the pole
-    only for |v| >= 1e-2: against the Faddeeva closed form (gaussian sigma
-    0.5, u = (0.25, 0), v perpendicular to u) the error is 5e-8 at
-    |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6.  The callers warn when such
-    rays reach it (_warn_unresolved_pole).
+    (b - a) V, s, ws h(a + (b - a) s)), all pieces in one call.  The panels
+    resolve the pole only for |v| >= 1e-2: against the Faddeeva closed form
+    (gaussian sigma 0.5, u = (0.25, 0), v perpendicular to u) the error is
+    5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6.  The callers warn
+    when such rays reach it (_warn_unresolved_pole).
     """
     s, ws = rule
     lo, hi = src.interval(U, V)
@@ -402,13 +386,10 @@ def _analytic_sum(src, w, rule, U, V):
     a = np.concatenate([lo, np.maximum(lo, 0.0)])
     length = np.concatenate([np.minimum(hi, 0.0), hi]) - a
     pieces = np.zeros(2 * M, dtype=complex)
-    live = np.flatnonzero((length > 0.0) & (length < np.inf))
+    live = np.flatnonzero(length > 0.0)
     m, L, a = live % M, length[live, None], a[live, None]
     pieces[live] = src.sums(U[m] + a * V[m], L * V[m], s, ws * _window_eval(w, a + L * s)) * L[:, 0]
-    out = pieces[:M] + pieces[M:]
-    point = np.flatnonzero((lo < hi) & ~(hi - lo < np.inf))
-    out[point] = src.sums(U[point], V[point], np.zeros(1), np.full(1, 0.5))
-    return out
+    return pieces[:M] + pieces[M:]
 
 
 def _gaussian_column(comps, axes, v, t, hw):
@@ -507,12 +488,12 @@ def _check_dimensions(source_n, n, vectors):
 
 
 def _warn_unresolved_pole(w, norms, rays_each, stacklevel):
-    """Warn when the analytic-signal kernel meets rays with |v| < 1e-2 (and
-    |v|^2 not underflowed to the point rule), ``rays_each`` rays per norm:
-    :func:`_analytic_sum`'s panels do not resolve its pole there."""
+    """Warn when the analytic-signal kernel meets rays with |v| < 1e-2,
+    ``rays_each`` rays per norm: :func:`_analytic_sum`'s panels do not
+    resolve its pole there."""
     if w.is_real:
         return
-    count = int(np.count_nonzero((norms * norms > 0.0) & (norms < 1e-2))) * rays_each
+    count = int(np.count_nonzero(norms < 1e-2)) * rays_each
     if count:
         warnings.warn(f"{count} analytic-signal rays have |v| < 1e-2, where the forward "
                       "quadrature does not resolve the kernel's pole (error against the "
@@ -600,12 +581,12 @@ def _shares(calls):
 
 def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     """P_h f(u_m, v_j), (M, Nv) in the v-major layout of :class:`WRTData`,
-    for base points U (M, n) crossed with vectors (Nv, n), ray by ray: the
-    rule of :func:`windowed_ray_transform` with the panels outside each
-    ray's clip interval skipped.  The source calls are planned on the caller
-    and shared out whole over the pool workers (:func:`_ray_columns`), so the
-    values do not depend on the worker count."""
-    U, vectors = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (U, vectors))
+    for base points U (M, n) crossed with the vectors (Nv, n) of a VSet, ray
+    by ray: the rule of :func:`windowed_ray_transform` with the panels
+    outside each ray's clip interval skipped.  The source calls are planned
+    on the caller and shared out whole over the pool workers
+    (:func:`_ray_columns`), so the values do not depend on the worker count."""
+    U, vectors = np.atleast_2d(np.asarray(U, dtype=float)), VSet("full-grid", vectors).vectors
     src = _grid_source(f, U.shape[1], vectors)
     _warn_cut_field(f, w)
     return _columns(src, w, U, vectors, quad)

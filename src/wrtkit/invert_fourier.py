@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
-from .fields import ScalarField, _exp_i_outer
+from .fields import ScalarField, _exp_i_outer, _lengths
 from .forward import WRTData
 from .quad import trapezoid_weights
 from .windows import _resolve_constant, window_constants, window_ft
@@ -51,8 +51,7 @@ class PolarSpectralSamples:
     window: object = None
 
     def __post_init__(self):
-        if np.any(np.asarray(self.radii) <= 0):
-            raise ValidationError("window radii must be positive")
+        _lengths(self.radii, "window radii must be positive lengths")
         _check_sigma(np.asarray(self.sigma, dtype=float))
 
 

@@ -30,13 +30,15 @@ the circular mean of f cannot be recovered (H_l for l != 0 is not 0).
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, NumericalError, ValidationError
-from .fields import ScalarField, _exp_i_blocks, _exp_i_outer, _line_step
+from .fields import ScalarField, _exp_i_blocks, _exp_i_outer, _lengths, _log_line, _uniform_step
 from .forward import PolarWRT
 from .quad import gauss_legendre_panels, trapezoid_weights
 from .windows import window_eval, window_support_radius
@@ -82,12 +84,13 @@ class MellinLine:
         y = np.asarray(self.y, dtype=float)
         if np.ndim(self.values) not in (1, 2) or np.shape(self.values)[-1] != y.size:
             raise ValidationError("Mellin line values must have shape (Ny,) or (K, Ny)")
-        _line_step(y)
+        _uniform_step(y, "y", 1, symmetric=True)
 
 
 _DY = 0.05  # step of the y line
 _MAX_HALF_LINE = 2**14  # y samples beside y = 0; every stage's work grows with the line
 _BLOCK = 2**17  # complex entries (2 MB) in one block of an exp(i y a) table
+_LOG_MAX = math.log(np.finfo(float).max)  # 709.78...: e^x overflows above it
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,8 @@ def circular_decompose(g, L):
     """g_l(rho) = (1/2 pi) int_0^{2 pi} g(rho, theta) e^{-i l theta} d theta.
 
     Computed as FFT over theta divided by the sample count; returns
-    l in [-L, L].  Warns when the edge harmonic is not negligible
-    (truncation/aliasing risk).  g must be PolarWRT (ValidationError).
+    l in [-L, L].  Warns at the library caller's line when the edge harmonic
+    is not negligible (truncation/aliasing risk).  g must be PolarWRT.
     """
     if not isinstance(g, PolarWRT):
         raise ValidationError("circular harmonics need perp (PolarWRT) data")
@@ -136,16 +139,15 @@ def circular_decompose(g, L):
     if top > 0 and max(mags[0], mags[-1]) > 0.01 * top:
         warnings.warn(
             f"harmonic |l|={L} carries {max(mags[0], mags[-1]) / top:.1%} of the "
-            "peak coefficient; series truncation will be visible"
+            "peak coefficient; series truncation will be visible",
+            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,  # the library caller
         )
     return HarmonicSeries(ls, g.rho, coefs)
 
 
 def kernel_H(w, l, r_grid):
     """Pointwise H_l(r), any window, on positive r_grid as a complex array (0 for r >= 1)."""
-    r = np.asarray(r_grid, dtype=float)
-    if np.any(r <= 0):
-        raise ValidationError("kernel radii must be positive")
+    r = _lengths(r_grid, "kernel radii must be positive lengths")
     vals = np.zeros(r.shape, dtype=complex)
     inside = r < 1.0
     ri = r[inside]
@@ -176,32 +178,36 @@ def _exp_product(A, y, a, over_y=False):
     return out
 
 
+def _check_power(t, u, name):
+    """ValidationError unless r^t and r^-t are finite at every r = e^u: |t u| <= 709.78."""
+    if np.any(abs(t) * np.abs(u) > _LOG_MAX):
+        r = math.exp(u[np.argmax(np.abs(u))])
+        raise ValidationError(f"{name} radius {r:.3g} at abscissa t = {t:g} overflows r^t or "
+                              f"r^-t: |t ln r| must be at most {_LOG_MAX:.2f}")
+
+
 def mellin_transform(r_grid, samples, t, y_grid):
     """Mf(t + i y) = int_0^inf f(r) r^{t + i y - 1} dr on a log-uniform grid.
 
     samples (Nrho,) or (K, Nrho), finite, give values (Ny,) or (K, Ny) at a
     finite t.  In u = ln r the integral is int f(e^u) e^{t u} e^{i y u} du, a
-    trapezoid rule on at least two radii, one block of y at a time
-    (_exp_product).  The log step of r must resolve the band: step * max|y|
-    <= pi, as e^{i y u} aliases beyond.  Each row's weighted integrand must
-    have decayed at both grid ends (compact support inside the grid counts).
+    trapezoid rule (fields._log_line radii, |t ln r| <= 709.78), one block of
+    y at a time (_exp_product).  The log step of r must resolve the band:
+    step * max|y| <= pi, as e^{i y u} aliases beyond.  Each row's weighted
+    integrand must have decayed at both grid ends (compact support inside
+    the grid counts).
     """
-    r = np.asarray(r_grid, dtype=float)
     f = np.asarray(samples)
     y = np.asarray(y_grid, dtype=float)
     if not np.isfinite(t):
         raise ValidationError("Mellin abscissa t must be finite")
-    if r.ndim != 1 or np.any(r <= 0):
-        raise ValidationError("Mellin transform needs a 1-D grid of positive radii")
-    if f.ndim not in (1, 2) or f.shape[-1] != r.size:
+    u = _log_line(r_grid, "Mellin r")
+    if f.ndim not in (1, 2) or f.shape[-1] != u.size:
         raise ValidationError("Mellin samples must have shape (Nrho,) or (K, Nrho)")
     if not np.all(np.isfinite(f)):
         raise ValidationError("Mellin samples must be finite")
-    u = np.log(r)
+    _check_power(t, u, "Mellin")
     wu = trapezoid_weights(u)
-    steps = np.diff(u)
-    if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
-        raise ValidationError("Mellin transform needs a log-uniform r grid")
     du, T = (u[-1] - u[0]) / (u.size - 1), float(np.max(np.abs(y), initial=0.0))
     if du * T > np.pi:  # e^{i y u} aliases on these samples
         need = int(np.ceil((u[-1] - u[0]) * T / np.pi)) + 1
@@ -270,14 +276,16 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
     |MH_l| stays below 1e-6 max|MH_l| on more than half the band.  The
     finite band realizes the exact formula's T -> infinity limit; the y
     integral is the trapezoid rule, summed one block of radii at a time
-    (_exp_product).  t must be finite with t > 1, and r_grid 1-D, finite
-    and positive.
+    (_exp_product).  t must be finite with t > 1, and r_grid 1-D lengths
+    with |t ln r| <= 709.78.
     """
     if not 1.0 < t < np.inf:
         raise ValidationError("contour abscissa must be finite with t > 1")
-    r = np.asarray(r_grid, dtype=float)
-    if r.ndim != 1 or not np.all(np.isfinite(r) & (r > 0)):
-        raise ValidationError("recovery radii must be a 1-D array of finite, positive values")
+    r = _lengths(r_grid, "recovery radii must be positive lengths")
+    if r.ndim != 1:
+        raise ValidationError("recovery radii must be a 1-D array")
+    lr = np.log(r)
+    _check_power(t, lr, "recovery")
     if abs(Mg.t - t) > 1e-12 or abs(MH.t - t) > 1e-12:
         raise ValidationError("input lines must be sampled at abscissa t")
     if np.shape(Mg.values) != np.shape(MH.values) or not np.allclose(Mg.y, MH.y):
@@ -296,7 +304,7 @@ def recover_fl(Mg, MH, t, r_grid, lam=None):
     Q *= Mg.values
     Q /= absH
     Q *= trapezoid_weights(Mg.y)
-    return r ** (-t) * _exp_product(Q, Mg.y, -np.log(r), over_y=True) / (2.0 * np.pi)
+    return r ** (-t) * _exp_product(Q, Mg.y, -lr, over_y=True) / (2.0 * np.pi)
 
 
 def reconstruct_mellin(g, w, L, grid, params=MellinParams()):

@@ -17,17 +17,18 @@ class QuadratureParams:
     """Composite Gauss-Legendre rule: ``panels`` equal panels with
     ``nodes`` points each, placed by the forward transforms in one of two
     ways.  A real window gets ``panels`` panels on its support [-T, T],
-    refined up to ``max_panels`` (None or ``panels``: no refinement) when a
-    long v sweeps the source's narrowest feature through the support in a
-    tiny t-interval; each v column, and each rho of perp data, is refined
-    for its own |v|.  Ray by ray, the panels where the source is below 1e-17
-    of its peak are skipped, and each ray's nodes are summed by themselves,
-    so no value depends on the worker count or on how the rays are grouped
-    into source calls; the factored route of ``windowed_ray_transform`` (a
-    gaussian phantom or a sampled field on a u grid) skips instead the nodes
-    at which the whole shifted grid misses the region where the source is
-    above that level.  The analytic-signal kernel gets
-    max(``panels``, 64) panels on each ray's clip interval (where the
+    refined up to ``max_panels`` when a long v sweeps the source's narrowest
+    feature through the support in a tiny t-interval; each v column, and
+    each rho of perp data, is refined for its own |v|.  ``max_panels`` below
+    ``panels``, or None, is stored as ``panels`` (no refinement); the forward
+    warns when the cap binds.  Ray by ray, the panels where the source is
+    below 1e-17 of its peak are skipped, and each ray's nodes are summed by
+    themselves, so no value depends on the worker count or on how the rays
+    are grouped into source calls; the factored route of
+    ``windowed_ray_transform`` (a gaussian phantom or a sampled field on a u
+    grid) skips instead the nodes at which the whole shifted grid misses the
+    region where the source is above that level.  The analytic-signal kernel
+    gets max(``panels``, 64) panels on each ray's clip interval (where the
     source is above that level), cut at t = 0 below its pole; they resolve
     the pole only for |v| >= 1e-2 (off by 0.9 % at |v| = 1e-3, 99 % at 1e-6).
     """
@@ -39,7 +40,7 @@ class QuadratureParams:
     def __post_init__(self):
         if self.panels < 1 or self.nodes < 2:
             raise ValidationError("need at least 1 panel and 2 nodes")
-        if self.max_panels is not None and self.max_panels < self.panels:
+        if self.max_panels is None or self.max_panels < self.panels:
             object.__setattr__(self, "max_panels", self.panels)
 
 

@@ -17,12 +17,13 @@ integral_0^inf |hhat|^2 = pi c_h2 and integral_R |hhat|^2 = 2 pi c_h2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, ValidationError
-from .fields import _SCALE_RANGE
+from .fields import _lengths
 from .quad import _exp_flushed, gauss_legendre_panels
 
 __all__ = [
@@ -52,10 +53,10 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown window kind {self.kind!r}")
-        lo, hi = _SCALE_RANGE
         name, value = ("radius", self.radius) if self.kind == "bump" else ("sigma", self.sigma)
-        if self.kind != "analytic-signal" and not lo <= (value or 0) <= hi:
-            raise ValidationError(f"{self.kind} window needs a {name} in [{lo:g}, {hi:g}]")
+        if self.kind != "analytic-signal":  # a missing, string or list parameter fails as NaN
+            _lengths(value if isinstance(value, numbers.Real) else np.nan,
+                     f"{self.kind} window needs a {name}")
 
     @property
     def is_real(self):

@@ -647,6 +647,50 @@ def test_mellin_on_a_coarse_rho_grid_exit_1(tmp_path):
     assert not out.exists()
 
 
+def test_perp_forward_with_rho_below_the_length_range_exit_1(tmp_path):
+    out = tmp_path / "perp"
+    rc, err = _run(["forward", "--phantom", _phantom_file(tmp_path), "--window", "bump:2.0",
+                    "--vmode", "perp", "--rho-min", "1e-120", "--out", str(out)])
+    assert rc == 1 and len(err) == 1
+    assert err[0] == "error: rho must be positive lengths in [1e-100, 1e+100]"
+    assert not out.exists()
+
+
+def _zero_perp(path, rho):
+    wio.write_wrt1(str(path), PolarWRT(rho, 2.0 * np.pi * np.arange(8) / 8,
+                                       WindowSpec("bump", radius=2.0), np.zeros((rho.size, 8))))
+
+
+@pytest.mark.parametrize("case", ["rho-1e300", "mellin-t-4", "recovery-t-4"])
+def test_mellin_radii_that_overflow_exit_1(tmp_path, case):
+    # zero perp data on 256 radii: rho in [1e300, 1e307] (written by hand, as
+    # PolarWRT rejects it) warned "overflow encountered in exp" and exited 2,
+    # blaming the synthesis; rho in [1e-3, 1e100] at t = 4 overflowed e^{t ln rho},
+    # and an output grid out to |x| = 9.9e99 at t = 4 puts r^-t past the largest
+    # double; each is now one error line, with no warning on the way
+    data, out = tmp_path / "perp", tmp_path / "rec"
+    argv, message = ["--mellin-t", "4"], "at abscissa t = 4 overflows r^t or r^-t"
+    if case == "rho-1e300":
+        _zero_perp(data, np.geomspace(1e-3, 4.0, 256))
+        _edit_meta(data, lambda m: m["vset"].update(rho=np.geomspace(1e300, 1e307, 256).tolist()))
+        argv, message = [], "rho must be positive lengths in [1e-100, 1e+100]"
+    elif case == "mellin-t-4":
+        _zero_perp(data, np.geomspace(1e-3, 1e100, 256))
+        argv += ["--mellin-T", "1"]  # a band the log step resolves
+        message = f"Mellin radius 1e+100 {message}"
+    else:
+        _zero_perp(data, np.geomspace(1e-3, 4.0, 256))
+        argv += ["--extent", "1.4e100"]
+        message = f"recovery radius 9.9e+99 {message}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = _run(["invert", "--method", "mellin", "--in", str(data), "--lmax", "1",
+                        "--shape", "4", "--extent", "4", *argv, "--out", str(out)])
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
+    assert not out.exists()
+
+
 _INVERT_FLAGS = {"--nsigma": _COUNT, "--lmax": _COUNT, **{f: _VALUE for f in (
     "--rmin", "--rmax", "--sigma-max", "--alpha", "--slice-a", "--mellin-t", "--mellin-T",
     "--reg-lambda", "--extent", "--center")}}

@@ -251,3 +251,86 @@ def test_phantom_spec_stores_floats_with_unit_amplitude():
     spec = PhantomSpec("gaussian", ({"center": [1, 2], "sigma": 1},))
     assert spec.components == ({"center": (1.0, 2.0), "sigma": 1.0, "amplitude": 1.0},)
     assert spec == gaussian_phantom((1, 2), 1)
+
+
+def _perp_file(tmp_path, rho):
+    """read_wrt1 of a perp dataset whose meta holds ``rho``."""
+    import json
+
+    from wrtkit import io as wio
+    from wrtkit.forward import PolarWRT
+    from wrtkit.windows import bump_window
+
+    p = tmp_path / "perp"
+    wio.write_wrt1(str(p), PolarWRT(np.geomspace(0.5, 1.0, 2), np.zeros(1), bump_window(2.0),
+                                    np.zeros((2, 1))))
+    meta = json.loads((p / "meta.json").read_text())
+    meta["vset"]["rho"] = list(rho)
+    (p / "meta.json").write_text(json.dumps(meta))
+    return wio.read_wrt1(str(p))
+
+
+def _length_entry_points():
+    """Every entry point that takes a length, as a function of (tmp_path, x)
+    that hands it x where a length goes."""
+    from wrtkit.forward import PolarWRT, VSet, polar_vset, wrt_columns, wrt_polar_perp
+    from wrtkit.invert_fourier import PolarSpectralSamples
+    from wrtkit.invert_mellin import MellinLine, kernel_H, mellin_transform, recover_fl
+    from wrtkit.windows import WindowSpec, gaussian_window
+
+    w, g = gaussian_window(1.0), gaussian_phantom((0.0, 0.0), 0.5)
+    theta = np.zeros(1)
+    line = MellinLine(2.0, np.linspace(-1.0, 1.0, 5), np.ones(5, dtype=complex))
+
+    def rho(x):  # two radii, one of them x: log-uniform whenever x is a length
+        return np.sort([x, 1.0])
+
+    return {
+        "grid-spacing": lambda _, x: Grid((2,), (0.0,), (x,)),
+        "window-sigma": lambda _, x: WindowSpec("gaussian", sigma=x),
+        "window-radius": lambda _, x: WindowSpec("bump", radius=x),
+        "vset-norm": lambda _, x: VSet("full-grid", [[x, 0.0]]),
+        "wrt-columns-norm": lambda _, x: wrt_columns(g, w, [[0.0, 0.0]], [[x, 0.0]]),
+        "polar-vset-radius": lambda _, x: polar_vset([[1.0, 0.0]], [x]),
+        "t2-sample-radius": lambda _, x: PolarSpectralSamples(
+            np.zeros(1), np.zeros(1), np.array([x]), np.zeros((1, 1, 1))),
+        "perp-rho": lambda _, x: PolarWRT(rho(x), theta, w, np.zeros((2, 1))),
+        "perp-forward-rho": lambda _, x: wrt_polar_perp(g, w, rho(x), theta),
+        "read-wrt1-rho": lambda tmp, x: _perp_file(tmp, rho(x)),
+        "mellin-radius": lambda _, x: mellin_transform(rho(x), np.zeros(2), 2.0, np.zeros(1)),
+        "recovery-radius": lambda _, x: recover_fl(line, line, 2.0, np.array([x])),
+        "kernel-radius": lambda _, x: kernel_H(w, 0, np.array([x])),
+        "phantom-sigma": lambda _, x: gaussian_phantom((0.0, 0.0), x),
+        "phantom-radius": lambda _, x: smoothed_disk_phantom((0.0, 0.0), x, 0.5),
+        "phantom-smoothing": lambda _, x: smoothed_disk_phantom((0.0, 0.0), 1.0, x),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_length_entry_points()))
+@pytest.mark.parametrize("x", [1e-101, 1e101, 0.0, np.nan])
+def test_every_length_entry_point_takes_one_range(tmp_path, entry, x):
+    # every length the library takes lies in [1e-100, 1e100] (fields._lengths):
+    # the ends are in, the next decade, 0 and NaN out
+    call = _length_entry_points()[entry]
+    for ok in (1e-100, 1e100):
+        if entry not in ("wrt-columns-norm", "perp-forward-rho"):  # no quadrature at the ends
+            call(tmp_path / str(ok), ok)
+    with pytest.raises(ValidationError, match=r"in \[1e-100, 1e\+100\]"):
+        call(tmp_path / "x", x)
+
+
+def test_sampled_lines_take_one_rule():
+    # fields._uniform_step: steps equal to rtol 1e-10 and, for a symmetric line,
+    # |x[0] + x[-1]| <= 1e-9 |step|, the same for the slice route's v1 and the
+    # y lines of the exponential tables; one sample is a legal y line
+    from wrtkit.fields import _exp_i_outer, _uniform_step
+
+    y = np.linspace(-1.0, 1.0, 9) * 1e-3  # step 2.5e-4
+    assert _uniform_step(y + 1e-13, "y", symmetric=True) == pytest.approx(2.5e-4, rel=1e-12)
+    for line in (y + 1e-12, np.concatenate([y, [2e-3]])):  # off centre by 4e-9 |step|; skewed
+        with pytest.raises(ValidationError, match="y grid must be"):
+            _uniform_step(line, "y", symmetric=True)
+        with pytest.raises(ValidationError, match="y grid must be"):
+            _exp_i_outer(line, np.ones(3))
+    assert _uniform_step(np.array([0.3]), "y", 1, symmetric=True) == 0.0
+    assert np.array_equal(_exp_i_outer(np.array([0.3]), np.array([2.0])), np.exp([[0.6j]]))

@@ -208,7 +208,7 @@ def test_polar_wrt_validation():
         PolarWRT(np.linspace(0.1, 1.0, 8), theta, gaussian_window(1.0), vals)
     with pytest.raises(ValidationError, match="at least 2 radii"):
         PolarWRT(rho[:1], theta, gaussian_window(1.0), vals[:1])
-    with pytest.raises(ValidationError, match="at least 2 radii"):
+    with pytest.raises(ValidationError, match="power of two"):  # no angle
         PolarWRT(rho, theta[:0], gaussian_window(1.0), vals[:, :0])
 
 
@@ -626,26 +626,32 @@ def test_capped_refinement_warns_once_with_the_panels_needed_and_used(w, needed)
     with pytest.warns(UserWarning, match="caps it at 256") as record:
         wrt_polar_perp(spec, w, np.geomspace(0.5, 1.0, 4), 2.0 * np.pi * np.arange(4) / 4)
     assert len(record) == 1 and record[0].filename == __file__
-    with warnings.catch_warnings():  # no cap, or one that does not bind: silent
+    # max_panels=None is the unrefined rule, panels = 32, and says so as well
+    with pytest.warns(UserWarning, match=f"needs {re.escape(needed)} panels.*caps it at 32") as record:
+        unrefined = windowed_ray_transform(spec, w, grid, vset, QuadratureParams(max_panels=None))
+    assert len(record) == 1 and record[0].filename == __file__
+    assert QuadratureParams(max_panels=None) == QuadratureParams(max_panels=32)
+    with warnings.catch_warnings():  # a rule that resolves the source: silent, capped or not
         warnings.simplefilter("error")
-        windowed_ray_transform(spec, w, grid, vset, QuadratureParams(max_panels=None))
         windowed_ray_transform(spec, gaussian_window(1.0), grid, vset)
+        windowed_ray_transform(spec, gaussian_window(1.0), grid, vset, QuadratureParams(max_panels=None))
 
 
 @pytest.mark.parametrize("source", ["phantom", "field"])
 def test_far_nodes_of_a_wide_window_do_not_overflow(source):
-    # the widest bump a window takes (R = 1e100) and |v| = 1e154, about the
-    # longest v whose norm a VSet forms: the factored route's outer nodes
-    # u + t v reach 1e254, beyond every source box.  A phantom centred at
-    # x1 = -1e308 seen from a grid centred at x1 = 1e308 puts u - c + t v
-    # past the largest double, and so does the grid index of a field
-    # sampled at spacing 1.25e-60 (RuntimeWarnings fail tier-1)
+    # the widest bump a window takes (R = 1e100) and the longest v (|v| =
+    # 1e100): the factored route's outer nodes u + t v reach 1e200, beyond
+    # every source box.  A phantom centred at x1 = -1e308 seen from a grid
+    # centred at x1 = 1e308 puts u - c + t v past the largest double, and so
+    # does the grid index (u + t v - origin) / 1.25e-60 of a field sampled
+    # at that spacing, seen from a grid centred at x1 = 1e250 (RuntimeWarnings
+    # fail tier-1)
     spec = gaussian_phantom((-1e308, 0.0), 0.7)
     grid = make_grid(2, 8, 8.0, center=(1e308, 0.0))
     if source == "field":
         spec = sample_phantom(gaussian_phantom((0.0, 0.0), 1e-60), make_grid(2, 16, 2e-59))
-        grid = make_grid(2, 8, 8.0)
-    vset = polar_vset(uniform_circle(4)[0], [1e154])
+        grid = make_grid(2, 8, 8.0, center=(1e250, 0.0))
+    vset = polar_vset(uniform_circle(4)[0], [1e100])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the capped refinement
         data = windowed_ray_transform(spec, bump_window(1e100), grid, vset)
@@ -986,30 +992,25 @@ def test_ray_missing_the_source_is_exactly_zero():
     assert 0.0 < abs(_dense_wrt(spec, w, U, V, QuadratureParams())[0, 0]) < 1e-60
 
 
-def test_underflowing_v_is_finite_and_correct():
-    # |v|^2 = 1e-400 underflows to 0: the ray is the point u
+def test_underflowing_v_is_rejected():
+    # |v| = 1e-200 (|v|^2 underflows to 0) is below the length range, in
+    # every forward, for a phantom and a sampled field, real or complex window
     spec = gaussian_phantom((0.0, 0.0), 0.5)
     field = sample_phantom(spec, make_grid(2, 32, 8.0))
-    w = gaussian_window(1.0)
-    U = np.array([[0.25, 0.0], [10.0, 0.0]])
-    V = np.array([[1e-200, 0.0]])
-    assert np.sum(V * V) == 0.0
-    for f in (spec, field):
-        got = wrt_columns(f, w, U, V)
-        assert np.all(np.isfinite(got)) and got[1, 0] == 0.0
-        _assert_close(got, _dense_wrt(f, w, U, V, QuadratureParams()))
-    want = spec.evaluate(U[0]) * w.sigma * np.sqrt(2.0 * np.pi)
-    assert wrt_columns(spec, w, U, V)[0, 0] == pytest.approx(want, rel=1e-12)
-    g = wrt_polar_perp(spec, w, np.array([1e-200, 0.5]), np.array([0.0, np.pi]))
-    assert np.all(np.isfinite(g.values))
-    assert g.values[0, 0] == pytest.approx(spec.evaluate(np.zeros(2)) * w.sigma * np.sqrt(2.0 * np.pi),
-                                           rel=1e-12)
-    # the analytic-signal kernel: f(u) hhat(0) = f(u) / 2, and 0 off the support
-    w = analytic_signal_window()
-    for f in (spec, field):
-        got = wrt_columns(f, w, U, V)[:, 0]
-        assert got[0] == pytest.approx(_dense_source(f, U[:1], V, np.zeros(1))[0, 0] / 2.0,
-                                       rel=1e-12)
-        assert got[1] == 0.0
-    g = wrt_polar_perp(spec, w, np.array([1e-200, 0.5]), np.array([0.0, np.pi]))
-    assert g.values[0, 0] == pytest.approx(spec.evaluate(np.zeros(2)) / 2.0, rel=1e-12)
+    U, V = np.array([[0.25, 0.0], [10.0, 0.0]]), np.array([[1e-200, 0.0]])
+    theta = np.array([0.0, np.pi])
+    for w in (gaussian_window(1.0), analytic_signal_window()):
+        for f in (spec, field):
+            with pytest.raises(ValidationError, match=r"\|v\| in \[1e-100, 1e\+100\]"):
+                wrt_columns(f, w, U, V)
+            with pytest.raises(ValidationError, match="rho must be positive lengths"):
+                wrt_polar_perp(f, w, np.array([1e-200, 0.5]), theta)
+    with pytest.raises(ValidationError, match=r"\|v\| in"):
+        VSet("full-grid", V)
+
+
+def test_wrt_columns_rejects_v_zero():
+    # a VSet rejects v = 0, and so does wrt_columns
+    with pytest.raises(ValidationError, match=r"\|v\| in"):
+        wrt_columns(gaussian_phantom((0.0, 0.0), 0.5), gaussian_window(1.0), [[0.25, 0.0]],
+                    [[0.0, 0.0]])

@@ -93,6 +93,17 @@ def test_harmonics_of_data_are_real_for_even_window(perp_data):
         assert np.max(np.abs(c.imag)) < 1e-10 * np.max(np.abs(c.real))
 
 
+def test_edge_harmonic_warning_names_the_library_caller(perp_data):
+    # reported at this file's line, whether circular_decompose is called here
+    # or through reconstruct_mellin
+    with pytest.warns(UserWarning, match=r"harmonic \|l\|=4") as record:
+        circular_decompose(perp_data, 4)
+    assert len(record) == 1 and record[0].filename == __file__
+    with pytest.warns(UserWarning, match=r"harmonic \|l\|=4") as record:
+        reconstruct_mellin(perp_data, WINDOW, 4, make_grid(2, 8, 4.0))
+    assert len(record) == 1 and record[0].filename == __file__
+
+
 def test_mellin_transform_gamma_oracle():
     # M[e^-r](s) = Gamma(s)
     r = np.geomspace(1e-8, 60.0, 4096)
