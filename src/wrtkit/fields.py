@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ZeroReferenceError
+from .errors import ValidationError, ZeroReferenceError, warn
 
 __all__ = [
     "Grid",
@@ -479,25 +478,27 @@ def continuous_ift(spec, out_grid):
     vals = np.fft.ifftn(np.fft.ifftshift(G)) / np.prod(dx)
     # undo the fftshift ordering mismatch of the spatial index phase:
     # after ifftshift the k-index runs in DFT order, matching ifftn.
-    imax = np.max(np.abs(vals.imag))
-    rmax = np.max(np.abs(vals.real)) or 1.0
-    if imax > 1e-8 * rmax:
-        warnings.warn(
-            f"inverse transform has complex magnitude {imax:.2e} "
-            f"(relative {imax / rmax:.2e}); taking the real part",
-            stacklevel=2,
-        )
-    return ScalarField(out_grid, vals.real)
+    return ScalarField(out_grid, _real_part(vals, 1e-8, "inverse transform"))
 
 
-def _warn_undecayed(values, consequence, stacklevel=3):
+def _real_part(values, rtol, what):
+    """values.real, with a warning naming ``what`` when max |imag| is above
+    rtol max |real| (rtol alone for an all-zero real part)."""
+    imax = np.max(np.abs(values.imag))
+    rmax = np.max(np.abs(values.real)) or 1.0
+    if imax > rtol * rmax:
+        warn(f"{what} has complex magnitude {imax:.2e} (relative {imax / rmax:.2e}); "
+             "taking the real part")
+    return values.real
+
+
+def _warn_undecayed(values, consequence):
     """Warn, naming the ``consequence``, when sampled values on a grid do not
     decay at its boundary: the edge max is above 1e-6 of the peak."""
     edge = max(np.max(np.abs(np.take(values, i, axis=a)))
                for a in range(values.ndim) for i in (0, -1))
     if edge > 1e-6 * np.max(np.abs(values)):
-        warnings.warn(f"field does not decay at the grid boundary (edge max {edge:.2e}); "
-                      f"{consequence}", stacklevel=stacklevel)
+        warn(f"field does not decay at the grid boundary (edge max {edge:.2e}); {consequence}")
 
 
 def rel_l2_error(a, b):

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _pool
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, warn
 from .fields import (
     _EPS,
     _TAIL,
@@ -223,28 +222,41 @@ def _time_nodes(w, quad, T, panels):
     return t, window_eval(w, t) * wt
 
 
-def _node_rules(w, quad, norms, feature, stacklevel):
+def _node_rules(w, quad, norms, src, rays_each):
     """The node rule of each ray length |v| in ``norms``, built on the caller
     once per distinct panel count, so pool threads share it.  The
     analytic-signal kernel has one rule (s, ws) on [0, 1] for all rays.
-    Warns once when ``quad.max_panels`` (``panels`` for an unrefined rule)
-    caps the longest ray's count: its panels are then wider than the source's
-    narrowest feature, which they can miss (0 for a wide window, no other sign)."""
+    Every forward call builds its rules here once, so the forward's warnings
+    are raised here, once per call, after the rules (an error comes first):
+    analytic-signal rays with |v| < 1e-2 (``rays_each`` per norm), whose pole
+    :func:`_analytic_sum` does not resolve; a sampled field (``src.samples``)
+    cut at its grid edge, whose jump to 0 falls inside a panel (7e-3 of max
+    at the default rule, measured); a ``quad.max_panels`` (``panels`` for an
+    unrefined rule) that caps the longest ray's count below what the source's
+    narrowest feature needs, which its panels can miss (0 for a wide window,
+    no other sign)."""
     if not w.is_real:
-        return [gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)] * len(norms)
+        rules = [gauss_legendre_panels(0.0, 1.0, max(quad.panels, 64), quad.nodes)] * len(norms)
+        count = int(np.count_nonzero(norms < 1e-2)) * rays_each
+        if count:
+            warn(f"{count} analytic-signal rays have |v| < 1e-2, where the forward "
+                 "quadrature does not resolve the kernel's pole (error against the "
+                 "Faddeeva closed form: 0.9 % at |v| = 1e-3, 99 % at 1e-6)")
+        return rules
     T = window_support_radius(w, tol=1e-14)
-    counts = [_panel_count(quad, T, float(r), feature) for r in norms]
+    counts = [_panel_count(quad, T, float(r), src.feature) for r in norms]
     rules = {p: _time_nodes(w, quad, T, p) for p in set(counts)}
-    needed = _panels_needed(quad, T, float(np.max(norms)), feature)  # grows with |v|
+    if src.samples is not None:
+        _warn_undecayed(src.samples, "the forward quadrature degrades across the jump to 0 there")
+    needed = _panels_needed(quad, T, float(np.max(norms)), src.feature)  # grows with |v|
     if needed > max(counts):
-        warnings.warn(f"the forward's rule needs {needed:.6g} panels to resolve the "
-                      f"source's narrowest feature on its longest ray, but max_panels "
-                      f"caps it at {max(counts)}: the values may miss the source",
-                      stacklevel=stacklevel)
+        warn(f"the forward's rule needs {needed:.6g} panels to resolve the "
+             f"source's narrowest feature on its longest ray, but max_panels "
+             f"caps it at {max(counts)}: the values may miss the source")
     return [rules[p] for p in counts]
 
 
-_Source = namedtuple("_Source", "sums interval feature factored run")  # see _ray_source
+_Source = namedtuple("_Source", "sums interval feature factored run samples", defaults=(None,))
 
 
 def _ray_source(f):
@@ -266,7 +278,9 @@ def _ray_source(f):
     - run: the ray nodes of one sums call where :func:`_ray_columns` plans
       its calls, _NODES, or _NODES / 32 for the smoothed disk, whose sums holds
       about eight (rays x nodes) arrays (the gaussian's one, the field's three)
-      and is fastest on runs that stay in cache.
+      and is fastest on runs that stay in cache;
+    - samples: a sampled field's values, which :func:`_node_rules` checks
+      for a cut at the grid edge; None for a phantom.
     """
     if isinstance(f, PhantomSpec):
         disk = f.kind == "smoothed-disk"
@@ -324,7 +338,7 @@ def _ray_source(f):
     # edges; the box's stencils need c on [lo - 1, hi + 2] of each axis
     mirrored = np.pad(coef, 2, mode="reflect")[tuple(slice(a + 1, b + 5) for a, b in ibox.T)]
     return _Source(sums, interval, float(min(g.spacing)),
-                   functools.partial(_spline_column, mirrored, ibox, g), _NODES)
+                   functools.partial(_spline_column, mirrored, ibox, g), _NODES, f.values)
 
 
 def _ball_interval(du, V, rad):
@@ -377,8 +391,8 @@ def _analytic_sum(src, w, rule, U, V):
     (b - a) V, s, ws h(a + (b - a) s)), all pieces in one call.  The panels
     resolve the pole only for |v| >= 1e-2: against the Faddeeva closed form
     (gaussian sigma 0.5, u = (0.25, 0), v perpendicular to u) the error is
-    5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6.  The callers warn
-    when such rays reach it (_warn_unresolved_pole).
+    5e-8 at |v| = 1e-2, 0.9 % at 1e-3 and 99 % at 1e-6; :func:`_node_rules`
+    warns when such rays reach it.
     """
     s, ws = rule
     lo, hi = src.interval(U, V)
@@ -487,28 +501,14 @@ def _check_dimensions(source_n, n, vectors):
         raise ValidationError("vset/grid dimension mismatch")
 
 
-def _warn_unresolved_pole(w, norms, rays_each, stacklevel):
-    """Warn when the analytic-signal kernel meets rays with |v| < 1e-2,
-    ``rays_each`` rays per norm: :func:`_analytic_sum`'s panels do not
-    resolve its pole there."""
-    if w.is_real:
-        return
-    count = int(np.count_nonzero(norms < 1e-2)) * rays_each
-    if count:
-        warnings.warn(f"{count} analytic-signal rays have |v| < 1e-2, where the forward "
-                      "quadrature does not resolve the kernel's pole (error against the "
-                      "Faddeeva closed form: 0.9 % at |v| = 1e-3, 99 % at 1e-6)",
-                      stacklevel=stacklevel)
-
-
 def _columns(src, w, U, vectors, quad):
     """wrt_columns on a checked source: column j holds the rays (U[m], vectors[j])."""
     UT, VT = U.T.copy(), vectors.T.copy()  # column-major rays: (rays, n) math ran 4-8x faster
     return _ray_columns(src, w, quad, np.linalg.norm(vectors, axis=1), U.shape[0],
-                        lambda c, m: (np.take(UT, m, axis=1).T, np.take(VT, c, axis=1).T), 4).T
+                        lambda c, m: (np.take(UT, m, axis=1).T, np.take(VT, c, axis=1).T)).T
 
 
-def _ray_columns(src, w, quad, norms, M, rays, stacklevel):
+def _ray_columns(src, w, quad, norms, M, rays):
     """P_h f, (len(norms), M), ray by ray on columns j of M rays with |v| =
     norms[j]; rays(c, m) gives the paired rays (U, V) of column indices c
     and row indices m.  One block of at most _BLOCK rays at a time, the
@@ -516,10 +516,8 @@ def _ray_columns(src, w, quad, norms, M, rays, stacklevel):
     (:func:`_shares`), so more workers make no more, smaller calls; each ray
     is reduced by itself, so no value depends on the worker count or the run
     size.  The key pass and the runs go on pool threads, so they call no
-    name perfbench's layer tracer wraps.  ``stacklevel`` (seen from here)
-    is the caller an unresolved pole or a capped refinement warns at."""
-    _warn_unresolved_pole(w, norms, M, stacklevel + 1)
-    rules = _node_rules(w, quad, norms, src.feature, stacklevel + 1)
+    name perfbench's layer tracer wraps."""
+    rules = _node_rules(w, quad, norms, src, M)
     out = np.zeros((len(norms), M), dtype=float if w.is_real else complex)
 
     def run(shares):  # _pool.map hands each worker a list of one share of planned calls
@@ -588,16 +586,7 @@ def wrt_columns(f, w, U, vectors, quad=QuadratureParams()):
     (:func:`_ray_columns`), so the values do not depend on the worker count."""
     U, vectors = np.atleast_2d(np.asarray(U, dtype=float)), VSet("full-grid", vectors).vectors
     src = _grid_source(f, U.shape[1], vectors)
-    _warn_cut_field(f, w)
     return _columns(src, w, U, vectors, quad)
-
-
-def _warn_cut_field(f, w):
-    """Warn when a real window meets a sampled field that does not vanish at
-    its grid edge: the field jumps to 0 there, inside a panel, and the rule
-    loses its accuracy (7e-3 of max at the default rule, measured)."""
-    if w.is_real and isinstance(f, ScalarField):
-        _warn_undecayed(f.values, "the forward quadrature degrades across the jump to 0 there", 4)
 
 
 def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
@@ -615,7 +604,6 @@ def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
     the analytic-signal kernel) runs :func:`wrt_columns` ray by ray, which
     shares out planned source calls."""
     src = _grid_source(f, u_grid.n, vset.vectors)
-    _warn_cut_field(f, w)
     if w.is_real and src.factored is not None:
         values = _factored_columns(src, w, u_grid, vset.vectors, quad)
     else:
@@ -626,7 +614,7 @@ def windowed_ray_transform(f, w, u_grid, vset, quad=QuadratureParams()):
 def _factored_columns(src, w, u_grid, vectors, quad):
     """The factored route of windowed_ray_transform: one v column per call of
     src.factored, contiguous ranges of columns per pool worker."""
-    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src.feature, 4)
+    rules = _node_rules(w, quad, np.linalg.norm(vectors, axis=1), src, u_grid.size)
     axes = [u_grid.axis_coords(i) for i in range(u_grid.n)]
     out = np.zeros((vectors.shape[0], u_grid.size))
 
@@ -741,9 +729,8 @@ def wrt_polar_perp(f, w, rho, theta, quad=QuadratureParams()):
     src = _ray_source(f)
     if (f.grid if isinstance(f, ScalarField) else f).n != 2:
         raise ValidationError("perpendicular polar transform is n=2 only")
-    _warn_cut_field(f, w)
     return PolarWRT(rho, theta, w,
-                    _ray_columns(src, w, quad, rho, theta.size, _perp_rays(rho, theta), 3))
+                    _ray_columns(src, w, quad, rho, theta.size, _perp_rays(rho, theta)))
 
 
 def _perp_rays(rho, theta):

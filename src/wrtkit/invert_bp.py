@@ -209,7 +209,12 @@ def _resample(values, src_grid, dst_grid):
         return values
     from scipy import ndimage
 
-    idx = src_grid.coord_to_index(dst_grid.points())
+    # map_coordinates pads 12 cells (mode "nearest"), so beyond 16 it reads the
+    # padded edge; clipping at 2^31 cells (its int index overflows at 9.2e18)
+    # leaves every nearer index as it was and keeps a far grid's indices finite
+    far = np.full(src_grid.n, 2.0**31)
+    box = src_grid.index_to_coord([-far, np.add(src_grid.shape, far)])
+    idx = src_grid.coord_to_index(np.clip(dst_grid.points(), *box))
     out = ndimage.map_coordinates(values, idx.T, order=3, mode="nearest")
     return out.reshape(dst_grid.shape)
 

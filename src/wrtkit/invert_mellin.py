@@ -31,13 +31,11 @@ the circular mean of f cannot be recovered (H_l for l != 0 is not 0).
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, NumericalError, ValidationError
+from .errors import HypothesisError, NumericalError, ValidationError, warn
 from .fields import ScalarField, _exp_i_blocks, _exp_i_outer, _lengths, _log_line, _uniform_step
 from .forward import PolarWRT
 from .quad import gauss_legendre_panels, trapezoid_weights
@@ -121,7 +119,7 @@ def circular_decompose(g, L):
     """g_l(rho) = (1/2 pi) int_0^{2 pi} g(rho, theta) e^{-i l theta} d theta.
 
     Computed as FFT over theta divided by the sample count; returns
-    l in [-L, L].  Warns at the library caller's line when the edge harmonic
+    l in [-L, L].  Warns (errors.warn) when the edge harmonic
     is not negligible (truncation/aliasing risk).  g must be PolarWRT.
     """
     if not isinstance(g, PolarWRT):
@@ -137,11 +135,8 @@ def circular_decompose(g, L):
     mags = np.max(np.abs(coefs), axis=1)
     top = mags.max()
     if top > 0 and max(mags[0], mags[-1]) > 0.01 * top:
-        warnings.warn(
-            f"harmonic |l|={L} carries {max(mags[0], mags[-1]) / top:.1%} of the "
-            "peak coefficient; series truncation will be visible",
-            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,  # the library caller
-        )
+        warn(f"harmonic |l|={L} carries {max(mags[0], mags[-1]) / top:.1%} of the "
+             "peak coefficient; series truncation will be visible")
     return HarmonicSeries(ls, g.rho, coefs)
 
 
@@ -312,7 +307,7 @@ def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
 
     Needs PolarWRT data (checked first) and a real window that is not odd
     (HypothesisError): for an odd window H_0 = 0, so the circular mean of f
-    is lost.
+    is lost.  The output grid's largest radius must be a length, checked first.
     """
     if not isinstance(g, PolarWRT):
         raise ValidationError("harmonic-series inversion consumes perp (PolarWRT) data")
@@ -323,12 +318,13 @@ def reconstruct_mellin(g, w, L, grid, params=MellinParams()):
         )
     if grid.n != 2:
         raise ValidationError("harmonic-series inversion is n = 2 only")
+    X = grid.points()
+    with np.errstate(over="ignore"):  # a radius past the largest double is inf, rejected
+        rad = np.hypot(X[:, 0], X[:, 1])
+    # recovery radii: log grid spanning the output's radial range
+    r_hi = float(_lengths(max(rad.max(), g.rho.max()), "the output grid's largest radius must be"))
     series = circular_decompose(g, L)
     y, t = params.y_grid(), params.t
-    # recovery radii: log grid spanning the output's radial range
-    X = grid.points()
-    rad = np.hypot(X[:, 0], X[:, 1])
-    r_hi = max(rad.max(), g.rho.max())
     r_lo = max(1e-3 * r_hi, g.rho.min())
     r_grid = np.geomspace(r_lo, r_hi, 256)
     Mg = mellin_transform(series.rho, series.coefficients[L:], t, y)

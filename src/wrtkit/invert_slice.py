@@ -19,13 +19,12 @@ coordinates); restricted mode keeps u on the x1-axis and varies v2
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, ValidationError
-from .fields import Grid, ScalarField, _exp_i_outer, _uniform_step
+from .fields import Grid, ScalarField, _exp_i_outer, _real_part, _uniform_step
 from .forward import WRTData, v1_line_vset, windowed_ray_transform, wrt_columns
 from .quad import QuadratureParams, trapezoid_weights
 from .windows import window_eval
@@ -194,11 +193,8 @@ def reconstruct_slice(spectrum, out_grid):
     ws = trapezoid_weights(sig)
     E = np.exp(1j * np.multiply.outer(x1, sig))  # (Nx1, Nsigma)
     rows = (E * ws[None, :]) @ spectrum.values[:, order] / (2.0 * np.pi)  # (Nx1, Nzeta)
-    imax = np.max(np.abs(rows.imag))
-    rmax = np.max(np.abs(rows.real)) or 1.0
-    if imax > 1e-6 * rmax:
-        warnings.warn(f"reconstruction has complex magnitude {imax / rmax:.2e}", stacklevel=2)
+    rows = _real_part(rows, 1e-6, "reconstruction")
     vals = np.empty(out_grid.shape)
     for i in range(x1.size):
-        vals[i] = np.interp(x2, zeta, rows[i].real)
+        vals[i] = np.interp(x2, zeta, rows[i])
     return ScalarField(out_grid, vals)

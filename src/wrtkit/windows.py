@@ -225,12 +225,12 @@ def window_constants(w):
 
 def _resolve_constant(mode, alpha, paper=None, theory=None):
     """Check ``constant_mode`` and ``alpha`` of the t1/t2 inversions and
-    return the constant the mode selects: 1 for 'raw', alpha for
+    return the constant the mode selects: 1 for 'raw', alpha (finite) for
     'calibrated', else ``paper()`` or ``theory()`` (None when not given)."""
     if mode not in CONSTANT_MODES:
         raise ValidationError(f"unknown constant mode {mode!r}")
-    if mode == "calibrated" and alpha is None:
-        raise ValidationError("calibrated mode needs alpha")
+    if mode == "calibrated" and (alpha is None or not math.isfinite(alpha)):
+        raise ValidationError("calibrated mode needs a finite alpha")
     if mode == "raw":
         return 1.0
     if mode == "calibrated":

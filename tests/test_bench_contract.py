@@ -14,6 +14,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 import wrtkit
 import wrtkit.cli  # the tracer looks up every wrapped module by name
@@ -32,6 +33,7 @@ def _load_layers():
     return module
 
 
+@pytest.mark.filterwarnings("ignore:the forward's rule needs")  # the coarse rule below
 def test_tracer_records_the_counted_routes():
     originals = (wrtkit.windowed_ray_transform, wrtkit.forward.windowed_ray_transform)
     tracer = _load_layers().Tracer()

@@ -563,8 +563,12 @@ def _run_invert(paths, method, argv, out, dataset=None):
 
 
 def test_invert_inputs_reconstruct(invert_inputs, tmp_path):
+    # the tiny slice and Mellin datasets are coarse on purpose, and each says so once
+    warns = {"slice": "^reconstruction has complex magnitude", "mellin": r"^harmonic \|l\|=1"}
     for method in ("t1", "t2", "slice", "mellin"):
-        rc, err = _run_invert(invert_inputs, method, [], str(tmp_path / method))
+        with (pytest.warns(UserWarning, match=warns[method]) if method in warns
+              else contextlib.nullcontext()):
+            rc, err = _run_invert(invert_inputs, method, [], str(tmp_path / method))
         assert rc == 0, (method, err)
 
 
@@ -691,11 +695,56 @@ def test_mellin_radii_that_overflow_exit_1(tmp_path, case):
     assert not out.exists()
 
 
+def test_mellin_output_grid_beyond_the_length_range_exit_1(tmp_path):
+    # an output grid out to |x| = 2.8e100 exited 1 with "recovery radii must
+    # be positive lengths", radii the caller never gave; it is checked first
+    spec = _phantom_file(tmp_path)
+    data, out = str(tmp_path / "perp"), tmp_path / "rec"
+    rc, _ = _run(["forward", "--phantom", spec, "--vmode", "perp", "--window", "gaussian:1.0",
+                  "--rho-min", "1e-6", "--rho-max", "12", "--nrho", "512", "--ntheta", "16",
+                  "--out", data])
+    assert rc == 0
+    rc, err = _run(["invert", "--method", "mellin", "--in", data, "--lmax", "4", "--shape", "4",
+                    "--extent", "4e100", "--out", str(out)])
+    assert rc == 1 and len(err) == 1
+    assert err[0] == "error: the output grid's largest radius must be in [1e-100, 1e+100]"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["t1", "t2"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_non_finite_calibrated_constant_exit_1(invert_inputs, tmp_path, method, alpha):
+    # t1 blamed the field ("scalar field contains non-finite values") and t2
+    # the synthesis (exit 2); the constant's one owner rejects it first
+    out = tmp_path / "r"
+    rc, err = _run_invert(invert_inputs, method, ["--constant-mode", "calibrated",
+                                                  f"--alpha={alpha}"], str(out))
+    assert rc == 1
+    assert err == ["error: calibrated mode needs a finite alpha"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("center", ["1e308", "-1e308"])
+def test_t1_onto_a_far_output_grid_exit_0(invert_inputs, tmp_path, center):
+    # t1's resampling indices overflowed ("overflow encountered in divide",
+    # then "scalar field contains non-finite values"); the values such a grid
+    # reads are pinned in test_invert_bp
+    out = str(tmp_path / "r")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = _run_invert(invert_inputs, "t1", ["--shape", "3", "--extent", "10",
+                                                    f"--center={center}"], out)
+    assert rc == 0 and err == []
+    assert np.all(np.isfinite(wio.read_gf1(out).values))
+
+
 _INVERT_FLAGS = {"--nsigma": _COUNT, "--lmax": _COUNT, **{f: _VALUE for f in (
     "--rmin", "--rmax", "--sigma-max", "--alpha", "--slice-a", "--mellin-t", "--mellin-T",
     "--reg-lambda", "--extent", "--center")}}
 
 
+@pytest.mark.filterwarnings("ignore:reconstruction has complex magnitude")  # the tiny datasets
+@pytest.mark.filterwarnings("ignore:harmonic")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=st.sampled_from([("t1", "t1"), ("t2", "t2"), ("slice", "slice"),
                              ("slice", "slice-complex"), ("slice", "slice-short"),

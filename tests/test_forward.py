@@ -674,7 +674,8 @@ def test_clipped_forward_field_touching_grid_edge():
     grid = make_grid(2, 20, 14.0)
     quad = QuadratureParams(panels=8)
     w = gaussian_window(1.0)
-    got = windowed_ray_transform(field, w, grid, _VSET, quad).values
+    with pytest.warns(UserWarning, match="does not decay at the grid boundary"):
+        got = windowed_ray_transform(field, w, grid, _VSET, quad).values
     _assert_close(got, _dense_wrt(field, w, grid.points(), _VSET.vectors, quad))
     # the analytic-signal kernel has no dense rule: the same rule with 4x the
     # panels (64 and 256 per piece).  The spline field drops to 0 at the end

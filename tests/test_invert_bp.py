@@ -25,7 +25,7 @@ from wrtkit import (
     windowed_ray_transform,
     wrt_columns,
 )
-from wrtkit.invert_bp import _antipodal_groups
+from wrtkit.invert_bp import _antipodal_groups, _resample
 from wrtkit.quad import QuadratureParams
 from wrtkit.windows import window_ft
 
@@ -263,3 +263,25 @@ def test_bpparams_validation():
         BPParams(constant_mode="calibrated")
     with pytest.raises(ValidationError):
         BPParams(constant_mode="bogus")
+
+
+def test_resample_onto_a_far_grid_reads_the_nearest_corner_without_overflow():
+    # indices within 2^31 cells of the data are not touched, so the values are
+    # map_coordinates' at the unclipped indices; a grid centred at 1e308
+    # overflowed (coord - origin) / spacing and is now the same as one at 1e15
+    from scipy import ndimage
+
+    rng = np.random.default_rng(3)
+    src = make_grid(2, 8, 2.0)  # spacing 0.25
+    values = rng.standard_normal(src.shape)
+    for dst in (make_grid(2, 9, 5.0, center=(0.7, -0.4)), make_grid(2, 4, 3.0, center=(1e5, -2e5))):
+        idx = src.coord_to_index(dst.points())
+        want = ndimage.map_coordinates(values, idx.T, order=3, mode="nearest").reshape(dst.shape)
+        assert np.array_equal(_resample(values, src, dst), want)
+    for sign in (1.0, -1.0):
+        near = _resample(values, src, make_grid(2, 3, 10.0, center=(sign * 1e15, sign * 1e15)))
+        for c in (1e300, 1e308):
+            far = _resample(values, src, make_grid(2, 3, 10.0, center=(sign * c, sign * c)))
+            assert np.array_equal(far, near)
+        # the edge of map_coordinates' padded spline: the corner sample within 1e-5
+        assert np.allclose(near, values[-1, -1] if sign > 0 else values[0, 0], rtol=1e-5, atol=0)

@@ -52,7 +52,8 @@ def _dataset(V, dv=0.5, n2=16):
     u1 = np.arange(-200, 200) * 0.5
     u2 = make_grid(1, n2, 10.0).axis_coords(0)
     v1 = symmetric_offset_grid(V, dv)
-    return make_slice_dataset(spec, w, u1, u2, v1, quad=QuadratureParams(panels=4, max_panels=None))
+    with pytest.warns(UserWarning, match="caps it at 4"):  # the unrefined rule, coarse on purpose
+        return make_slice_dataset(spec, w, u1, u2, v1, quad=QuadratureParams(panels=4, max_panels=None))
 
 
 def test_symmetric_offset_grid():
@@ -172,9 +173,10 @@ def test_restricted_mode():
     v1 = symmetric_offset_grid(16.0, 0.5)
     vprimes = np.linspace(-4.0, 4.0, 9)
     a = 0.5
-    u1r, v1r, vpr, vals = make_restricted_dataset(
-        spec_f, w, u1, v1, vprimes, quad=QuadratureParams(panels=32, max_panels=None)
-    )
+    with pytest.warns(UserWarning, match="caps it at 32"):
+        u1r, v1r, vpr, vals = make_restricted_dataset(
+            spec_f, w, u1, v1, vprimes, quad=QuadratureParams(panels=32, max_panels=None)
+        )
     out = restricted_extract(u1r, v1r, vpr, vals, w, SliceParams(a=a))
     assert np.allclose(out.zeta, a * vprimes)
     band = (np.abs(out.sigma) > 0.4) & (np.abs(out.sigma) < 2.0)
